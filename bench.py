@@ -185,8 +185,8 @@ def main_bench() -> dict:
         **space,
     }
     if queries:
-        print(json.dumps({"per_query_sec": queries}))
         print(json.dumps({"per_query_canary_mb_s": canaries}))
+        print(json.dumps({"per_query_sec": queries}))
     ray.shutdown()
     return result
 

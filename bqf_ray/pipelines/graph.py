@@ -243,6 +243,22 @@ def _pr_ckpt_config(n, unit, d_num, d_den, weight_col, restart_nodes):
     return hashlib.sha256(blob).hexdigest()
 
 
+def _pr_resume_iter(meta_p, cfg, iters, **match) -> int:
+    """Rounds completed by the checkpoint described by ``meta_p``; 0
+    when it is absent, foreign (config or ``match`` differ) or past
+    ``iters``."""
+    import json
+    import os
+    if not os.path.exists(meta_p):
+        return 0
+    with open(meta_p) as f:
+        meta = json.load(f)
+    ok = (meta.get("config") == cfg
+          and all(meta.get(k) == v for k, v in match.items())
+          and 0 < int(meta.get("iter", 0)) <= int(iters))
+    return int(meta["iter"]) if ok else 0
+
+
 def pagerank(edges_ds, src_col: str, dst_col: str, d_num: int = 17,
              d_den: int = 20, iters: int = 10,
              weight_col: str | None = None,
@@ -330,9 +346,7 @@ def pagerank(edges_ds, src_col: str, dst_col: str, d_num: int = 17,
         s = np.asarray(batch.column("s"), dtype=np.int64)
         t = np.asarray(batch.column("t"), dtype=np.int64)
         w = np.asarray(batch.column("w"), dtype=np.int64)
-        su, inv = np.unique(s, return_inverse=True)
-        sw = np.zeros(len(su), dtype=np.int64)
-        np.add.at(sw, inv, w)
+        su, sw = _sum_by(s, w)
         tu = np.unique(t)
         return pa.table({
             "node": pa.array(np.concatenate([su, tu])),
@@ -354,11 +368,11 @@ def pagerank(edges_ds, src_col: str, dst_col: str, d_num: int = 17,
         nd_ds = nd_ds.materialize()
         n_nodes = nd_ds.count()
         if mode == "sharded" or n_nodes > int(node_budget):
-            plan_log("pagerank", "sharded", n_nodes=n_nodes,
-                     node_budget=int(node_budget),
-                     forced=int(mode == "sharded"))
             return _pagerank_sharded(
-                edges, nd_ds, n_nodes, d_num=d_num, d_den=d_den,
+                edges, nd_ds, n_nodes,
+                dict(n_nodes=n_nodes, node_budget=int(node_budget),
+                     forced=int(mode == "sharded")),
+                d_num=d_num, d_den=d_den,
                 iters=iters, restart_nodes=restart_nodes,
                 num_shards=num_shards, output=output,
                 checkpoint_dir=checkpoint_dir,
@@ -368,15 +382,13 @@ def pagerank(edges_ds, src_col: str, dst_col: str, d_num: int = 17,
     if len(nd) == 0:                 # empty groupby: no columns at all
         empty = (np.empty(0, dtype=np.int64),
                  np.empty(0, dtype=np.int64), 1 << 40)
-        return (_rank_arrays_to_dataset(*empty)
+        return (ray.data.from_arrow(_rank_table(*empty))
                 if output == "dataset" else empty)
     nodes = nd["node"].to_numpy()
     order = np.argsort(nodes)
     nodes = nodes[order]
     deg = nd["deg"].to_numpy()[order].astype(np.int64)
     n = len(nodes)
-    if n == 0:
-        return nodes, np.empty(0, dtype=np.int64), 1 << 40
     w_max = max(int(nd["wmax"].max()), 1)
     UNIT = min(1 << 40, (1 << 62) // (n * d_num * w_max))
     if UNIT < (1 << 20):
@@ -389,256 +401,171 @@ def pagerank(edges_ds, src_col: str, dst_col: str, d_num: int = 17,
     # ≤ 2^62, hence every per-edge product, per-node sum, and the total
     # mass n·UNIT stay < 2^63 — object-dtype/python-int arithmetic buys
     # nothing and costs O(n) Python per iteration (r2 verdict #4).
-    spos = None
+    # the broadcast plan keeps its vector in ONE local vertex shard, so
+    # the exact respread and the checkpoint file are the sharded plan's
+    shard = _VertexShard()
+    shard.init(nodes, deg=deg)
+    targets = n
     if restart_nodes is not None:
         seeds = np.unique(np.asarray(restart_nodes, dtype=np.int64))
         if not len(seeds):
             raise ValueError("pagerank: empty restart_nodes")
-        spos = np.searchsorted(nodes, seeds)
-        ok = (spos < n) & (nodes[np.minimum(spos, n - 1)] == seeds)
-        if not ok.all():
+        bad = _pr_seed(shard, seeds)
+        if len(bad):
             raise ValueError("pagerank: restart node(s) absent from "
-                             f"the graph: {seeds[~ok][:5].tolist()}")
-        ranks = np.zeros(n, dtype=np.int64)
-        base, rem = divmod(n * UNIT, len(seeds))
-        ranks[spos] = base
-        ranks[spos[:rem]] += 1
-    else:
-        ranks = np.full(n, UNIT, dtype=np.int64)
-    start_iter = 0
-    ck_cfg = None
-    if checkpoint_dir is not None:
-        import io
-        import json
-        import os
-        ck_cfg = _pr_ckpt_config(n, UNIT, d_num, d_den, weight_col,
-                                 restart_nodes)
-        meta_p = os.path.join(checkpoint_dir, "pr_meta.json")
-        st_p = os.path.join(checkpoint_dir, "pr_state.npz")
-        if os.path.exists(meta_p) and os.path.exists(st_p):
-            with open(meta_p) as f:
-                meta = json.load(f)
-            if (meta.get("config") == ck_cfg
-                    and 0 < int(meta.get("iter", 0)) <= int(iters)):
-                dat = np.load(st_p)
-                if np.array_equal(dat["nodes"], nodes):
-                    ranks = dat["ranks"].astype(np.int64)
-                    start_iter = int(meta["iter"])
+                             f"the graph: {bad[:5].tolist()}")
+        targets = len(seeds)
 
-    def _save_ckpt(it_done: int) -> None:
-        import io
+    def spread(undelivered):
+        # conserve mass exactly: respread everything not delivered
+        # (teleport + dangling + floor-div residue) over the restart
+        # targets — vectorized divmod, bit-identical to per-node divmod
+        _pr_spread(shard, *divmod(undelivered, targets))
+
+    spread(n * UNIT)
+    start_iter = 0
+    if checkpoint_dir is not None:
         import json
         import os
 
         from bqf_ray.state.checkpoint import _atomic_write
-        buf = io.BytesIO()
-        np.savez(buf, nodes=nodes, ranks=ranks)
-        _atomic_write(os.path.join(checkpoint_dir, "pr_state.npz"),
-                      buf.getvalue())
-        _atomic_write(os.path.join(checkpoint_dir, "pr_meta.json"),
-                      json.dumps({"config": ck_cfg,
-                                  "iter": it_done}).encode())
+        ck_cfg = _pr_ckpt_config(n, UNIT, d_num, d_den, weight_col,
+                                 restart_nodes)
+        meta_p = os.path.join(checkpoint_dir, "pr_meta.json")
+        st_p = os.path.join(checkpoint_dir, "pr_state.npz")
+        done = _pr_resume_iter(meta_p, ck_cfg, iters)
+        if done and shard.load_state(st_p):
+            start_iter = done
 
     for _it in range(start_iter, int(iters)):
-        ref = ray.put((nodes, ranks, deg))
+        ref = ray.put((nodes, shard.vec["ranks"], deg))
 
         def contrib(batch: pa.Table) -> pa.Table:
-            nn, rr, dd = ray.get(ref)
-            s = np.asarray(batch.column("s"), dtype=np.int64)
-            t = np.asarray(batch.column("t"), dtype=np.int64)
-            w = np.asarray(batch.column("w"), dtype=np.int64)
-            si = np.searchsorted(nn, s)
-            c = (rr[si] * d_num * w) // (d_den * dd[si])
-            tu, inv = np.unique(t, return_inverse=True)
-            sums = np.zeros(len(tu), dtype=np.int64)
-            np.add.at(sums, inv, c)
+            tu, sums = _pr_message(ray.get(ref), _int_cols(batch),
+                                   d_num, d_den)
             return pa.table({"node": pa.array(tu),
                              "partial": pa.array(sums)})
 
         got = bucketed_sum(
             edges.map_batches(contrib, batch_format="pyarrow"),
             ["node"], {"partial": "r"}).to_pandas()
-        new = np.zeros(n, dtype=np.int64)
         if len(got):
-            gi = np.searchsorted(nodes, got["node"].to_numpy())
-            new[gi] = got["r"].to_numpy().astype(np.int64)
-        # conserve mass exactly: respread everything not delivered
-        # (teleport + dangling + floor-div residue) uniformly —
-        # vectorized divmod respread, bit-identical to per-node divmod
-        delivered = int(new.sum())          # ≤ n·UNIT < 2^63: exact
-        if spos is not None:                # PPR: respread to seeds
-            base, rem = divmod(n * UNIT - delivered, len(spos))
-            new[spos] += np.int64(base)
-            new[spos[:rem]] += 1            # lowest-id seeds get the +1
-        else:
-            base, rem = divmod(n * UNIT - delivered, n)
-            new += np.int64(base)
-            new[:rem] += 1                  # pos < rem gets the +1
-        ranks = new
+            shard.stage(got["node"].to_numpy().astype(np.int64),
+                        got["r"].to_numpy().astype(np.int64))
+        spread(n * UNIT - _pr_commit(shard))   # ≤ n·UNIT < 2^63: exact
         if checkpoint_dir is not None and (
                 (_it + 1) % int(checkpoint_every) == 0
                 or _it + 1 == int(iters)):
-            _save_ckpt(_it + 1)
+            shard.save_state(st_p, "ranks")
+            _atomic_write(meta_p, json.dumps(
+                {"config": ck_cfg, "iter": _it + 1}).encode())
 
     if output == "dataset":
-        return _rank_arrays_to_dataset(nodes, ranks, UNIT)
-    return nodes, ranks, UNIT
+        return ray.data.from_arrow(
+            _rank_table(nodes, shard.vec["ranks"], UNIT))
+    return nodes, shard.vec["ranks"], UNIT
 
 
-def _rank_arrays_to_dataset(nodes, ranks, unit):
-    import ray
-    return ray.data.from_arrow(pa.table({
+def _rank_table(nodes, ranks, unit):
+    return pa.table({
         "node": pa.array(nodes, pa.int64()),
         "rank": pa.array(ranks, pa.int64()),
-        "unit": pa.array(np.full(len(nodes), unit, dtype=np.int64))}))
+        "unit": pa.array(np.full(len(nodes), unit, dtype=np.int64))})
 
 
-class _PRShard:
-    """One range-partitioned shard of the PageRank node state.
+# ---------------------------------------------------------------------------
+# node-sharded vertex runtime: every sharded iterative (pagerank, kcore,
+# label_propagation, hits, sssp/bfs_hops, random_walks) keeps its vertex
+# state in range-partitioned _VertexShard actors and expresses one round
+# as a (message, combine, apply) triple run by _shard_round
+# ---------------------------------------------------------------------------
 
-    Holds ``(nodes_sorted, deg, ranks)`` for its node-id range plus the
-    shard's global offset (count of nodes in lower shards), so the
-    "lowest-id ``rem`` nodes get the +1" respread is local arithmetic.
-    Mutations are sequenced by the driver: ``stage_contribs`` (from the
-    destination-bucket reduce groups) → ``commit`` (zeros + staged
-    sums, returns delivered mass) → ``respread`` — each phase behind a
-    ``ray.get`` barrier, so reads (``get_state``) only ever see fully
-    committed rounds."""
+_PART = "__sp"          # shard-id column of co-bucketed / routed rows
+
+
+class _VertexShard:
+    """One node range of a node-sharded vertex state: the range's sorted
+    ids plus named state vectors.  Mutations are sequenced by the driver
+    — ``stage`` (from the destination-shard fold groups) then ``apply``
+    — each phase behind a ``ray.get`` barrier, so reads (``get_state``)
+    only ever see fully committed rounds."""
 
     def __init__(self):
         self.nodes = np.empty(0, dtype=np.int64)
-        self.deg = np.empty(0, dtype=np.int64)
-        self.ranks = np.empty(0, dtype=np.int64)
-        self._wmax = 1
-        self._pend_nodes = None
-        self._pend_sums = None
-        self._new = None
-        self._spos = None           # PPR: positions of seeds, sorted
+        self.vec = {}
+        self.staged = None
 
-    def init_shard(self, nodes, deg, wmax):
-        order = np.argsort(nodes)
-        self.nodes = nodes[order].astype(np.int64)
-        self.deg = deg[order].astype(np.int64)
-        self._wmax = int(wmax.max(initial=1))
-        return len(self.nodes), self._wmax
+    def init(self, nodes, **vec):
+        self.nodes, self.vec = nodes, vec
+        return len(nodes)
 
-    def set_seeds(self, seeds):
-        """Sorted seed ids claimed for this shard → positions; returns
-        the ids NOT found so the driver can raise with names."""
-        pos = np.searchsorted(self.nodes, seeds)
-        ok = (pos < len(self.nodes)) \
-            & (self.nodes[np.minimum(pos, len(self.nodes) - 1)] == seeds)
-        self._spos = pos[ok]
-        return seeds[~ok]
+    def get_state(self, names):
+        return (self.nodes, *(self.vec[n] for n in names))
 
-    def init_ranks(self, fill, seed_base=0, seed_plus1=0):
-        if self._spos is None:
-            self.ranks = np.full(len(self.nodes), fill, dtype=np.int64)
-        else:
-            self.ranks = np.zeros(len(self.nodes), dtype=np.int64)
-            self.ranks[self._spos] = seed_base
-            self.ranks[self._spos[:seed_plus1]] += 1
+    def stage(self, *arrays):
+        self.staged = arrays
 
-    def get_state(self):
-        return self.nodes, self.ranks, self.deg
+    def apply(self, fn, *args):
+        """``fn(shard, *args)`` — an algorithm's commit/update rule."""
+        return fn(self, *args)
 
-    def stage_contribs(self, nodes, sums):
-        self._pend_nodes = nodes
-        self._pend_sums = sums
+    def state_table(self, **cols):
+        return pa.table({"node": pa.array(self.nodes),
+                         **{out: pa.array(self.vec[name])
+                            for out, name in cols.items()}})
 
-    def commit(self):
-        new = np.zeros(len(self.nodes), dtype=np.int64)
-        if self._pend_nodes is not None and len(self._pend_nodes):
-            idx = np.searchsorted(self.nodes, self._pend_nodes)
-            new[idx] = self._pend_sums
-        self._pend_nodes = self._pend_sums = None
-        self._new = new
-        return int(new.sum())
-
-    def respread(self, base, plus1):
-        """Uniform respread: +base everywhere, +1 to the first
-        ``plus1`` (lowest-id) nodes of this shard (driver pre-clips
-        ``plus1`` by shard offsets)."""
-        self._new += np.int64(base)
-        self._new[:plus1] += 1
-        self.ranks, self._new = self._new, None
-
-    def respread_seeds(self, base, plus1):
-        self._new[self._spos] += np.int64(base)
-        self._new[self._spos[:plus1]] += 1
-        self.ranks, self._new = self._new, None
-
-    def n_seeds(self):
-        return 0 if self._spos is None else len(self._spos)
-
-    def state_table(self, unit):
-        return pa.table({
-            "node": pa.array(self.nodes),
-            "rank": pa.array(self.ranks),
-            "unit": pa.array(np.full(len(self.nodes), unit,
-                                     dtype=np.int64))})
-
-    def save_state(self, dir_, p):
-        """Shard writes its OWN checkpoint file (atomic, deterministic
-        name) — node-sized bytes never pass through the driver.  On a
-        multi-node cluster ``dir_`` must be shared storage, same as the
-        sketch checkpoints."""
+    def save_state(self, path, *names):
+        """Shard writes its OWN checkpoint file — node-sized bytes never
+        pass through the driver.  On a multi-node cluster ``path`` must
+        be on shared storage, same as the sketch checkpoints."""
         import io
-        import os
 
         from bqf_ray.state.checkpoint import _atomic_write
         buf = io.BytesIO()
-        np.savez(buf, nodes=self.nodes, ranks=self.ranks)
-        _atomic_write(os.path.join(dir_, f"pr_shard_{p:05d}.npz"),
-                      buf.getvalue())
+        np.savez(buf, nodes=self.nodes, **{n: self.vec[n] for n in names})
+        _atomic_write(path, buf.getvalue())
 
-    def load_state(self, dir_, p):
+    def load_state(self, path):
+        """Load a :meth:`save_state` file saved for exactly this shard's
+        nodes; False (state untouched) otherwise."""
         import os
-        path = os.path.join(dir_, f"pr_shard_{p:05d}.npz")
         if not os.path.exists(path):
             return False
         dat = np.load(path)
         if not np.array_equal(dat["nodes"], self.nodes):
             return False
-        self.ranks = dat["ranks"].astype(np.int64)
+        self.vec.update({k: dat[k].astype(np.int64)
+                         for k in dat.files if k != "nodes"})
         return True
 
 
-# per-worker-process shard-state cache for the sharded-plan contribution
-# tasks: keyed (round_token, shard); a token change (new round) clears
-# it, so a worker holds at most the shards its current round's batches
-# touch (edges are co-bucketed by source range, so that is ~P/W shards,
-# not the whole vector)
-_PR_SHARD_CACHE: dict = {}
+# per-worker-process shard-state cache for the scan tasks: keyed
+# (round_token, shard); a token change (new round) clears it, so a
+# worker holds at most the shards its current round's batches touch
+# (edges are co-bucketed by source range, so that is ~P/W shards, not
+# the whole vector)
+_SHARD_CACHE: dict = {}
 
 
-def _make_shards(cls, P):
+def _make_shards(P):
     """P shard actors, num_cpus=0 (short RPC handlers, never compute-
     bound) and SPREAD-scheduled so a multi-node cluster spreads the
     node-state memory across nodes instead of stacking it on the head
     node (single-node: no-op)."""
     import ray
-    Shard = ray.remote(num_cpus=0)(cls)
+    Shard = ray.remote(num_cpus=0)(_VertexShard)
     return [Shard.options(
         scheduling_strategy="SPREAD").remote() for _ in range(P)]
 
 
-def _shard_run_id() -> str:
-    """Per-run token component for the worker-side shard cache — a
-    uuid, NOT ``id(actor)``: worker processes outlive queries and a
-    recycled CPython id would silently serve a previous run's cached
-    shard state."""
-    import uuid
-    return uuid.uuid4().hex
-
-
 def _shard_route(ds, col: str, P: int):
-    """Range router over ``ds[col]``: quantile boundaries once →
-    ``route(values) -> shard id`` (monotone, identical everywhere)."""
+    """Range router over the MATERIALIZED ``ds[col]``: quantile
+    boundaries once → ``route(values) -> shard id`` (monotone, identical
+    everywhere).  An empty ``ds`` routes everything to shard 0."""
     from bqf_ray.stages.partition import quantile_boundaries
 
     bounds = (quantile_boundaries(ds, col, P)
-              if P > 1 else np.empty(0, dtype=np.float64))
+              if P > 1 and ds.count() else np.empty(0, dtype=np.float64))
 
     def route(arr):
         return np.searchsorted(
@@ -648,46 +575,245 @@ def _shard_route(ds, col: str, P: int):
     return route
 
 
-def _cobucket(ds, route, col: str, part_col: str):
-    """Materialized co-bucket of ``ds`` by ``route(col)`` — the
-    once-per-plan edge exchange every sharded graph plan shares."""
+def _with_part(ds, route, col: str):
+    """``ds`` plus the ``_PART`` column ``route(col)``."""
     def add_part(batch: pa.Table) -> pa.Table:
         return batch.append_column(
-            part_col, pa.array(route(batch.column(col))))
+            _PART, pa.array(route(batch.column(col))))
 
-    return (ds.map_batches(add_part, batch_format="pyarrow")
-            .groupby(part_col)
+    return ds.map_batches(add_part, batch_format="pyarrow")
+
+
+def _cobucket(ds, route, col: str):
+    """Materialized co-bucket of ``ds`` by ``route(col)`` — the
+    once-per-plan edge exchange every sharded graph plan shares."""
+    return (_with_part(ds, route, col).groupby(_PART)
             .map_groups(lambda t: t, batch_format="pyarrow")
             .materialize())
 
 
-def _shard_scaffold(ed, col: str, P: int, part_col: str):
-    """One-dataset composition of the above: materialize the (possibly
-    doubled) edge projection ONCE (the boundaries pass AND the
-    co-bucket both read it), route, co-bucket — returns
-    ``(run_id, route, edges_bucketed)``."""
-    ed = ed.materialize()
-    route = _shard_route(ed, col, P)
-    return _shard_run_id(), route, _cobucket(ed, route, col, part_col)
+def _both_dirs(ds, ca: str, cb: str, weight=None):
+    """Each undirected edge in both directions as ``(x, y)`` rows, plus
+    ``w = weight(batch)`` (twice) when given — the projection every
+    undirected sharded plan co-buckets by ``x``."""
+    def fn(batch: pa.Table) -> pa.Table:
+        a = np.asarray(batch.column(ca), dtype=np.int64)
+        b = np.asarray(batch.column(cb), dtype=np.int64)
+        cols = {"x": pa.array(np.concatenate([a, b])),
+                "y": pa.array(np.concatenate([b, a]))}
+        if weight is not None:
+            w = weight(batch)
+            cols["w"] = pa.array(np.concatenate([w, w]))
+        return pa.table(cols)
+
+    return ds.map_batches(fn, batch_format="pyarrow")
 
 
-def _pr_cached_state(actors, token, p, max_entries: int = 8):
+def _vertex_shards(op: str, why: dict, ds, col: str, P: int):
+    """Runtime entry of every sharded plan: log the plan once (``why``
+    carries ``forced`` and the numbers behind the choice), range-route
+    over ``ds[col]``, start P actors.  Returns ``(actors, route,
+    run_token)``.  The token is a uuid, NOT ``id(actor)``: worker
+    processes outlive queries and a recycled CPython id would silently
+    serve a previous run's cached shard state."""
+    import uuid
+    plan_log(op, "sharded", **why)
+    return (_make_shards(P), _shard_route(ds, col, P),
+            f"{op}-{uuid.uuid4().hex}")
+
+
+def _shard_scaffold(op: str, why: dict, edges, ca: str, cb: str,
+                    num_shards: int, weight=None):
+    """:func:`_vertex_shards` over the doubled edge projection,
+    materialized ONCE (the boundaries pass AND the co-bucket both read
+    it) and co-bucketed by ``x`` — returns ``(actors, route, run_token,
+    edges_bucketed)``."""
+    ed = _both_dirs(edges, ca, cb, weight).materialize()
+    actors, route, run = _vertex_shards(op, why, ed, "x",
+                                        max(1, int(num_shards)))
+    return actors, route, run, _cobucket(ed, route, "x")
+
+
+def _cached_state(actors, token, p, names, max_entries: int = 8):
+    """``(nodes, *vectors[names])`` of shard ``p``, fetched once per
+    (token, shard) per worker process."""
     import ray
-    stale = [k for k in _PR_SHARD_CACHE if k[0] != token]
+    stale = [k for k in _SHARD_CACHE if k[0] != token]
     for k in stale:
-        del _PR_SHARD_CACHE[k]
+        del _SHARD_CACHE[k]
     key = (token, p)
-    if key not in _PR_SHARD_CACHE:
+    if key not in _SHARD_CACHE:
         # bound worker residency: a static token (e.g. the walk plan's
         # CSR shards) would otherwise accumulate every shard a worker
         # ever touches — evict oldest entries FIFO past the cap
-        while len(_PR_SHARD_CACHE) >= max_entries:
-            del _PR_SHARD_CACHE[next(iter(_PR_SHARD_CACHE))]
-        _PR_SHARD_CACHE[key] = ray.get(actors[p].get_state.remote())
-    return _PR_SHARD_CACHE[key]
+        while len(_SHARD_CACHE) >= max_entries:
+            del _SHARD_CACHE[next(iter(_SHARD_CACHE))]
+        _SHARD_CACHE[key] = ray.get(actors[p].get_state.remote(names))
+    return _SHARD_CACHE[key]
 
 
-def _pagerank_sharded(edges, nd_ds, n, *, d_num, d_den, iters,
+def _shard_init(actors, ds, cols, prep):
+    """Init every shard from its group of the ``_PART``-tagged ``ds``:
+    ``prep(*int64 cols) -> (sorted distinct ids, {name: vector})``;
+    shards without a group get ``prep`` of empty columns.  Returns the
+    node count per shard."""
+    import ray
+
+    def init_group(group: pa.Table) -> pa.Table:
+        p = int(group.column(_PART)[0].as_py())
+        nodes, vec = prep(*(np.asarray(group.column(c), dtype=np.int64)
+                            for c in cols))
+        n = ray.get(actors[p].init.remote(nodes, **vec))
+        return pa.table({"p": pa.array([p], pa.int64()),
+                         "n": pa.array([n], pa.int64())})
+
+    got = (ds.select_columns([*cols, _PART]).groupby(_PART)
+           .map_groups(init_group, batch_format="pyarrow").to_pandas())
+    counts = np.zeros(len(actors), dtype=np.int64)
+    if len(got):
+        counts[got["p"].to_numpy()] = got["n"].to_numpy()
+    nodes, vec = prep(*(np.empty(0, dtype=np.int64) for _ in cols))
+    ray.get([a.init.remote(nodes, **vec)
+             for p, a in enumerate(actors) if not counts[p]])
+    return counts
+
+
+def _apply_all(actors, fn, *args):
+    import ray
+    return ray.get([a.apply.remote(fn, *args) for a in actors])
+
+
+def _scatter(shard, out):
+    """Write the staged ``(node, value)`` pairs into ``out`` (aligned
+    with ``shard.nodes``) and clear the stage."""
+    if shard.staged is not None and len(shard.staged[0]):
+        out[np.searchsorted(shard.nodes, shard.staged[0])] = \
+            shard.staged[1]
+    shard.staged = None
+    return out
+
+
+def _int_cols(batch: pa.Table) -> dict:
+    """``{column: int64 array}`` for every column of ``batch``."""
+    return {c: np.asarray(batch.column(c), dtype=np.int64)
+            for c in batch.column_names}
+
+
+def _found(ids, x):
+    """``(pos, hit)``: ``searchsorted`` positions of ``x`` in the sorted
+    ``ids`` and whether each value is present."""
+    pos = np.searchsorted(ids, x)
+    if not len(ids):
+        return pos, np.zeros(len(x), dtype=bool)
+    return pos, ids[np.minimum(pos, len(ids) - 1)] == x
+
+
+def _sum_by(node, val):
+    tu, inv = np.unique(node, return_inverse=True)
+    sums = np.zeros(len(tu), dtype=np.int64)
+    np.add.at(sums, inv, val)
+    return tu, sums
+
+
+def _min_by(node, val):
+    order = np.lexsort((val, node))
+    node, val = node[order], val[order]
+    _, first = np.unique(node, return_index=True)
+    return node[first], val[first]
+
+
+def _shard_round(actors, route, edges_b, token, read, message, combine,
+                 apply, msg_args=(), apply_args=()):
+    """One round of a node-sharded plan.  Each co-bucketed edge batch
+    reads its source shards' ``read`` vectors once through the worker
+    cache and ``message(state, edge_cols, *msg_args)`` turns each
+    source-shard slice into pre-combined ``(node, *values)`` partials;
+    ONE ``groupby(destination shard).map_groups`` folds them with
+    ``combine`` and stages the result into the destination actor; then
+    ``apply(shard, *apply_args)`` commits every shard.  Returns the
+    actors' small commit results for the driver to reduce."""
+    import ray
+
+    empty = tuple(np.empty(0, dtype=np.int64) for _ in range(len(read) + 1))
+
+    def scan(batch: pa.Table) -> pa.Table:
+        cols = _int_cols(batch)
+        sp = cols.pop(_PART)
+        outs = []
+        for p in np.unique(sp):
+            m = sp == p
+            outs.append(message(_cached_state(actors, token, int(p), read),
+                                {c: v[m] for c, v in cols.items()},
+                                *msg_args))
+        out = [np.concatenate(c) for c in
+               zip(*(outs or [message(empty, cols, *msg_args)]))]
+        return pa.table({**{f"v{i}": pa.array(v) for i, v in enumerate(out)},
+                         "__tp": pa.array(route(out[0]))})
+
+    def fold(group: pa.Table) -> pa.Table:
+        p = int(group.column("__tp")[0].as_py())
+        vals = [np.asarray(group.column(c), dtype=np.int64)
+                for c in group.column_names if c != "__tp"]
+        ray.get(actors[p].stage.remote(*combine(*vals)))
+        return pa.table({"p": pa.array([p], pa.int64())})
+
+    (edges_b.map_batches(scan, batch_format="pyarrow")
+     .groupby("__tp").map_groups(fold, batch_format="pyarrow")
+     .materialize())
+    return _apply_all(actors, apply, *apply_args)
+
+
+# PageRank triple: contributions floor-divide per edge then SUM; the
+# commit reports delivered mass, the driver respreads the rest exactly
+
+def _pr_message(state, e, d_num, d_den):
+    nn, rr, dd = state
+    si = np.searchsorted(nn, e["s"])
+    return _sum_by(e["t"], (rr[si] * d_num * e["w"]) // (d_den * dd[si]))
+
+
+def _pr_commit(shard):
+    shard.vec["new"] = _scatter(shard, np.zeros(len(shard.nodes),
+                                                dtype=np.int64))
+    return int(shard.vec["new"].sum())
+
+
+def _pr_spread(shard, base, plus1):
+    """ranks = committed sums (zeros at init) + ``base`` on every
+    restart target (all nodes, or the PPR seeds) + 1 on the first
+    ``plus1`` (lowest-id) targets — the driver pre-clips ``plus1`` by
+    shard offsets."""
+    new = shard.vec.pop("new", None)
+    if new is None:
+        new = np.zeros(len(shard.nodes), dtype=np.int64)
+    spos = shard.vec.get("spos")
+    if spos is None:
+        new += np.int64(base)
+        new[:plus1] += 1
+    else:
+        new[spos] += np.int64(base)
+        new[spos[:plus1]] += 1
+    shard.vec["ranks"] = new
+
+
+def _pr_seed(shard, seeds):
+    """Sorted seed ids claimed for this shard → positions; returns the
+    ids NOT found so the driver can raise with names."""
+    pos, ok = _found(shard.nodes, seeds)
+    shard.vec["spos"] = pos[ok]
+    return seeds[~ok]
+
+
+def _pr_prep(node, deg):
+    order = np.argsort(node)
+    return node[order], {"deg": deg[order]}
+
+
+def _pr_table(shard, unit):
+    return _rank_table(shard.nodes, shard.vec["ranks"], unit)
+
+
+def _pagerank_sharded(edges, nd_ds, n, why, *, d_num, d_den, iters,
                       restart_nodes, num_shards, output,
                       checkpoint_dir=None, checkpoint_every=1,
                       weight_col=None):
@@ -697,44 +823,24 @@ def _pagerank_sharded(edges, nd_ds, n, *, d_num, d_den, iters,
     actors; edges shuffle ONCE (co-bucket by source range); each round
     is one edge scan + one partial-aggregated contribution exchange +
     O(P) actor RPCs."""
+    import json
+    import os
+
     import ray
 
+    from bqf_ray.state.checkpoint import _atomic_write
+
+    P = max(1, min(int(num_shards), n))
+    actors, route, run = _vertex_shards("pagerank", why, nd_ds, "node", P)
     if n == 0:
         empty = (np.empty(0, dtype=np.int64),
                  np.empty(0, dtype=np.int64), 1 << 40)
-        return (_rank_arrays_to_dataset(*empty)
+        return (ray.data.from_arrow(_rank_table(*empty))
                 if output == "dataset" else empty)
-    P = max(1, min(int(num_shards), n))
-    route = _shard_route(nd_ds, "node", P)
-    run_id = _shard_run_id()
-
-    actors = _make_shards(_PRShard, P)
-
-    def init_groups(group: pa.Table) -> pa.Table:
-        p = int(group.column("__sp")[0].as_py())
-        cnt, wmax = ray.get(actors[p].init_shard.remote(
-            np.asarray(group.column("node"), dtype=np.int64),
-            np.asarray(group.column("deg"), dtype=np.int64),
-            np.asarray(group.column("wmax"), dtype=np.int64)))
-        return pa.table({"p": pa.array([p], pa.int64()),
-                         "cnt": pa.array([cnt], pa.int64()),
-                         "wmax": pa.array([wmax], pa.int64())})
-
-    def add_sp(col_name):
-        def fn(batch: pa.Table) -> pa.Table:
-            return batch.append_column(
-                "__sp", pa.array(route(batch.column(col_name))))
-        return fn
-
-    init = (nd_ds.map_batches(add_sp("node"), batch_format="pyarrow")
-            .groupby("__sp").map_groups(init_groups,
-                                        batch_format="pyarrow")
-            .to_pandas())
-    counts = np.zeros(P, dtype=np.int64)
-    counts[init["p"].to_numpy()] = init["cnt"].to_numpy()
-    offsets = np.concatenate([[0], np.cumsum(counts)[:-1]])
+    counts = _shard_init(actors, _with_part(nd_ds, route, "node"),
+                         ("node", "deg"), _pr_prep)
     assert int(counts.sum()) == n
-    w_max = max(int(init["wmax"].max()), 1)
+    w_max = max(int(nd_ds.max("wmax")), 1)
     UNIT = min(1 << 40, (1 << 62) // (n * d_num * w_max))
     if UNIT < (1 << 20):
         raise ValueError(
@@ -742,145 +848,69 @@ def _pagerank_sharded(edges, nd_ds, n, *, d_num, d_den, iters,
             "< 2^20 integer precision per node even sharded — lower "
             "d_num or split the graph")
 
-    # PPR seed registration: shards claim their sorted-seed slices, so
-    # "lowest-id seeds get the +1" is (seed_offset, clip) arithmetic
-    n_seeds = 0
-    seed_offsets = np.zeros(P, dtype=np.int64)
+    # restart targets per shard: every node, or (PPR) the sorted-seed
+    # slice each shard claims — "lowest-id targets get the +1" is then
+    # (offset, clip) arithmetic
+    targets = counts
     if restart_nodes is not None:
         seeds = np.unique(np.asarray(restart_nodes, dtype=np.int64))
         if not len(seeds):
             raise ValueError("pagerank: empty restart_nodes")
         sp = route(seeds)
-        missing = ray.get([
-            actors[p].set_seeds.remote(seeds[sp == p])
-            for p in range(P)])
-        bad = np.concatenate(missing)
+        bad = np.concatenate(ray.get([
+            actors[p].apply.remote(_pr_seed, seeds[sp == p])
+            for p in range(P)]))
         if len(bad):
             raise ValueError("pagerank: restart node(s) absent from "
                              f"the graph: {bad[:5].tolist()}")
-        per_shard = np.asarray(
-            ray.get([a.n_seeds.remote() for a in actors]))
-        n_seeds = int(per_shard.sum())
-        seed_offsets = np.concatenate([[0], np.cumsum(per_shard)[:-1]])
+        targets = np.bincount(sp, minlength=P)
+    t_off = np.concatenate([[0], np.cumsum(targets)[:-1]])
 
-    def init_all_ranks():
-        if restart_nodes is not None:
-            base, rem = divmod(n * UNIT, n_seeds)
-            ray.get([actors[p].init_ranks.remote(
-                0, seed_base=base,
-                seed_plus1=int(np.clip(rem - seed_offsets[p], 0,
-                                       per_shard[p])))
-                for p in range(P)])
-        else:
-            ray.get([a.init_ranks.remote(UNIT) for a in actors])
+    def spread(undelivered):
+        base, rem = divmod(undelivered, int(targets.sum()))
+        ray.get([actors[p].apply.remote(
+            _pr_spread, base, int(np.clip(rem - t_off[p], 0, targets[p])))
+            for p in range(P)])
 
-    init_all_ranks()
-
-    # co-bucket edges by source range ONCE; every round's contribution
-    # tasks then touch only the shard(s) their batch's bucket covers
-    edges_b = _cobucket(edges, route, "s", "__sp")
+    spread(n * UNIT)
+    edges_b = _cobucket(edges, route, "s")
 
     start_iter = 0
-    ck_cfg = None
     if checkpoint_dir is not None:
-        import json
-        import os
-
-        from bqf_ray.state.checkpoint import _atomic_write
         ck_cfg = _pr_ckpt_config(n, UNIT, d_num, d_den, weight_col,
                                  restart_nodes)
         meta_p = os.path.join(checkpoint_dir, "pr_sharded_meta.json")
-        if os.path.exists(meta_p):
-            with open(meta_p) as f:
-                meta = json.load(f)
-            if (meta.get("config") == ck_cfg and meta.get("P") == P
-                    and 0 < int(meta.get("iter", 0)) <= int(iters)):
-                loaded = ray.get([
-                    actors[p].load_state.remote(checkpoint_dir, p)
-                    for p in range(P)])
-                if all(loaded):
-                    start_iter = int(meta["iter"])
-                elif any(loaded):
-                    # PARTIAL load (a shard's file lost/damaged): the
-                    # loaded shards now hold checkpointed ranks while
-                    # the rest hold the fresh init — re-init everything
-                    # so the from-scratch recompute starts consistent
-                    init_all_ranks()
+        paths = [os.path.join(checkpoint_dir, f"pr_shard_{p:05d}.npz")
+                 for p in range(P)]
+        done = _pr_resume_iter(meta_p, ck_cfg, iters, P=P)
+        loaded = ray.get([actors[p].load_state.remote(paths[p])
+                          for p in range(P)]) if done else []
+        if loaded and all(loaded):
+            start_iter = done
+        elif any(loaded):
+            # PARTIAL load (a shard's file lost/damaged): the loaded
+            # shards now hold checkpointed ranks while the rest hold
+            # the fresh init — re-init everything so the from-scratch
+            # recompute starts consistent
+            spread(n * UNIT)
 
     for it in range(start_iter, int(iters)):
-        token = f"pr-{run_id}-{it}"
-
-        def contrib(batch: pa.Table) -> pa.Table:
-            sp = np.asarray(batch.column("__sp"), dtype=np.int64)
-            s = np.asarray(batch.column("s"), dtype=np.int64)
-            t = np.asarray(batch.column("t"), dtype=np.int64)
-            w = np.asarray(batch.column("w"), dtype=np.int64)
-            outs_n, outs_c = [], []
-            for p in np.unique(sp):
-                m = sp == p
-                nn, rr, dd = _pr_cached_state(actors, token, int(p))
-                si = np.searchsorted(nn, s[m])
-                c = (rr[si] * d_num * w[m]) // (d_den * dd[si])
-                tu, inv = np.unique(t[m], return_inverse=True)
-                sums = np.zeros(len(tu), dtype=np.int64)
-                np.add.at(sums, inv, c)
-                outs_n.append(tu)
-                outs_c.append(sums)
-            node = np.concatenate(outs_n) if outs_n \
-                else np.empty(0, dtype=np.int64)
-            csum = np.concatenate(outs_c) if outs_c \
-                else np.empty(0, dtype=np.int64)
-            return pa.table({"node": pa.array(node),
-                             "partial": pa.array(csum),
-                             "__tp": pa.array(route(node))})
-
-        def reduce_stage(group: pa.Table) -> pa.Table:
-            p = int(group.column("__tp")[0].as_py())
-            gn = np.asarray(group.column("node"), dtype=np.int64)
-            gs = np.asarray(group.column("partial"), dtype=np.int64)
-            tu, inv = np.unique(gn, return_inverse=True)
-            sums = np.zeros(len(tu), dtype=np.int64)
-            np.add.at(sums, inv, gs)
-            ray.get(actors[p].stage_contribs.remote(tu, sums))
-            return pa.table({"p": pa.array([p], pa.int64())})
-
-        (edges_b.map_batches(contrib, batch_format="pyarrow")
-         .groupby("__tp")
-         .map_groups(reduce_stage, batch_format="pyarrow")
-         .materialize())
-        delivered = sum(ray.get([a.commit.remote() for a in actors]))
-        if restart_nodes is not None:
-            base, rem = divmod(n * UNIT - delivered, n_seeds)
-            per_shard_seeds = np.asarray(
-                ray.get([a.n_seeds.remote() for a in actors]))
-            ray.get([actors[p].respread_seeds.remote(
-                base, int(np.clip(rem - seed_offsets[p], 0,
-                                  per_shard_seeds[p])))
-                for p in range(P)])
-        else:
-            base, rem = divmod(n * UNIT - delivered, n)
-            ray.get([actors[p].respread.remote(
-                base, int(np.clip(rem - offsets[p], 0, counts[p])))
-                for p in range(P)])
+        delivered = sum(_shard_round(
+            actors, route, edges_b, f"{run}-{it}", ("ranks", "deg"),
+            _pr_message, _sum_by, _pr_commit, (d_num, d_den)))
+        spread(n * UNIT - delivered)
         if checkpoint_dir is not None and (
                 (it + 1) % int(checkpoint_every) == 0
                 or it + 1 == int(iters)):
-            import json
-            import os
-
-            from bqf_ray.state.checkpoint import _atomic_write
-            ray.get([actors[p].save_state.remote(checkpoint_dir, p)
+            ray.get([actors[p].save_state.remote(paths[p], "ranks")
                      for p in range(P)])
-            _atomic_write(
-                os.path.join(checkpoint_dir, "pr_sharded_meta.json"),
-                json.dumps({"config": ck_cfg, "P": P,
-                            "iter": it + 1}).encode())
+            _atomic_write(meta_p, json.dumps(
+                {"config": ck_cfg, "P": P, "iter": it + 1}).encode())
 
-    refs = [a.state_table.remote(UNIT) for a in actors]
+    refs = [a.apply.remote(_pr_table, UNIT) for a in actors]
     if output == "dataset":
         return ray.data.from_arrow_refs(refs)
-    tables = ray.get(refs)
-    tbl = pa.concat_tables(tables)
+    tbl = pa.concat_tables(ray.get(refs))
     return (np.asarray(tbl.column("node"), dtype=np.int64),
             np.asarray(tbl.column("rank"), dtype=np.int64), UNIT)
 
@@ -1696,47 +1726,32 @@ def bfs_hops(edges_ds, seeds: np.ndarray, max_hops: int = 8,
              else canonical_edges(edges_ds, a_col=a_col, b_col=b_col))
     ca, cb = (a_col, b_col) if pre_canonical else ("a", "b")
     visited = np.unique(np.asarray(seeds, dtype=np.int64))
-    if mode == "sharded":
-        # hop distance ≡ SSSP with unit weights: reuse the sharded
-        # dist-vector machinery (min-fold ⇒ identical tables)
-        def unit_w(batch: pa.Table) -> pa.Table:
-            a = np.asarray(batch.column(ca), dtype=np.int64)
-            b = np.asarray(batch.column(cb), dtype=np.int64)
-            return pa.table({
-                "x": pa.array(np.concatenate([a, b])),
-                "y": pa.array(np.concatenate([b, a])),
-                "w": pa.array(np.ones(2 * len(a), dtype=np.int64))})
 
+    def sharded(nodes, hops, rounds, why):
+        # hop distance ≡ SSSP with unit weights: reuse the sharded
+        # dist-vector plan (min-fold ⇒ identical tables)
+        return _sssp_sharded(
+            edges, ca, cb,
+            lambda batch: np.ones(batch.num_rows, dtype=np.int64),
+            nodes, hops, rounds, num_shards, "bfs_hops", why).rename_columns(["node", "hop"])
+
+    if mode == "sharded":
         if not len(visited):
             return pa.table({"node": pa.array([], pa.int64()),
                              "hop": pa.array([], pa.int64())})
-        t = _sssp_sharded(
-            edges.map_batches(unit_w, batch_format="pyarrow"),
-            visited, np.zeros(len(visited), dtype=np.int64),
-            int(max_hops), num_shards)
-        return t.rename_columns(["node", "hop"])
+        return sharded(visited, np.zeros(len(visited), dtype=np.int64),
+                       int(max_hops),
+                       dict(node_budget=int(node_budget), forced=1))
     out_nodes = [visited]
     out_hops = [np.zeros(len(visited), dtype=np.int64)]
     frontier = visited
     for h in range(1, int(max_hops) + 1):
         if mode == "auto" and len(visited) > int(node_budget):
-            plan_log("bfs_hops", "sharded", n_visited=len(visited),
-                     node_budget=int(node_budget))
-            t = _sssp_sharded(
-                edges.map_batches(lambda batch: pa.table({
-                    "x": pa.array(np.concatenate(
-                        [np.asarray(batch.column(ca), dtype=np.int64),
-                         np.asarray(batch.column(cb), dtype=np.int64)])),
-                    "y": pa.array(np.concatenate(
-                        [np.asarray(batch.column(cb), dtype=np.int64),
-                         np.asarray(batch.column(ca), dtype=np.int64)])),
-                    "w": pa.array(np.ones(2 * batch.num_rows,
-                                          dtype=np.int64))}),
-                    batch_format="pyarrow"),
-                np.concatenate(out_nodes),
-                np.concatenate(out_hops).astype(np.int64),
-                int(max_hops) - h + 1, num_shards)
-            return t.rename_columns(["node", "hop"])
+            return sharded(np.concatenate(out_nodes),
+                           np.concatenate(out_hops).astype(np.int64),
+                           int(max_hops) - h + 1,
+                           dict(n_visited=len(visited),
+                                node_budget=int(node_budget), forced=0))
         if not len(frontier):
             break
         ref = ray.put(np.sort(frontier))
@@ -1745,11 +1760,8 @@ def bfs_hops(edges_ds, seeds: np.ndarray, max_hops: int = 8,
             fr = ray.get(ref)
             a = np.asarray(batch.column(ca), dtype=np.int64)
             b = np.asarray(batch.column(cb), dtype=np.int64)
-            ia = np.searchsorted(fr, a)
-            ib = np.searchsorted(fr, b)
-            hit_a = (ia < len(fr)) & (fr[np.minimum(ia, len(fr) - 1)] == a)
-            hit_b = (ib < len(fr)) & (fr[np.minimum(ib, len(fr) - 1)] == b)
-            cand = np.unique(np.concatenate([b[hit_a], a[hit_b]]))
+            cand = np.unique(np.concatenate([b[_found(fr, a)[1]],
+                                             a[_found(fr, b)[1]]]))
             return pa.table({"node": pa.array(cand)})
 
         got = edges.map_batches(reach, batch_format="pyarrow").to_pandas()
@@ -2131,138 +2143,65 @@ def path_ngram_counts(ds, n: int = 3, key_col: str = "user_id",
 # k-core decomposition (fixed-round synchronous peel)
 # ---------------------------------------------------------------------------
 
-class _KcoreShard:
-    """Range-partitioned shard of the k-core alive/degree state.
+# k-core triple: alive sources message 1 per neighbor, SUM, then the
+# commit restricts degrees to alive nodes and peels
 
-    Each round the driver sequences: ``stage`` (summed neighbor-alive
-    indicators for this shard's nodes, from the reduce groups) →
-    ``commit(K)`` (restricted degree = staged where still alive; peel;
-    report changed) — both behind ``ray.get`` barriers, so reads only
-    see fully committed rounds."""
-
-    def __init__(self):
-        self.nodes = np.empty(0, dtype=np.int64)
-        self.alive = np.empty(0, dtype=bool)
-        self.deg = np.empty(0, dtype=np.int64)
-        self._pend = None
-
-    def init_shard(self, nodes):
-        self.nodes = np.sort(np.unique(nodes.astype(np.int64)))
-        self.alive = np.ones(len(self.nodes), dtype=bool)
-        self.deg = np.zeros(len(self.nodes), dtype=np.int64)
-
-    def get_state(self):
-        return self.nodes, self.alive
-
-    def stage(self, nodes, sums):
-        self._pend = (nodes, sums)
-
-    def commit(self, K, peel=True):
-        deg = np.zeros(len(self.nodes), dtype=np.int64)
-        if self._pend is not None and len(self._pend[0]):
-            idx = np.searchsorted(self.nodes, self._pend[0])
-            deg[idx] = self._pend[1]
-        self._pend = None
-        deg[~self.alive] = 0          # restricted to both-alive edges
-        self.deg = deg
-        if not peel:
-            return False, int(self.alive.sum())
-        nxt = self.alive & (deg >= K)
-        changed = bool((nxt != self.alive).any())
-        self.alive = nxt
-        return changed, int(nxt.sum())
-
-    def state_table(self, min_deg):
-        keep = self.alive & (self.deg >= min_deg)
-        return pa.table({"node": pa.array(self.nodes[keep]),
-                         "core_deg": pa.array(self.deg[keep])})
+def _kcore_message(state, e):
+    nn, alive = state
+    ok = alive[np.searchsorted(nn, e["x"])]
+    tu, cnt = np.unique(e["y"][ok], return_counts=True)
+    return tu, cnt.astype(np.int64)
 
 
-def _kcore_sharded(edges, K, rounds, ca, cb, num_shards):
-    """Sharded k-core peel: alive/degree vectors in range-partitioned
-    shard actors; doubled edges co-bucketed by source range once; each
-    round one edge scan (emit 1 per alive source) + one summed
-    exchange + O(P) RPCs.  Mirrors the broadcast plan's round
-    semantics exactly (restricted degree, synchronous peel, early
-    convergence, final extra degree pass)."""
-    import ray
+def _kcore_prep(x):
+    nodes = np.unique(x)
+    return nodes, {"alive": np.ones(len(nodes), dtype=bool)}
 
-    P = max(1, int(num_shards))
 
-    def both_dirs(batch: pa.Table) -> pa.Table:
-        a = np.asarray(batch.column(ca), dtype=np.int64)
-        b = np.asarray(batch.column(cb), dtype=np.int64)
-        return pa.table({"x": pa.array(np.concatenate([a, b])),
-                         "y": pa.array(np.concatenate([b, a]))})
+def _kcore_commit(shard, K, peel):
+    alive = shard.vec["alive"]
+    deg = _scatter(shard, np.zeros(len(shard.nodes), dtype=np.int64))
+    deg[~alive] = 0               # restricted to both-alive edges
+    shard.vec["deg"] = deg
+    if not peel:
+        return False, int(alive.sum())
+    nxt = alive & (deg >= K)
+    shard.vec["alive"] = nxt
+    return bool((nxt != alive).any()), int(nxt.sum())
 
-    run_id, route, edges_b = _shard_scaffold(
-        edges.map_batches(both_dirs, batch_format="pyarrow"),
-        "x", P, "__xp")
-    actors = _make_shards(_KcoreShard, P)
 
-    def init_groups(group: pa.Table) -> pa.Table:
-        p = int(group.column("__xp")[0].as_py())
-        ray.get(actors[p].init_shard.remote(
-            np.asarray(group.column("x"), dtype=np.int64)))
-        return pa.table({"p": pa.array([p], pa.int64())})
+def _kcore_table(shard, min_deg):
+    deg = shard.vec["deg"]
+    keep = shard.vec["alive"] & (deg >= min_deg)
+    return pa.table({"node": pa.array(shard.nodes[keep]),
+                     "core_deg": pa.array(deg[keep])})
 
-    (edges_b.select_columns(["x", "__xp"])
-     .groupby("__xp").map_groups(init_groups, batch_format="pyarrow")
-     .materialize())
 
-    def one_pass(token, peel):
-        def contrib(batch: pa.Table) -> pa.Table:
-            xp = np.asarray(batch.column("__xp"), dtype=np.int64)
-            x = np.asarray(batch.column("x"), dtype=np.int64)
-            y = np.asarray(batch.column("y"), dtype=np.int64)
-            outs_n, outs_c = [], []
-            for p in np.unique(xp):
-                m = xp == p
-                nn, al = _pr_cached_state(actors, token, int(p))
-                ok = al[np.searchsorted(nn, x[m])]
-                tu, cnt = np.unique(y[m][ok], return_counts=True)
-                outs_n.append(tu)
-                outs_c.append(cnt.astype(np.int64))
-            node = (np.concatenate(outs_n) if outs_n
-                    else np.empty(0, dtype=np.int64))
-            c = (np.concatenate(outs_c) if outs_c
-                 else np.empty(0, dtype=np.int64))
-            return pa.table({"node": pa.array(node),
-                             "c": pa.array(c),
-                             "__yp": pa.array(route(node))})
+def _kcore_sharded(edges, K, rounds, ca, cb, num_shards, why):
+    """Sharded k-core peel: alive/degree vectors in shard actors; each
+    round one edge scan + one summed exchange + O(P) RPCs.  Mirrors the
+    broadcast plan's round semantics exactly (restricted degree,
+    synchronous peel, early convergence, final extra degree pass)."""
+    actors, route, run, edges_b = _shard_scaffold(
+        "kcore", why, edges, ca, cb, num_shards)
+    _shard_init(actors, edges_b, ("x",), _kcore_prep)
 
-        def fold(group: pa.Table) -> pa.Table:
-            p = int(group.column("__yp")[0].as_py())
-            gn = np.asarray(group.column("node"), dtype=np.int64)
-            gc = np.asarray(group.column("c"), dtype=np.int64)
-            tu, inv = np.unique(gn, return_inverse=True)
-            sums = np.zeros(len(tu), dtype=np.int64)
-            np.add.at(sums, inv, gc)
-            ray.get(actors[p].stage.remote(tu, sums))
-            return pa.table({"p": pa.array([p], pa.int64())})
-
-        (edges_b.map_batches(contrib, batch_format="pyarrow")
-         .groupby("__yp")
-         .map_groups(fold, batch_format="pyarrow")
-         .materialize())
-        res = ray.get([a.commit.remote(K, peel) for a in actors])
-        return (any(ch for ch, _ in res),
-                sum(na for _, na in res))
+    def one_pass(tag, peel):
+        res = _shard_round(actors, route, edges_b, f"{run}-{tag}",
+                           ("alive",), _kcore_message, _sum_by,
+                           _kcore_commit, apply_args=(K, peel))
+        return any(ch for ch, _ in res), sum(na for _, na in res)
 
     for it in range(int(rounds)):
-        changed, n_alive = one_pass(f"kc-{run_id}-{it}", True)
-        if not n_alive:
-            return pa.table({"node": pa.array([], pa.int64()),
-                             "core_deg": pa.array([], pa.int64())})
-        if not changed:
-            # converged: deg was computed within alive == next alive,
-            # so it already IS the in-core degree — emit survivors
-            return pa.concat_tables(ray.get(
-                [a.state_table.remote(K) for a in actors]))
+        changed, n_alive = one_pass(it, True)
+        if not changed or not n_alive:
+            # converged (or nothing left): deg was computed within
+            # alive == next alive, so it already IS the in-core
+            # degree — emit survivors
+            return pa.concat_tables(_apply_all(actors, _kcore_table, K))
     # not converged within R rounds: one more restricted degree pass
-    one_pass(f"kc-{run_id}-final", False)
-    return pa.concat_tables(ray.get(
-        [a.state_table.remote(1) for a in actors]))
+    one_pass("final", False)
+    return pa.concat_tables(_apply_all(actors, _kcore_table, 1))
 
 
 def kcore(edges_ds, k: int, rounds: int = 6,
@@ -2305,7 +2244,8 @@ def kcore(edges_ds, k: int, rounds: int = 6,
     ca, cb = (a_col, b_col) if pre_canonical else ("a", "b")
     edges = edges.materialize()
     if mode == "sharded":
-        return _kcore_sharded(edges, K, rounds, ca, cb, num_shards)
+        return _kcore_sharded(edges, K, rounds, ca, cb, num_shards,
+                              dict(node_budget=int(node_budget), forced=1))
 
     def degrees(alive_ref):
         """Vertex degree table restricted to alive nodes (None = all)."""
@@ -2314,11 +2254,7 @@ def kcore(edges_ds, k: int, rounds: int = 6,
             b = np.asarray(batch.column(cb), dtype=np.int64)
             if alive_ref is not None:
                 al = ray.get(alive_ref)
-                ka = np.searchsorted(al, a)
-                kb = np.searchsorted(al, b)
-                ok = ((ka < len(al)) & (al[np.minimum(ka, len(al) - 1)] == a)
-                      & (kb < len(al))
-                      & (al[np.minimum(kb, len(al) - 1)] == b))
+                ok = _found(al, a)[1] & _found(al, b)[1]
                 a, b = a[ok], b[ok]
             nodes, cnt = np.unique(np.concatenate([a, b]),
                                    return_counts=True)
@@ -2329,25 +2265,22 @@ def kcore(edges_ds, k: int, rounds: int = 6,
         if not len(got):
             return (np.empty(0, dtype=np.int64),
                     np.empty(0, dtype=np.int64))
-        nd = got["node"].to_numpy().astype(np.int64)
-        dd = got["d"].to_numpy().astype(np.int64)
-        nodes, inv = np.unique(nd, return_inverse=True)
-        deg = np.zeros(len(nodes), dtype=np.int64)
-        np.add.at(deg, inv, dd)
-        return nodes, deg
+        return _sum_by(got["node"].to_numpy().astype(np.int64),
+                       got["d"].to_numpy().astype(np.int64))
 
     alive_ref = None
     alive = None
     for _ in range(int(rounds)):
         nodes, deg = degrees(alive_ref)
         if mode == "auto" and len(nodes) > int(node_budget):
-            plan_log("kcore", "sharded", n_nodes=len(nodes),
-                     node_budget=int(node_budget))
             # vertex table outgrew the driver envelope: replay the
             # peel sharded from the start (peeling is deterministic,
             # so the replay is free of divergence; the one wasted
             # degree pass is the price of late detection)
-            return _kcore_sharded(edges, K, rounds, ca, cb, num_shards)
+            return _kcore_sharded(
+                edges, K, rounds, ca, cb, num_shards,
+                dict(n_nodes=len(nodes), node_budget=int(node_budget),
+                     forced=0))
         nxt = nodes[deg >= K]                      # already sorted
         if alive is not None and len(nxt) == len(alive) \
                 and np.array_equal(nxt, alive):
@@ -2372,134 +2305,57 @@ def kcore(edges_ds, k: int, rounds: int = 6,
 # label propagation communities (fixed-round synchronous LPA)
 # ---------------------------------------------------------------------------
 
-class _LpaShard:
-    """Range-partitioned shard of the LPA label vector: sorted node
-    ids + current labels.  ``stage`` receives the per-node argmax
-    picks for this shard's range; ``commit`` applies them
-    synchronously and reports whether anything moved."""
+# LPA triple: each edge sends its source's label to the neighbor as
+# pre-counted (node, label, count) partials; the fold sums them and
+# picks the argmax (max count, ties → smallest label — the broadcast
+# plan's grouped_top_n order); the commit adopts the picks
 
-    def __init__(self):
-        self.nodes = np.empty(0, dtype=np.int64)
-        self.labels = np.empty(0, dtype=np.int64)
-        self._pend = None
-
-    def init_shard(self, nodes):
-        self.nodes = np.sort(np.unique(nodes.astype(np.int64)))
-        self.labels = self.nodes.copy()
-
-    def get_state(self):
-        return self.nodes, self.labels
-
-    def stage(self, v, lab):
-        self._pend = (v, lab)
-
-    def commit(self):
-        new = self.labels.copy()
-        if self._pend is not None and len(self._pend[0]):
-            new[np.searchsorted(self.nodes, self._pend[0])] = \
-                self._pend[1]
-        self._pend = None
-        changed = bool((new != self.labels).any())
-        self.labels = new
-        return changed
-
-    def state_table(self):
-        return pa.table({"node": pa.array(self.nodes),
-                         "community": pa.array(self.labels)})
+def _lpa_prep(x):
+    nodes = np.unique(x)
+    return nodes, {"labels": nodes.copy()}
 
 
-def _lpa_sharded(edges, rounds, ca, cb, num_shards):
-    """Sharded synchronous LPA: label vector in range-partitioned
-    shard actors; doubled edges co-bucketed by source range once; each
-    round one edge scan emitting pre-counted ``(neighbor, my_label)``
-    partials + ONE exchange keyed by the neighbor's shard, with the
-    per-node argmax (max count, ties → smallest label — identical to
-    the broadcast plan's ``grouped_top_n`` ordering) computed inside
-    the reduce group."""
+def _lpa_message(state, e):
+    nn, lb = state
+    key = np.stack([e["y"], lb[np.searchsorted(nn, e["x"])]], axis=1)
+    uk, cnt = np.unique(key, axis=0, return_counts=True)
+    return uk[:, 0], uk[:, 1], cnt.astype(np.int64)
+
+
+def _lpa_pick(v, lab, c):
+    uk, inv = np.unique(np.stack([v, lab], axis=1), axis=0,
+                        return_inverse=True)
+    sums = np.zeros(len(uk), dtype=np.int64)
+    np.add.at(sums, inv, c)
+    uv, ul = uk[:, 0], uk[:, 1]
+    order = np.lexsort((ul, -sums, uv))
+    uv, ul = uv[order], ul[order]
+    _, first = np.unique(uv, return_index=True)
+    return uv[first], ul[first]
+
+
+def _lpa_commit(shard):
+    old = shard.vec["labels"]
+    shard.vec["labels"] = _scatter(shard, old.copy())
+    return bool((shard.vec["labels"] != old).any())
+
+
+def _lpa_sharded(edges, rounds, ca, cb, num_shards, why):
+    """Sharded synchronous LPA: label vector in shard actors; each
+    round one edge scan + ONE exchange keyed by the neighbor's shard,
+    with the per-node argmax computed inside the reduce group."""
     import ray
 
-    P = max(1, int(num_shards))
-
-    def both_dirs(batch: pa.Table) -> pa.Table:
-        a = np.asarray(batch.column(ca), dtype=np.int64)
-        b = np.asarray(batch.column(cb), dtype=np.int64)
-        return pa.table({"x": pa.array(np.concatenate([a, b])),
-                         "y": pa.array(np.concatenate([b, a]))})
-
-    run_id, route, edges_b = _shard_scaffold(
-        edges.map_batches(both_dirs, batch_format="pyarrow"),
-        "x", P, "__xp")
-    actors = _make_shards(_LpaShard, P)
-
-    def init_groups(group: pa.Table) -> pa.Table:
-        p = int(group.column("__xp")[0].as_py())
-        ray.get(actors[p].init_shard.remote(
-            np.asarray(group.column("x"), dtype=np.int64)))
-        return pa.table({"p": pa.array([p], pa.int64())})
-
-    got = (edges_b.select_columns(["x", "__xp"])
-           .groupby("__xp")
-           .map_groups(init_groups, batch_format="pyarrow")
-           .to_pandas())
-    if not len(got):
-        return pa.table({"node": pa.array([], pa.int64()),
-                         "community": pa.array([], pa.int64())})
-
+    actors, route, run, edges_b = _shard_scaffold(
+        "label_propagation", why, edges, ca, cb, num_shards)
+    _shard_init(actors, edges_b, ("x",), _lpa_prep)
     for it in range(int(rounds)):
-        token = f"lpa-{run_id}-{it}"
-
-        def emit(batch: pa.Table) -> pa.Table:
-            xp = np.asarray(batch.column("__xp"), dtype=np.int64)
-            x = np.asarray(batch.column("x"), dtype=np.int64)
-            y = np.asarray(batch.column("y"), dtype=np.int64)
-            outs_v, outs_l, outs_c = [], [], []
-            for p in np.unique(xp):
-                m = xp == p
-                nn, lb = _pr_cached_state(actors, token, int(p))
-                nl = lb[np.searchsorted(nn, x[m])]
-                key = np.stack([y[m], nl], axis=1)
-                uk, cnt = np.unique(key, axis=0, return_counts=True)
-                outs_v.append(uk[:, 0])
-                outs_l.append(uk[:, 1])
-                outs_c.append(cnt.astype(np.int64))
-            v = (np.concatenate(outs_v) if outs_v
-                 else np.empty(0, dtype=np.int64))
-            lab = (np.concatenate(outs_l) if outs_l
-                   else np.empty(0, dtype=np.int64))
-            c = (np.concatenate(outs_c) if outs_c
-                 else np.empty(0, dtype=np.int64))
-            return pa.table({"v": pa.array(v), "lab": pa.array(lab),
-                             "c": pa.array(c),
-                             "__vp": pa.array(route(v))})
-
-        def pick(group: pa.Table) -> pa.Table:
-            p = int(group.column("__vp")[0].as_py())
-            v = np.asarray(group.column("v"), dtype=np.int64)
-            lab = np.asarray(group.column("lab"), dtype=np.int64)
-            c = np.asarray(group.column("c"), dtype=np.int64)
-            # fold partials to exact (v, lab) counts
-            key = np.stack([v, lab], axis=1)
-            uk, inv = np.unique(key, axis=0, return_inverse=True)
-            sums = np.zeros(len(uk), dtype=np.int64)
-            np.add.at(sums, inv, c)
-            uv, ul = uk[:, 0], uk[:, 1]
-            # per-v argmax: max count, ties → smallest label
-            order = np.lexsort((ul, -sums, uv))
-            uv, ul = uv[order], ul[order]
-            first = np.concatenate([[True], uv[1:] != uv[:-1]]) \
-                if len(uv) else np.empty(0, dtype=bool)
-            ray.get(actors[p].stage.remote(uv[first], ul[first]))
-            return pa.table({"p": pa.array([p], pa.int64())})
-
-        (edges_b.map_batches(emit, batch_format="pyarrow")
-         .groupby("__vp")
-         .map_groups(pick, batch_format="pyarrow")
-         .materialize())
-        changed = ray.get([a.commit.remote() for a in actors])
-        if not any(changed):          # fixpoint: identity rounds
-            break
-    return pa.concat_tables(
-        ray.get([a.state_table.remote() for a in actors]))
+        if not any(_shard_round(actors, route, edges_b, f"{run}-{it}",
+                                ("labels",), _lpa_message, _lpa_pick,
+                                _lpa_commit)):
+            break                     # fixpoint: identity rounds
+    return pa.concat_tables(ray.get(
+        [a.state_table.remote(community="labels") for a in actors]))
 
 
 def label_propagation(edges_ds, rounds: int = 3,
@@ -2543,7 +2399,8 @@ def label_propagation(edges_ds, rounds: int = 3,
     ca, cb = (a_col, b_col) if pre_canonical else ("a", "b")
     edges = edges.materialize()
     if mode == "sharded":
-        return _lpa_sharded(edges, rounds, ca, cb, num_shards)
+        return _lpa_sharded(edges, rounds, ca, cb, num_shards,
+                            dict(node_budget=int(node_budget), forced=1))
 
     # vertex table: per-block unique endpoints folded once (driver
     # envelope, same as bfs_hops' visited array)
@@ -2559,28 +2416,23 @@ def label_propagation(edges_ds, rounds: int = 3,
                          "community": pa.array([], pa.int64())})
     nodes = np.unique(np.concatenate(parts))
     if mode == "auto" and len(nodes) > int(node_budget):
-        plan_log("label_propagation", "sharded", n_nodes=len(nodes),
-                 node_budget=int(node_budget))
-        return _lpa_sharded(edges, rounds, ca, cb, num_shards)
+        return _lpa_sharded(
+            edges, rounds, ca, cb, num_shards,
+            dict(n_nodes=len(nodes), node_budget=int(node_budget),
+                 forced=0))
     labels = nodes.copy()
 
     for _ in range(int(rounds)):
-        ref = ray.put(labels)
-        nodes_ref = ray.put(nodes)
+        ref = ray.put((nodes, labels))
 
         def emit(batch: pa.Table) -> pa.Table:
-            nd = ray.get(nodes_ref)
-            lb = ray.get(ref)
             a = np.asarray(batch.column(ca), dtype=np.int64)
             b = np.asarray(batch.column(cb), dtype=np.int64)
-            v = np.concatenate([a, b])
-            nl = np.concatenate([lb[np.searchsorted(nd, b)],
-                                 lb[np.searchsorted(nd, a)]])
-            key = np.stack([v, nl], axis=1)
-            uk, cnt = np.unique(key, axis=0, return_counts=True)
-            return pa.table({"v": pa.array(uk[:, 0]),
-                             "lab": pa.array(uk[:, 1]),
-                             "c": pa.array(cnt.astype(np.int64))})
+            v, lab, c = _lpa_message(ray.get(ref),
+                                     {"x": np.concatenate([b, a]),
+                                      "y": np.concatenate([a, b])})
+            return pa.table({"v": pa.array(v), "lab": pa.array(lab),
+                             "c": pa.array(c)})
 
         counts = bucketed_agg(
             edges.map_batches(emit, batch_format="pyarrow"),
@@ -2637,157 +2489,58 @@ def transition_probs(ds, key_col: str = "user_id", ts_col: str = "ts",
                                              batch_size=None)
 
 
-class _HitsShard:
-    """Range-partitioned shard of the HITS hub/auth vectors."""
+# HITS triple, per half-step: each edge sends the read vector's value at
+# its ``frm`` end to its ``to`` end, SUM; the commit reports the max
+# for the driver's deterministic integer rescale
 
-    def __init__(self):
-        self.nodes = np.empty(0, dtype=np.int64)
-        self.hub = np.empty(0, dtype=np.int64)
-        self.auth = np.empty(0, dtype=np.int64)
-        self._pend = None
-        self._out = None
-
-    def init_shard(self, nodes):
-        self.nodes = np.sort(np.unique(nodes.astype(np.int64)))
-        self.hub = np.ones(len(self.nodes), dtype=np.int64)
-        self.auth = np.zeros(len(self.nodes), dtype=np.int64)
-
-    def get_vec(self, which):
-        return self.nodes, (self.hub if which == "hub" else self.auth)
-
-    def stage(self, nodes, sums):
-        self._pend = (nodes, sums)
-
-    def commit_half(self):
-        out = np.zeros(len(self.nodes), dtype=np.int64)
-        if self._pend is not None and len(self._pend[0]):
-            out[np.searchsorted(self.nodes, self._pend[0])] = \
-                self._pend[1]
-        self._pend = None
-        self._out = out
-        return int(out.max(initial=0))
-
-    def scale_into(self, q, which):
-        v = self._out // np.int64(q)
-        self._out = None
-        if which == "hub":
-            self.hub = v
-        else:
-            self.auth = v
-
-    def state_table(self):
-        return pa.table({"node": pa.array(self.nodes),
-                         "hub": pa.array(self.hub),
-                         "auth": pa.array(self.auth)})
+def _hits_prep(x):
+    nodes = np.unique(x)
+    return nodes, {"hub": np.ones(len(nodes), dtype=np.int64),
+                   "auth": np.zeros(len(nodes), dtype=np.int64)}
 
 
-def _hits_sharded(edges, rounds, scale_bits, num_shards, output):
-    """Sharded HITS: hub/auth vectors in range-partitioned shard
-    actors; the edge projection is co-bucketed TWICE, once by source
-    range and once by destination range (the two half-steps read
-    opposite sides), each half-step is one edge scan + one summed
-    exchange + a P-sized max fold for the deterministic integer
-    rescale — bit-identical to the broadcast plan."""
+def _hits_message(state, e, frm, to):
+    nn, vv = state
+    return _sum_by(e[to], vv[np.searchsorted(nn, e[frm])])
+
+
+def _hits_commit(shard):
+    shard.vec["out"] = _scatter(shard, np.zeros(len(shard.nodes),
+                                                dtype=np.int64))
+    return int(shard.vec["out"].max(initial=0))
+
+
+def _hits_scale(shard, q, which):
+    shard.vec[which] = shard.vec.pop("out") // np.int64(q)
+
+
+def _hits_sharded(edges, rounds, scale_bits, num_shards, output, why):
+    """Sharded HITS: hub/auth vectors in shard actors; the edge
+    projection is co-bucketed TWICE, once by source range and once by
+    destination range (the two half-steps read opposite sides), each
+    half-step is one edge scan + one summed exchange + a P-sized max
+    fold for the deterministic integer rescale — bit-identical to the
+    broadcast plan."""
     import ray
 
-    P = max(1, int(num_shards))
-    edges = edges.materialize()      # read by boundaries + two buckets
+    ends = _both_dirs(edges, "s", "t").materialize()
+    actors, route, run = _vertex_shards("hits", why, ends, "x",
+                                        max(1, int(num_shards)))
+    _shard_init(actors, _with_part(ends, route, "x"), ("x",), _hits_prep)
+    by_s = _cobucket(edges, route, "s")    # auth←hub reads hub(s)
+    by_t = _cobucket(edges, route, "t")    # hub←auth reads auth(t)
 
-    def endpoints(batch: pa.Table) -> pa.Table:
-        s = np.asarray(batch.column("s"), dtype=np.int64)
-        t = np.asarray(batch.column("t"), dtype=np.int64)
-        return pa.table({"node": pa.array(np.concatenate([s, t]))})
-
-    route = _shard_route(
-        edges.map_batches(endpoints, batch_format="pyarrow"),
-        "node", P)
-    run_id = _shard_run_id()
-
-    actors = _make_shards(_HitsShard, P)
-
-    edges_bs = _cobucket(edges, route, "s", "__fp")  # auth←hub reads hub(s)
-    edges_bt = _cobucket(edges, route, "t", "__fp")  # hub←auth reads auth(t)
-
-    def init_groups(group: pa.Table) -> pa.Table:
-        p = int(group.column("__np")[0].as_py())
-        ray.get(actors[p].init_shard.remote(
-            np.asarray(group.column("node"), dtype=np.int64)))
-        return pa.table({"p": pa.array([p], pa.int64())})
-
-    def add_np(batch: pa.Table) -> pa.Table:
-        return batch.append_column(
-            "__np", pa.array(route(batch.column("node"))))
-
-    got = (edges.map_batches(endpoints, batch_format="pyarrow")
-           .map_batches(add_np, batch_format="pyarrow")
-           .groupby("__np")
-           .map_groups(init_groups, batch_format="pyarrow")
-           .to_pandas())
-    if not len(got):
-        z = np.empty(0, dtype=np.int64)
-        if output == "dataset":
-            return ray.data.from_arrow(pa.table({
-                "node": pa.array(z), "hub": pa.array(z),
-                "auth": pa.array(z)}))
-        return z, z.copy(), z.copy()
-
-    def half(ebs, from_col, to_col, which_read, which_write, token):
-        def contrib(batch: pa.Table) -> pa.Table:
-            fp = np.asarray(batch.column("__fp"), dtype=np.int64)
-            f = np.asarray(batch.column(from_col), dtype=np.int64)
-            t = np.asarray(batch.column(to_col), dtype=np.int64)
-            outs_n, outs_c = [], []
-            for p in np.unique(fp):
-                m = fp == p
-                # token embeds the half-step AND the vector read, so
-                # the shared (token, p) cache key is unambiguous
-                stale = [k for k in _PR_SHARD_CACHE if k[0] != token]
-                for k in stale:
-                    del _PR_SHARD_CACHE[k]
-                key = (token, int(p))
-                if key not in _PR_SHARD_CACHE:
-                    _PR_SHARD_CACHE[key] = ray.get(
-                        actors[int(p)].get_vec.remote(which_read))
-                nn, vv = _PR_SHARD_CACHE[key]
-                c = vv[np.searchsorted(nn, f[m])]
-                tu, inv = np.unique(t[m], return_inverse=True)
-                sums = np.zeros(len(tu), dtype=np.int64)
-                np.add.at(sums, inv, c)
-                outs_n.append(tu)
-                outs_c.append(sums)
-            node = (np.concatenate(outs_n) if outs_n
-                    else np.empty(0, dtype=np.int64))
-            c = (np.concatenate(outs_c) if outs_c
-                 else np.empty(0, dtype=np.int64))
-            return pa.table({"node": pa.array(node),
-                             "partial": pa.array(c),
-                             "__tp": pa.array(route(node))})
-
-        def fold(group: pa.Table) -> pa.Table:
-            p = int(group.column("__tp")[0].as_py())
-            gn = np.asarray(group.column("node"), dtype=np.int64)
-            gs = np.asarray(group.column("partial"), dtype=np.int64)
-            tu, inv = np.unique(gn, return_inverse=True)
-            sums = np.zeros(len(tu), dtype=np.int64)
-            np.add.at(sums, inv, gs)
-            ray.get(actors[p].stage.remote(tu, sums))
-            return pa.table({"p": pa.array([p], pa.int64())})
-
-        (ebs.map_batches(contrib, batch_format="pyarrow")
-         .groupby("__tp")
-         .map_groups(fold, batch_format="pyarrow")
-         .materialize())
-        gmax = max(ray.get([a.commit_half.remote() for a in actors]))
-        q = max(1, gmax >> scale_bits)
-        ray.get([a.scale_into.remote(q, which_write) for a in actors])
+    def half(edges_b, frm, to, read, write, tag):
+        gmax = max(_shard_round(actors, route, edges_b, f"{run}-{tag}",
+                                (read,), _hits_message, _sum_by,
+                                _hits_commit, (frm, to)))
+        _apply_all(actors, _hits_scale, max(1, gmax >> scale_bits), write)
 
     for it in range(int(rounds)):
-        half(edges_bs, "s", "t", "hub", "auth",
-             f"hits-{run_id}-{it}a")
-        half(edges_bt, "t", "s", "auth", "hub",
-             f"hits-{run_id}-{it}b")
+        half(by_s, "s", "t", "hub", "auth", f"{it}a")
+        half(by_t, "t", "s", "auth", "hub", f"{it}b")
 
-    refs = [a.state_table.remote() for a in actors]
+    refs = [a.state_table.remote(hub="hub", auth="auth") for a in actors]
     if output == "dataset":
         return ray.data.from_arrow_refs(refs)
     tbl = pa.concat_tables(ray.get(refs))
@@ -2855,6 +2608,14 @@ def hits(edges_ds, src_col: str, dst_col: str, rounds: int = 2,
 
     if mode not in ("auto", "broadcast", "sharded"):
         raise ValueError(f"hits: unknown mode {mode!r}")
+
+    def deg_guard(deg_max: int) -> None:
+        if deg_max >= (1 << (62 - scale_bits - 1)):
+            raise ValueError(
+                f"hits: max degree {deg_max} ≥ 2^{62 - scale_bits - 1} "
+                "breaks the int64 half-step sum envelope — lower "
+                "scale_bits or pre-aggregate parallel edges")
+
     nd_ds = bucketed_sum(edges.map_batches(node_partials,
                                            batch_format="pyarrow"),
                          ["node"], {"dout": "dout", "din": "din"})
@@ -2862,51 +2623,29 @@ def hits(edges_ds, src_col: str, dst_col: str, rounds: int = 2,
         nd_ds = nd_ds.materialize()
         n_nodes = nd_ds.count()
         if mode == "sharded" or n_nodes > int(node_budget):
-            if mode == "auto":
-                plan_log("hits", "sharded", n_nodes=n_nodes,
-                         node_budget=int(node_budget))
             from ray.data.aggregate import Max
             env = nd_ds.aggregate(Max("dout", alias_name="o"),
                                   Max("din", alias_name="i"))
-            deg_max = max(int(env["o"] or 0), int(env["i"] or 0), 1)
-            if deg_max >= (1 << (62 - scale_bits - 1)):
-                raise ValueError(
-                    f"hits: max degree {deg_max} ≥ "
-                    f"2^{62 - scale_bits - 1} breaks the int64 "
-                    "half-step sum envelope — lower scale_bits or "
-                    "pre-aggregate parallel edges")
-            return _hits_sharded(edges, rounds, scale_bits,
-                                 num_shards, output)
+            deg_guard(max(int(env["o"] or 0), int(env["i"] or 0), 1))
+            return _hits_sharded(
+                edges, rounds, scale_bits, num_shards, output,
+                dict(n_nodes=n_nodes, node_budget=int(node_budget),
+                     forced=int(mode == "sharded")))
     nd = nd_ds.to_pandas()
     if len(nd) == 0:                 # empty groupby: no columns at all
         z = np.empty(0, dtype=np.int64)
-        if output == "dataset":
-            import ray
-            return ray.data.from_arrow(pa.table({
-                "node": pa.array(z), "hub": pa.array(z),
-                "auth": pa.array(z)}))
-        return z, z.copy(), z.copy()
+        return _hits_result(z, z.copy(), z.copy(), output)
     nodes = np.sort(nd["node"].to_numpy().astype(np.int64))
     n = len(nodes)
-    deg_max = max(int(nd["dout"].max()), int(nd["din"].max()), 1)
-    if deg_max >= (1 << (62 - scale_bits - 1)):
-        raise ValueError(
-            f"hits: max degree {deg_max} ≥ 2^{62 - scale_bits - 1} "
-            "breaks the int64 half-step sum envelope — lower "
-            "scale_bits or pre-aggregate parallel edges")
+    deg_guard(max(int(nd["dout"].max()), int(nd["din"].max()), 1))
 
     def _half(vec: np.ndarray, from_col: str, to_col: str) -> np.ndarray:
         """out(to) = Σ vec[from] over edges, then integer rescale."""
         ref = ray.put((nodes, vec))
 
         def contrib(batch: pa.Table) -> pa.Table:
-            nn, vv = ray.get(ref)
-            f = np.asarray(batch.column(from_col), dtype=np.int64)
-            t = np.asarray(batch.column(to_col), dtype=np.int64)
-            c = vv[np.searchsorted(nn, f)]
-            tu, inv = np.unique(t, return_inverse=True)
-            sums = np.zeros(len(tu), dtype=np.int64)
-            np.add.at(sums, inv, c)
+            tu, sums = _hits_message(ray.get(ref), _int_cols(batch),
+                                     from_col, to_col)
             return pa.table({"node": pa.array(tu),
                              "partial": pa.array(sums)})
 
@@ -2924,6 +2663,10 @@ def hits(edges_ds, src_col: str, dst_col: str, rounds: int = 2,
     for _ in range(int(rounds)):
         auth = _half(hub, "s", "t")      # authority ← Σ hub over in-edges
         hub = _half(auth, "t", "s")      # hub ← Σ auth over out-edges
+    return _hits_result(nodes, hub, auth, output)
+
+
+def _hits_result(nodes, hub, auth, output):
     if output == "dataset":
         import ray
         return ray.data.from_arrow(pa.table({
@@ -3084,127 +2827,64 @@ def link_prediction(edges_ds, a_col: str = "a", b_col: str = "b",
     return out.union(ray.data.from_arrow(floor))
 
 
-class _SsspShard:
-    """One range-partitioned shard of the SSSP distance vector: sorted
-    node ids + best-known dist for this id range.  ``merge`` min-folds
-    a candidate batch (order-independent, so sharded results are
-    bit-identical to the broadcast fold) and reports whether anything
-    improved — the driver's convergence signal."""
+# SSSP/BFS triple: reached sources relax their edges, MIN-fold; the
+# commit merges candidates into the shard (whose node set grows as the
+# frontier reaches new ids) and reports whether anything improved
 
-    def __init__(self):
-        self.nodes = np.empty(0, dtype=np.int64)
-        self.dist = np.empty(0, dtype=np.int64)
-
-    def init_shard(self, nodes, dist):
-        order = np.argsort(nodes)
-        self.nodes = nodes[order].astype(np.int64)
-        self.dist = dist[order].astype(np.int64)
-
-    def get_state(self):
-        return self.nodes, self.dist
-
-    def merge(self, cn, cd):
-        merged = np.union1d(self.nodes, cn)
-        nd_new = np.full(len(merged), np.iinfo(np.int64).max)
-        nd_new[np.searchsorted(merged, self.nodes)] = self.dist
-        pos = np.searchsorted(merged, cn)
-        np.minimum.at(nd_new, pos, cd)
-        changed = (len(merged) != len(self.nodes)
-                   or not np.array_equal(
-                       nd_new[np.searchsorted(merged, self.nodes)],
-                       self.dist))
-        self.nodes, self.dist = merged, nd_new
-        return bool(changed)
-
-    def state_table(self):
-        return pa.table({"node": pa.array(self.nodes),
-                         "dist": pa.array(self.dist)})
+def _sssp_message(state, e):
+    nn, dd = state
+    ix, hit = _found(nn, e["x"])
+    return _min_by(e["y"][hit], dd[ix[hit]] + e["w"][hit])
 
 
-def _sssp_sharded(edges, nodes0, dist0, rounds, num_shards):
-    """Sharded continuation of :func:`sssp`: the dist vector lives in
-    range-partitioned shard actors, edges are doubled (one row per
-    direction) and co-bucketed by source range ONCE, and each round is
-    one edge scan + one min-folded candidate exchange.  Driver state is
-    O(num_shards)."""
+def _sssp_merge(shard):
+    if shard.staged is None:
+        return False
+    (cn, cd), shard.staged = shard.staged, None
+    dist = shard.vec["dist"]
+    merged = np.union1d(shard.nodes, cn)
+    new = np.full(len(merged), np.iinfo(np.int64).max)
+    old = np.searchsorted(merged, shard.nodes)
+    new[old] = dist
+    np.minimum.at(new, np.searchsorted(merged, cn), cd)
+    changed = (len(merged) != len(shard.nodes)
+               or not np.array_equal(new[old], dist))
+    shard.nodes, shard.vec["dist"] = merged, new
+    return bool(changed)
+
+
+def _sssp_sharded(edges, ca, cb, weight, nodes0, dist0, rounds,
+                  num_shards, op, why):
+    """Sharded continuation of :func:`sssp` / :func:`bfs_hops`: the
+    dist vector starts at ``(nodes0, dist0)`` in shard actors, edges are
+    doubled (``w = weight(batch)``) and co-bucketed by source range
+    ONCE, and each round is one edge scan + one min-folded candidate
+    exchange.  Driver state is O(num_shards)."""
     import ray
 
-    P = max(1, int(num_shards))
-    edges = edges.materialize()      # boundaries + co-bucket read it
-    # boundaries must cover the FULL endpoint space (the frontier grows
-    # into ids the current state has never seen)
-    def endpoints(batch: pa.Table) -> pa.Table:
-        return pa.table({"node": pa.concat_arrays([
-            batch.column("x").combine_chunks()
-            if isinstance(batch.column("x"), pa.ChunkedArray)
-            else batch.column("x"),
-            batch.column("y").combine_chunks()
-            if isinstance(batch.column("y"), pa.ChunkedArray)
-            else batch.column("y")])})
-
-    route = _shard_route(
-        edges.map_batches(endpoints, batch_format="pyarrow"),
-        "node", P)
-    run_id = _shard_run_id()
-
-    actors = _make_shards(_SsspShard, P)
+    actors, route, run, edges_b = _shard_scaffold(
+        op, why, edges, ca, cb, num_shards, weight)
     sp = route(nodes0)
-    ray.get([actors[p].init_shard.remote(nodes0[sp == p],
-                                         dist0[sp == p])
-             for p in range(P)])
-    edges_b = _cobucket(edges, route, "x", "__xp")
-
+    ray.get([a.init.remote(nodes0[sp == p], dist=dist0[sp == p])
+             for p, a in enumerate(actors)])
     for it in range(int(rounds)):
-        token = f"sssp-{run_id}-{it}"
-
-        def relax(batch: pa.Table) -> pa.Table:
-            xp = np.asarray(batch.column("__xp"), dtype=np.int64)
-            x = np.asarray(batch.column("x"), dtype=np.int64)
-            y = np.asarray(batch.column("y"), dtype=np.int64)
-            w = np.asarray(batch.column("w"), dtype=np.int64)
-            outs_n, outs_d = [], []
-            for p in np.unique(xp):
-                m = xp == p
-                nn, dd = _pr_cached_state(actors, token, int(p))
-                if not len(nn):       # shard not yet reached
-                    continue
-                ix = np.searchsorted(nn, x[m])
-                hit = (ix < len(nn)) \
-                    & (nn[np.minimum(ix, len(nn) - 1)] == x[m])
-                outs_n.append(y[m][hit])
-                outs_d.append(dd[ix[hit]] + w[m][hit])
-            cn = (np.concatenate(outs_n) if outs_n
-                  else np.empty(0, dtype=np.int64))
-            cd = (np.concatenate(outs_d) if outs_d
-                  else np.empty(0, dtype=np.int64))
-            if len(cn):                      # local min-fold per node
-                order = np.lexsort((cd, cn))
-                cn, cd = cn[order], cd[order]
-                first = np.concatenate([[True], cn[1:] != cn[:-1]])
-                cn, cd = cn[first], cd[first]
-            return pa.table({"node": pa.array(cn), "d": pa.array(cd),
-                             "__yp": pa.array(route(cn))})
-
-        def fold(group: pa.Table) -> pa.Table:
-            p = int(group.column("__yp")[0].as_py())
-            gn = np.asarray(group.column("node"), dtype=np.int64)
-            gd = np.asarray(group.column("d"), dtype=np.int64)
-            order = np.lexsort((gd, gn))
-            gn, gd = gn[order], gd[order]
-            first = np.concatenate([[True], gn[1:] != gn[:-1]])
-            ch = ray.get(actors[p].merge.remote(gn[first], gd[first]))
-            return pa.table({"p": pa.array([p], pa.int64()),
-                             "changed": pa.array([ch])})
-
-        got = (edges_b.map_batches(relax, batch_format="pyarrow")
-               .groupby("__yp")
-               .map_groups(fold, batch_format="pyarrow")
-               .to_pandas())
-        if not len(got) or not got["changed"].any():
+        if not any(_shard_round(actors, route, edges_b, f"{run}-{it}",
+                                ("dist",), _sssp_message, _min_by,
+                                _sssp_merge)):
             break                            # converged = true SSSP
-    tbl = pa.concat_tables(
-        ray.get([a.state_table.remote() for a in actors]))
-    return tbl
+    return pa.concat_tables(ray.get(
+        [a.state_table.remote(dist="dist") for a in actors]))
+
+
+def _sssp_weights(batch: pa.Table, w_col: str) -> np.ndarray:
+    if batch.column(w_col).null_count:
+        raise ValueError("sssp: null weight")
+    w = np.asarray(batch.column(w_col), dtype=np.int64)
+    if len(w) and w.min() <= 0:
+        raise ValueError("sssp: weights must be positive "
+                         "(zero/negative edges void the "
+                         "fixed-round contract)")
+    return w
 
 
 def sssp(edges_ds, seeds: "np.ndarray", rounds: int = 4,
@@ -3230,11 +2910,11 @@ def sssp(edges_ds, seeds: "np.ndarray", rounds: int = 4,
     Past ``node_budget`` settled nodes the ``auto`` plan hands the
     remaining rounds to a SHARDED continuation (``mode="sharded"``
     starts there): the dist vector lives in ``num_shards``
-    range-partitioned :class:`_SsspShard` actors, edges are doubled
-    and co-bucketed by source range once, and each round is one edge
-    scan + one min-folded candidate exchange — driver state O(P).
-    Min-folds are order-independent, so both plans return identical
-    tables (asserted in tests)."""
+    range-partitioned vertex-shard actors (:func:`_sssp_sharded`),
+    edges are doubled and co-bucketed by source range once, and each
+    round is one edge scan + one min-folded candidate exchange —
+    driver state O(P).  Min-folds are order-independent, so both plans
+    return identical tables (asserted in tests)."""
     import ray
 
     R = int(rounds)
@@ -3246,74 +2926,41 @@ def sssp(edges_ds, seeds: "np.ndarray", rounds: int = 4,
     if mode not in ("auto", "broadcast", "sharded"):
         raise ValueError(f"sssp: unknown mode {mode!r}")
 
-    def both_dirs(batch: pa.Table) -> pa.Table:
-        if batch.column(w_col).null_count:
-            raise ValueError("sssp: null weight")
-        a = np.asarray(batch.column(a_col), dtype=np.int64)
-        b = np.asarray(batch.column(b_col), dtype=np.int64)
-        w = np.asarray(batch.column(w_col), dtype=np.int64)
-        if len(w) and w.min() <= 0:
-            raise ValueError("sssp: weights must be positive "
-                             "(zero/negative edges void the "
-                             "fixed-round contract)")
-        return pa.table({"x": pa.array(np.concatenate([a, b])),
-                         "y": pa.array(np.concatenate([b, a])),
-                         "w": pa.array(np.concatenate([w, w]))})
+    def sharded(edges, rounds, why):
+        return _sssp_sharded(
+            edges, a_col, b_col, lambda batch: _sssp_weights(batch, w_col),
+            nodes, dist, rounds, num_shards, "sssp", why)
 
     if mode == "sharded":
-        return _sssp_sharded(
-            edges_ds.map_batches(both_dirs, batch_format="pyarrow"),
-            nodes, dist, R, num_shards)
+        return sharded(edges_ds, R,
+                       dict(node_budget=int(node_budget), forced=1))
     edges = edges_ds.materialize()
     for rnd in range(R):
         if mode == "auto" and len(nodes) > int(node_budget):
-            plan_log("sssp", "sharded", n_nodes=len(nodes),
-                     node_budget=int(node_budget))
             # dist vector outgrew the driver envelope: hand the
             # remaining rounds to the sharded continuation (same
             # min-fold semantics → same result)
-            return _sssp_sharded(
-                edges.map_batches(both_dirs, batch_format="pyarrow"),
-                nodes, dist, R - rnd, num_shards)
+            return sharded(edges, R - rnd,
+                           dict(n_nodes=len(nodes),
+                                node_budget=int(node_budget), forced=0))
         ref = ray.put((nodes, dist))
 
         def relax(batch: pa.Table) -> pa.Table:
-            nd, dd = ray.get(ref)
-            if batch.column(w_col).null_count:
-                raise ValueError("sssp: null weight")
+            w = _sssp_weights(batch, w_col)
             a = np.asarray(batch.column(a_col), dtype=np.int64)
             b = np.asarray(batch.column(b_col), dtype=np.int64)
-            w = np.asarray(batch.column(w_col), dtype=np.int64)
-            if len(w) and w.min() <= 0:
-                raise ValueError("sssp: weights must be positive "
-                                 "(zero/negative edges void the "
-                                 "fixed-round contract)")
-            outs, outd = [], []
-            for x, y in ((a, b), (b, a)):
-                ix = np.searchsorted(nd, x)
-                hit = (ix < len(nd)) \
-                    & (nd[np.minimum(ix, len(nd) - 1)] == x)
-                outs.append(y[hit])
-                outd.append(dd[ix[hit]] + w[hit])
-            cn = np.concatenate(outs)
-            cd = np.concatenate(outd)
-            if len(cn):                      # local min-fold per node
-                order = np.lexsort((cd, cn))
-                cn, cd = cn[order], cd[order]
-                first = np.concatenate([[True], cn[1:] != cn[:-1]])
-                cn, cd = cn[first], cd[first]
+            cn, cd = _sssp_message(ray.get(ref),
+                                   {"x": np.concatenate([a, b]),
+                                    "y": np.concatenate([b, a]),
+                                    "w": np.concatenate([w, w])})
             return pa.table({"node": pa.array(cn), "d": pa.array(cd)})
 
         got = edges.map_batches(relax, batch_format="pyarrow") \
             .to_pandas()
         if not len(got):
             break
-        cn = got["node"].to_numpy().astype(np.int64)
-        cd = got["d"].to_numpy().astype(np.int64)
-        order = np.lexsort((cd, cn))
-        cn, cd = cn[order], cd[order]
-        first = np.concatenate([[True], cn[1:] != cn[:-1]])
-        cn, cd = cn[first], cd[first]
+        cn, cd = _min_by(got["node"].to_numpy().astype(np.int64),
+                         got["d"].to_numpy().astype(np.int64))
         merged = np.union1d(nodes, cn)
         nd_new = np.full(len(merged), np.iinfo(np.int64).max)
         pos_old = np.searchsorted(merged, nodes)
@@ -3377,68 +3024,55 @@ def ktruss(edges_ds, k: int, rounds: int = 3,
     return cur
 
 
-class _CsrShard:
-    """Range-partitioned CSR slice for the sharded walk plan: each
-    shard holds the COMPLETE sorted neighbor list of every node in its
-    range (edges arrive doubled and co-bucketed by source range), so
-    the hash-chosen step rule sees the same sorted adjacency the
-    broadcast CSR would."""
-
-    def __init__(self):
-        self.nodes = np.empty(0, dtype=np.int64)
-        self.indptr = np.zeros(1, dtype=np.int64)
-        self.nbrs = np.empty(0, dtype=np.int64)
-
-    def init_shard(self, src, dst):
-        order = np.lexsort((dst, src))
-        src, self.nbrs = src[order], dst[order]
-        self.nodes = np.unique(src)
-        self.indptr = np.searchsorted(
-            src, np.append(self.nodes, np.iinfo(np.int64).max)
-        ).astype(np.int64)
-
-    def get_state(self):
-        return self.nodes, self.indptr, self.nbrs
+def _csr(src, dst):
+    """``(sorted nodes, indptr, neighbors sorted within each node)``."""
+    order = np.lexsort((dst, src))
+    src, nbrs = src[order], dst[order]
+    nodes = np.unique(src)
+    indptr = np.searchsorted(
+        src, np.append(nodes, np.iinfo(np.int64).max)).astype(np.int64)
+    return nodes, indptr, nbrs
 
 
-def _random_walks_sharded(edges, seeds, L, W, salt, algo, num_shards):
-    """Sharded walk tier (past the CSR broadcast budget): adjacency in
-    range-partitioned :class:`_CsrShard` actors, the walk frontier
-    routed to its current node's shard each step — L frontier-sized
-    exchanges instead of an edge-sized broadcast; the step rule is the
-    same ``H(walk_id|k|v|salt) % deg(v)`` over the same sorted
+def _csr_prep(x, y):
+    nodes, indptr, nbrs = _csr(x, y)
+    return nodes, {"indptr": indptr, "nbrs": nbrs}
+
+
+def _walk_step(csr, w, cur, k, salt, hash_fn):
+    """Step ``k`` of walks ``w`` at nodes ``cur``: ``(ok, next)`` where
+    ``ok`` marks walks at a node with neighbors and ``next`` is their
+    sorted neighbor ``H(walk_id|k|v|salt) % deg(v)``."""
+    nd, ip, nb = csr
+    pos, ok = _found(nd, cur)
+    deg = np.where(ok, ip[np.minimum(pos + 1, len(ip) - 1)]
+                   - ip[np.minimum(pos, len(ip) - 1)], 0)
+    ok &= deg > 0
+    if not ok.any():
+        return ok, cur[:0]
+    keys = np.array([f"{a}|{k}|{b}|{salt}" for a, b in
+                     zip(w[ok], cur[ok])], dtype=object)
+    h = hash_fn(pa.array(keys, pa.string()))
+    idx = h % deg[ok].astype(np.uint64)
+    return ok, nb[ip[pos[ok]] + idx.astype(np.int64)]
+
+
+def _random_walks_sharded(edges, seeds, L, W, salt, hash_fn, num_shards,
+                          why):
+    """Sharded walk tier (past the CSR broadcast budget): the complete
+    sorted neighbor list of every node lives in its range's shard actor
+    (edges arrive doubled and co-bucketed by source range), and the walk
+    frontier is routed to its current node's shard each step — L
+    frontier-sized exchanges instead of an edge-sized broadcast; the
+    step rule is the same :func:`_walk_step` over the same sorted
     neighbor order, so the corpus is bit-identical to the broadcast
-    plan."""
+    plan.  Uses only the runtime's init and cached state: the frontier
+    is routed per step, not scanned."""
     import ray
 
-    from bqf_ray.functions.hashing import (md5_hash64_array,
-                                           xxhash64_array)
-
-    hash_fn = {"md5": md5_hash64_array, "xx64": xxhash64_array}[algo]
-    P = max(1, int(num_shards))
-
-    def both_dirs(batch: pa.Table) -> pa.Table:
-        a = np.asarray(batch.column("a"), dtype=np.int64)
-        b = np.asarray(batch.column("b"), dtype=np.int64)
-        return pa.table({"x": pa.array(np.concatenate([a, b])),
-                         "y": pa.array(np.concatenate([b, a]))})
-
-    run_id, route, ed2b = _shard_scaffold(
-        edges.map_batches(both_dirs, batch_format="pyarrow"),
-        "x", P, "__xp")
-    token = f"walks-{run_id}"
-    actors = _make_shards(_CsrShard, P)
-
-    def init_groups(group: pa.Table) -> pa.Table:
-        p = int(group.column("__xp")[0].as_py())
-        ray.get(actors[p].init_shard.remote(
-            np.asarray(group.column("x"), dtype=np.int64),
-            np.asarray(group.column("y"), dtype=np.int64)))
-        return pa.table({"p": pa.array([p], pa.int64())})
-
-    (ed2b.groupby("__xp")
-     .map_groups(init_groups, batch_format="pyarrow")
-     .materialize())
+    actors, route, token, ed2b = _shard_scaffold(
+        "random_walks", why, edges, "a", "b", num_shards)
+    _shard_init(actors, ed2b, ("x", "y"), _csr_prep)
 
     seeds = np.unique(np.asarray(seeds, dtype=np.int64))
     wid = (seeds[:, None] * W
@@ -3452,40 +3086,21 @@ def _random_walks_sharded(edges, seeds, L, W, salt, algo, num_shards):
     frontier = outs[0]
 
     for k in range(1, L + 1):
-        def add_cp(batch: pa.Table) -> pa.Table:
-            return batch.append_column(
-                "__cp", pa.array(route(batch.column("node"))))
-
         def step(group: pa.Table, k=k) -> pa.Table:
-            p = int(group.column("__cp")[0].as_py())
-            nd, ip, nb = _pr_cached_state(actors, token, p)
+            p = int(group.column(_PART)[0].as_py())
             w = np.asarray(group.column("walk_id"), dtype=np.int64)
             sd = np.asarray(group.column("seed"), dtype=np.int64)
-            cur = np.asarray(group.column("node"), dtype=np.int64)
-            if not len(nd):
-                return step0.slice(0, 0)
-            pos = np.searchsorted(nd, cur)
-            ok = (pos < len(nd)) \
-                & (nd[np.minimum(pos, len(nd) - 1)] == cur)
-            deg = np.where(ok, ip[np.minimum(pos + 1, len(ip) - 1)]
-                           - ip[np.minimum(pos, len(ip) - 1)], 0)
-            ok &= deg > 0
-            if not ok.any():
-                return step0.slice(0, 0)
-            keys = np.array([f"{a}|{k}|{b}|{salt}" for a, b in
-                             zip(w[ok], cur[ok])], dtype=object)
-            h = hash_fn(pa.array(keys, pa.string()))
-            idx = h % deg[ok].astype(np.uint64)
-            nxt = nb[ip[pos[ok]] + idx.astype(np.int64)]
+            ok, nxt = _walk_step(
+                _cached_state(actors, token, p, ("indptr", "nbrs")), w,
+                np.asarray(group.column("node"), dtype=np.int64), k,
+                salt, hash_fn)
             return pa.table({
                 "walk_id": pa.array(w[ok]),
                 "seed": pa.array(sd[ok]),
-                "step": pa.array(np.full(int(ok.sum()), k,
-                                         dtype=np.int64)),
+                "step": pa.array(np.full(len(nxt), k, dtype=np.int64)),
                 "node": pa.array(nxt)})
 
-        frontier = (frontier.map_batches(add_cp, batch_format="pyarrow")
-                    .groupby("__cp")
+        frontier = (_with_part(frontier, route, "node").groupby(_PART)
                     .map_groups(step, batch_format="pyarrow")
                     .materialize())
         if frontier.count() == 0:
@@ -3537,40 +3152,29 @@ def random_walks(edges_ds, seeds: "np.ndarray", walk_len: int = 5,
     hash_fn = {"md5": md5_hash64_array, "xx64": xxhash64_array}[algo]
     edges = canonical_edges(edges_ds, a_col=a_col, b_col=b_col)
     if mode == "sharded":
-        return _random_walks_sharded(edges.materialize(), seeds, L, W,
-                                     salt, algo, num_shards)
+        return _random_walks_sharded(
+            edges, seeds, L, W, salt, hash_fn, num_shards,
+            dict(budget_bytes=int(broadcast_budget_bytes), forced=1))
 
     # fold adjacency to a CSR under the broadcast budget
     n_edges = edges.count()
     if 16 * n_edges > broadcast_budget_bytes:
         if mode == "auto":
-            plan_log("random_walks", "sharded",
-                     edge_bytes=16 * n_edges,
-                     budget_bytes=int(broadcast_budget_bytes))
-            return _random_walks_sharded(edges.materialize(), seeds,
-                                         L, W, salt, algo, num_shards)
+            return _random_walks_sharded(
+                edges, seeds, L, W, salt, hash_fn, num_shards,
+                dict(edge_bytes=16 * n_edges,
+                     budget_bytes=int(broadcast_budget_bytes), forced=0))
         raise ValueError(
             f"random_walks: {n_edges} edges × 16 B exceed the "
             f"{broadcast_budget_bytes} B broadcast budget — use "
             "mode='sharded' (per-step co-partitioned frontier "
             "exchange) for the larger tier")
     parts = [t for t in ray.get(edges.to_arrow_refs()) if t.num_rows]
-    if parts:
-        at = pa.concat_tables(parts)
-        ea = np.asarray(at.column("a"), dtype=np.int64)
-        eb = np.asarray(at.column("b"), dtype=np.int64)
-        src = np.concatenate([ea, eb])
-        dst = np.concatenate([eb, ea])
-        order = np.lexsort((dst, src))
-        src, dst = src[order], dst[order]
-        nodes = np.unique(src)
-        indptr = np.searchsorted(src, np.append(nodes,
-                                                np.iinfo(np.int64).max))
-    else:
-        nodes = np.empty(0, dtype=np.int64)
-        dst = np.empty(0, dtype=np.int64)
-        indptr = np.zeros(1, dtype=np.int64)
-    ref = ray.put((nodes, indptr.astype(np.int64), dst))
+    ea = np.concatenate([np.asarray(t.column("a"), dtype=np.int64)
+                         for t in parts] or [np.empty(0, dtype=np.int64)])
+    eb = np.concatenate([np.asarray(t.column("b"), dtype=np.int64)
+                         for t in parts] or [np.empty(0, dtype=np.int64)])
+    ref = ray.put(_csr(np.concatenate([ea, eb]), np.concatenate([eb, ea])))
 
     seeds = np.unique(np.asarray(seeds, dtype=np.int64))
     if not len(seeds):
@@ -3586,34 +3190,21 @@ def random_walks(edges_ds, seeds: "np.ndarray", walk_len: int = 5,
         "seed": pa.array(np.repeat(seeds, W))}))
 
     def advance(batch: pa.Table) -> pa.Table:
-        nd, ip, nb = ray.get(ref)
+        csr = ray.get(ref)
         w = np.asarray(batch.column("walk_id"), dtype=np.int64)
         sd = np.asarray(batch.column("seed"), dtype=np.int64)
         out_w, out_s, out_k, out_n = [w], [sd], \
             [np.zeros(len(w), dtype=np.int64)], [sd]
         cur = sd
-        alive = np.ones(len(w), dtype=bool)
         for k in range(1, L + 1):
-            pos = np.searchsorted(nd, cur)
-            ok = alive & (pos < len(nd)) \
-                & (nd[np.minimum(pos, max(len(nd) - 1, 0))] == cur) \
-                if len(nd) else np.zeros(len(w), dtype=bool)
-            deg = np.where(ok, ip[np.minimum(pos + 1, len(ip) - 1)]
-                           - ip[np.minimum(pos, len(ip) - 1)], 0)
-            ok &= deg > 0
+            ok, cur = _walk_step(csr, w, cur, k, salt, hash_fn)
             if not ok.any():
                 break
-            keys = np.array([f"{a}|{k}|{b}|{salt}" for a, b in
-                             zip(w[ok], cur[ok])], dtype=object)
-            h = hash_fn(pa.array(keys, pa.string()))
-            idx = h % deg[ok].astype(np.uint64)
-            nxt = cur.copy()
-            nxt[ok] = nb[ip[pos[ok]] + idx.astype(np.int64)]
-            out_w.append(w[ok])
-            out_s.append(sd[ok])
-            out_k.append(np.full(int(ok.sum()), k, dtype=np.int64))
-            out_n.append(nxt[ok])
-            cur, alive = nxt, ok
+            w, sd = w[ok], sd[ok]
+            out_w.append(w)
+            out_s.append(sd)
+            out_k.append(np.full(len(w), k, dtype=np.int64))
+            out_n.append(cur)
         return pa.table({"walk_id": pa.array(np.concatenate(out_w)),
                          "seed": pa.array(np.concatenate(out_s)),
                          "step": pa.array(np.concatenate(out_k)),

@@ -142,3 +142,87 @@ def test_bfs_auto_handoff(ray_session):
                  ).to_pandas().sort_values("node")
     assert a["node"].tolist() == b["node"].tolist()
     assert a["hop"].tolist() == b["hop"].tolist()
+
+
+_ENTRIES = ["pagerank", "kcore", "label_propagation", "hits", "sssp",
+            "bfs_hops", "random_walks"]
+
+# the keyword that sends each entry point's auto plan to the sharded
+# tier on the 2-node graph
+_AUTO_TO_SHARDED = {"pagerank": {"node_budget": 1},
+                    "kcore": {"node_budget": 1},
+                    "label_propagation": {"node_budget": 1},
+                    "hits": {"node_budget": 1},
+                    "sssp": {"node_budget": 0},
+                    "bfs_hops": {"node_budget": 0},
+                    "random_walks": {"broadcast_budget_bytes": 1}}
+
+
+def _tiny(n_edges):
+    a = np.array([1], dtype=np.int64)[:n_edges]
+    b = np.array([2], dtype=np.int64)[:n_edges]
+    return pa.table({"a": pa.array(a), "b": pa.array(b),
+                     "w": pa.array(np.full(len(a), 3, dtype=np.int64))})
+
+
+def _run(name, tbl, **kw):
+    """Run one entry point; return its output in a comparable form."""
+    import ray
+
+    from bqf_ray.pipelines.graph import (bfs_hops, pagerank, random_walks,
+                                         sssp)
+    ds = ray.data.from_arrow(tbl)
+    seeds = np.array([1], dtype=np.int64)
+    if name == "pagerank":
+        n, r, u = pagerank(ds, "a", "b", iters=3, **kw)
+        return list(n), [int(x) for x in r], u
+    if name == "hits":
+        n, h, a = hits(ds, "a", "b", rounds=2, **kw)
+        return list(n), list(h), list(a)
+    if name == "random_walks":
+        out = random_walks(ds, seeds, walk_len=3, walks_per_seed=2, **kw)
+        return set(map(tuple, out.to_pandas().to_numpy().tolist()))
+    out = {"kcore": lambda: kcore(ds, 1, rounds=3, **kw),
+           "label_propagation": lambda: label_propagation(ds, rounds=2,
+                                                          **kw),
+           "sssp": lambda: sssp(ds, seeds, rounds=3, **kw),
+           "bfs_hops": lambda: bfs_hops(ds, seeds, max_hops=3, **kw)}[name]()
+    return sorted(map(tuple, out.to_pandas().to_numpy().tolist()))
+
+
+@pytest.mark.parametrize("n_edges,shards", [(0, 1), (0, 4), (1, 16)])
+@pytest.mark.parametrize("name", _ENTRIES)
+def test_sharded_tiny_graphs_equal_broadcast(ray_session, name, n_edges,
+                                             shards):
+    """Empty graph (1 and 4 shards) and a 2-node graph over 16 shards:
+    every sharded entry point equals its broadcast plan."""
+    tbl = _tiny(n_edges)
+    assert _run(name, tbl, mode="sharded", num_shards=shards) \
+        == _run(name, tbl, mode="broadcast")
+
+
+@pytest.mark.parametrize("name", _ENTRIES)
+def test_sharded_run_logs_one_plan(ray_session, name):
+    """Exactly one ``sharded`` plan record per sharded run, forced or
+    chosen by ``auto``."""
+    import uuid
+
+    from bqf_ray.plans import plan_log, recent_plans
+
+    def plans_of(run):
+        marker = uuid.uuid4().hex
+        plan_log("test-marker", marker)
+        out = run()
+        recs = recent_plans()
+        start = max(i for i, r in enumerate(recs) if r["plan"] == marker)
+        return out, [r for r in recs[start + 1:] if r["op"] == name]
+
+    tbl = _tiny(1)
+    forced, recs = plans_of(lambda: _run(name, tbl, mode="sharded",
+                                         num_shards=2))
+    assert [(r["plan"], r["forced"]) for r in recs] == [("sharded", 1)]
+    auto, recs = plans_of(lambda: _run(name, tbl, mode="auto",
+                                       num_shards=2,
+                                       **_AUTO_TO_SHARDED[name]))
+    assert [(r["plan"], r["forced"]) for r in recs] == [("sharded", 0)]
+    assert auto == forced
