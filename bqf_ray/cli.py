@@ -71,21 +71,12 @@ def cmd_build(args):
 def cmd_query(args):
     """``bqf query`` (main.cpp:105-173): sequences → fimpera stats."""
     import ray
+    from bqf_ray.pipelines.build_index import BqfIndex
     from bqf_ray.pipelines.genomic import query_sequences
-    from bqf_ray.state.checkpoint import SketchCheckpoint
-    from bqf_ray.stages.sketch_stage import PartitionedSketch
-    import os
     owned = _init_ray(args)
-    manifest = SketchCheckpoint.load_manifest(args.bqf)
-    parts_meta = (manifest or {}).get("partitions", {})
-    shards = {}
-    for f in sorted(os.listdir(args.bqf)):
-        if f.startswith("part-") and f.endswith(".sketch"):
-            part = int(f[5:10])
-            shards[part] = SketchCheckpoint.load_partition(
-                args.bqf, part, parts_meta.get(str(part), {}).get("sha256"))
-    num_parts = (manifest or {}).get("config", {}).get("num_partitions")
-    ps = PartitionedSketch(shards, num_parts)
+    # shards come from the manifest, not the directory listing: a
+    # rebuild with fewer partitions leaves stale part files behind
+    ps = BqfIndex.load(args.bqf).psketch
     id_col = "query_id"
     if getattr(args, "fastx", False):
         from bqf_ray.sources.fastx import read_fastx

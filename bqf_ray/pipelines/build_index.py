@@ -17,6 +17,7 @@ import numpy as np
 import pyarrow as pa
 
 from bqf_ray.functions.tokenize import shingle_hashes, token_hashes
+from bqf_ray.plans import plan_log
 from bqf_ray.sketches.bqf import BqfEc, fimpera_from_abundances
 from bqf_ray.stages.sketch_stage import (PartitionedSketch, build_partitioned)
 from bqf_ray.state.checkpoint import SketchCheckpoint
@@ -92,7 +93,9 @@ def build_bqf_index(pages_ds, *, text_col: str = "text", s: int = 1,
                 if int(p) in done:
                     ckpt.manifest.partitions[p] = info
 
-    if combine is None:
+    forced = combine is not None
+    n_distinct = n_sampled = 0
+    if not forced:
         # auto-plan: sample one batch; the COMBINER (ship partial sketch
         # blobs) only beats the pre-aggregated ROW shuffle when per-batch
         # pre-aggregation cannot compress — i.e. keys are both numerous
@@ -103,15 +106,17 @@ def build_bqf_index(pages_ds, *, text_col: str = "text", s: int = 1,
         # row shuffle is already tiny).  The ratio guard keeps corpora
         # with MANY distinct but still-compressible batches on the row
         # plan, where a distinct-count threshold alone would flip them.
-        try:
-            sample = pages_ds.limit(int(batch_size or 2048)).take_batch(
-                int(batch_size or 2048), batch_format="pyarrow")
+        # An empty input yields no batch and takes the row plan.
+        n = int(batch_size or 2048)
+        sample = next(iter(pages_ds.limit(n).iter_batches(
+            batch_size=n, prefetch_batches=0, batch_format="pyarrow")), None)
+        if sample is not None:
             skeys, _ = _key_fn_from_config(config)(sample)
-            n_distinct = len(np.unique(skeys))
-            combine = (n_distinct >= 20_000
-                       and n_distinct >= 0.5 * max(len(skeys), 1))
-        except Exception:
-            combine = False
+            n_distinct, n_sampled = len(np.unique(skeys)), len(skeys)
+        combine = (n_distinct >= 20_000
+                   and n_distinct >= 0.5 * max(n_sampled, 1))
+    plan_log("build_bqf_index", "combiner" if combine else "row",
+             n_distinct=n_distinct, n_sampled=n_sampled, forced=int(forced))
 
     factory = lambda: BqfEc(q=q, count_size=count_size, hash_bits=hash_bits)
     # combiner partials start tiny (q=8) and auto-resize — an empty q=16

@@ -1868,331 +1868,6 @@ def cusum_changepoint(ds, key_col: str = "user_id", ts_col: str = "ts",
             .map_groups(score_bucket, batch_format="pyarrow"))
 
 
-# ---------------------------------------------------------------------------
-# DGIM exponential-histogram trailing-window counts
-# ---------------------------------------------------------------------------
-
-def eh_window_counts(ds, windows_s: list[int], ts_col: str = "ts",
-                     L: int = 32, num_partitions: int = 32):
-    """Trailing-window event counts through the DGIM exponential
-    histogram (sketches/dgim.py) — the streaming-window member of the
-    sketch family: per-node state is O(L·log n) buckets instead of the
-    stream, and any trailing window (cut, T] is answerable after the
-    fact.
-
-    Plan: one pass computes the global [min, max] timestamp envelope
-    (tiny fold); a second pass slices events into ``num_partitions``
-    uniform TIME ranges (a value-range partition on ts — EH merge is
-    ordered, so partials must cover disjoint ascending spans), builds
-    one vectorized EH per slice inside ``map_groups``, and ships the
-    O(bytes) partials to the driver for the ordered left fold.  The
-    exact counts ride the same envelope pass structure (per-batch
-    vectorized compares, one tiny sum fold) — both sides stream; only
-    sketch partials and per-window counters materialize.
-
-    Returns a pandas frame ``(window_s, n_exact, within_bound)`` where
-    ``within_bound`` asserts the by-construction DGIM bound
-    ``|est − exact| ≤ ⌈straddler/2⌉`` against the independently
-    computed exact count (the SQL-oracle-checkable contract; the
-    estimate itself is partition-layout-dependent, so it is asserted,
-    not emitted)."""
-    import pandas as pd
-    import ray
-    from ray.data.aggregate import Max, Min, Sum
-
-    from bqf_ray.sketches.dgim import ExponentialHistogram
-
-    P = int(num_partitions)
-    wins = [int(w) for w in windows_s]
-
-    def to_us(batch: pa.Table) -> pa.Table:
-        # null-ts hygiene matches eh_window_sums_by_key: a null would
-        # survive the cast and crash the downstream int64 view
-        t = batch.filter(batch.column(ts_col).is_valid())
-        return pa.table({"ts_us": t.column(ts_col).cast(pa.int64())})
-
-    # materialized ONCE: the minimal (8 B/row) projection feeds three
-    # consumers (envelope, EH build, exact counts) — without this each
-    # lazy consumer re-executes the source read; the object store holds
-    # or spills just the ts column, ~1/1000 of the table's bytes
-    us = ds.map_batches(to_us, batch_format="pyarrow").materialize()
-    env = us.aggregate(Min("ts_us", alias_name="lo"),
-                       Max("ts_us", alias_name="hi"))
-    if env is None or env["lo"] is None:       # empty stream
-        return pd.DataFrame({"window_s": pd.Series(wins, dtype="int64"),
-                             "n_exact": pd.Series([0] * len(wins),
-                                                  dtype="int64"),
-                             "within_bound": [True] * len(wins)})
-    lo, hi = int(env["lo"]), int(env["hi"])
-    span = max(hi - lo + 1, 1)
-
-    def slice_pid(batch: pa.Table) -> pa.Table:
-        t = np.asarray(batch.column("ts_us"), dtype=np.int64)
-        pid = ((t - lo) * P) // span
-        return batch.append_column("__pid", pa.array(pid))
-
-    def build_eh(group: pa.Table) -> pa.Table:
-        t = np.sort(np.asarray(group.column("ts_us"), dtype=np.int64))
-        eh = ExponentialHistogram.from_sorted(t, L=L)
-        Lv, n, mn, mx, sizes, ends = eh.to_arrays()
-        return pa.table({
-            "pid": pa.array([int(group.column("__pid")[0].as_py())],
-                            pa.int64()),
-            "n": pa.array([int(n)], pa.int64()),
-            "min_ts": pa.array([int(mn)], pa.int64()),
-            "max_ts": pa.array([int(mx)], pa.int64()),
-            "sizes": pa.array([sizes.tobytes()], pa.binary()),
-            "ends": pa.array([ends.tobytes()], pa.binary())})
-
-    parts = (us.map_batches(slice_pid, batch_format="pyarrow")
-             .groupby("__pid").map_groups(build_eh, batch_format="pyarrow")
-             .take_all())
-    parts.sort(key=lambda r: r["pid"])
-    eh = ExponentialHistogram(L=L)
-    for r in parts:
-        eh.merge_newer(ExponentialHistogram.from_arrays(
-            L, r["n"], r["min_ts"], r["max_ts"],
-            np.frombuffer(r["sizes"], dtype=np.int64),
-            np.frombuffer(r["ends"], dtype=np.int64)))
-
-    cuts = {w: hi - w * 1_000_000 for w in wins}
-
-    def exact_partial(batch: pa.Table) -> pa.Table:
-        t = np.asarray(batch.column("ts_us"), dtype=np.int64)
-        return pa.table({
-            "window_s": pa.array(wins, pa.int64()),
-            "pn": pa.array([int((t > cuts[w]).sum()) for w in wins],
-                           pa.int64())})
-
-    exact = {r["window_s"]: r["n"] for r in
-             (us.map_batches(exact_partial, batch_format="pyarrow")
-              .groupby("window_s").aggregate(Sum("pn", alias_name="n"))
-              .take_all())}
-
-    rows = []
-    for w in wins:
-        est, bound = eh.estimate_after(cuts[w])
-        rows.append((w, int(exact[w]), abs(est - exact[w]) <= bound))
-    return pd.DataFrame(rows, columns=["window_s", "n_exact",
-                                       "within_bound"])
-
-
-def eh_window_sums(ds, windows_s: list[int], ts_col: str = "ts",
-                   value_col: str = "value", scale: int = 100,
-                   L: int = 32, num_partitions: int = 32):
-    """Trailing-window SUM estimates through the sum exponential
-    histogram (``sketches.dgim.ExponentialHistogramSum``): values fold
-    as exact integer units (``round(v·scale)``), the same time-range
-    partition → vectorized per-slice build → ordered driver fold plan
-    as :func:`eh_window_counts`, and the by-construction certificate
-    ``|est − exact| ≤ ⌈straddler_sum/2⌉`` is asserted against exact
-    window sums a SQL oracle recomputes.  Returns ``(window_s,
-    sum_units_exact, within_bound)``."""
-    import pandas as pd
-    import ray
-    from ray.data.aggregate import Max, Min, Sum
-
-    from bqf_ray.sketches.dgim import ExponentialHistogramSum
-
-    P = int(num_partitions)
-    wins = [int(w) for w in windows_s]
-    SC = float(scale)
-
-    def to_us(batch: pa.Table) -> pa.Table:
-        col = batch.column(value_col)
-        if isinstance(col, pa.ChunkedArray):
-            col = col.combine_chunks()
-        keep = col.is_valid()
-        if pa.types.is_floating(col.type):
-            import pyarrow.compute as pc
-            keep = pc.and_(keep, pc.invert(pc.is_nan(col.fill_null(0.0))))
-        t = batch.filter(keep)
-        v = np.asarray(t.column(value_col), dtype=np.float64)
-        return pa.table({
-            "ts_us": t.column(ts_col).cast(pa.int64()),
-            "units": pa.array(np.rint(v * SC).astype(np.int64))})
-
-    us = ds.map_batches(to_us, batch_format="pyarrow").materialize()
-    env = us.aggregate(Min("ts_us", alias_name="lo"),
-                       Max("ts_us", alias_name="hi"))
-    if env is None or env["lo"] is None:       # empty stream
-        return pd.DataFrame({"window_s": pd.Series(wins, dtype="int64"),
-                             "sum_units_exact": pd.Series(
-                                 [0] * len(wins), dtype="int64"),
-                             "within_bound": [True] * len(wins)})
-    lo, hi = int(env["lo"]), int(env["hi"])
-    span = max(hi - lo + 1, 1)
-
-    def slice_pid(batch: pa.Table) -> pa.Table:
-        t = np.asarray(batch.column("ts_us"), dtype=np.int64)
-        return batch.append_column(
-            "__pid", pa.array(((t - lo) * P) // span))
-
-    def build_eh(group: pa.Table) -> pa.Table:
-        t = np.asarray(group.column("ts_us"), dtype=np.int64)
-        v = np.asarray(group.column("units"), dtype=np.int64)
-        order = np.argsort(t, kind="stable")
-        eh = ExponentialHistogramSum.from_sorted(t[order], v[order], L=L)
-        Lv, n, total, mn, mx, sums, ends = eh.to_arrays()
-        return pa.table({
-            "pid": pa.array([int(group.column("__pid")[0].as_py())],
-                            pa.int64()),
-            "n": pa.array([int(n)], pa.int64()),
-            "total": pa.array([int(total)], pa.int64()),
-            "min_ts": pa.array([int(mn)], pa.int64()),
-            "max_ts": pa.array([int(mx)], pa.int64()),
-            "sums": pa.array([sums.tobytes()], pa.binary()),
-            "ends": pa.array([ends.tobytes()], pa.binary())})
-
-    parts = (us.map_batches(slice_pid, batch_format="pyarrow")
-             .groupby("__pid").map_groups(build_eh, batch_format="pyarrow")
-             .take_all())
-    parts.sort(key=lambda r: r["pid"])
-    eh = ExponentialHistogramSum(L=L)
-    for r in parts:
-        eh.merge_newer(ExponentialHistogramSum.from_arrays(
-            L, r["n"], r["total"], r["min_ts"], r["max_ts"],
-            np.frombuffer(r["sums"], dtype=np.int64),
-            np.frombuffer(r["ends"], dtype=np.int64)))
-
-    cuts = {w: hi - w * 1_000_000 for w in wins}
-
-    def exact_partial(batch: pa.Table) -> pa.Table:
-        t = np.asarray(batch.column("ts_us"), dtype=np.int64)
-        v = np.asarray(batch.column("units"), dtype=np.int64)
-        return pa.table({
-            "window_s": pa.array(wins, pa.int64()),
-            "pn": pa.array([int(v[t > cuts[w]].sum()) for w in wins],
-                           pa.int64())})
-
-    exact = {r["window_s"]: r["s"] for r in
-             (us.map_batches(exact_partial, batch_format="pyarrow")
-              .groupby("window_s").aggregate(Sum("pn", alias_name="s"))
-              .take_all())}
-
-    rows = []
-    for w in wins:
-        est, bound = eh.estimate_after(cuts[w])
-        rows.append((w, int(exact[w]), abs(est - exact[w]) <= bound))
-    return pd.DataFrame(rows, columns=["window_s", "sum_units_exact",
-                                       "within_bound"])
-
-
-def eh_window_counts_by_key(ds, key_col: str, windows_s: list[int],
-                            ts_col: str = "ts", L: int = 32,
-                            num_partitions: int = 16):
-    """GROUPED trailing-window counts through per-key DGIM exponential
-    histograms: one sketch per (key, time slice), folded per key in
-    slice order — per-key state is O(L·log n_key), so a categorical
-    key simply multiplies the (tiny) partial table, never the stream.
-    Window cuts are anchored at the GLOBAL max timestamp (one shared
-    clock, the cross-key-comparable convention).
-
-    Same certificate contract as :func:`eh_window_counts`, per key:
-    returns ``(key, window_s, n_exact, within_bound)`` with the exact
-    side recomputed independently (SQL-checkable).
-
-    Envelope: the driver folds ``n_keys × num_partitions`` O(bytes)
-    pane partials — categorical-to-moderate key cardinality.  Past
-    ~100k·P partial rows, shard the fold (group partials by key-hash
-    bucket, fold per bucket in tasks) before raising P."""
-    import pandas as pd
-    import pyarrow.compute as pc
-    import ray
-    from ray.data.aggregate import Max, Min, Sum
-
-    from bqf_ray.sketches.dgim import ExponentialHistogram
-
-    P = int(num_partitions)
-    wins = [int(w) for w in windows_s]
-
-    def to_us(batch: pa.Table) -> pa.Table:
-        t = batch.filter(pc.and_(batch.column(key_col).is_valid(),
-                                 batch.column(ts_col).is_valid()))
-        return pa.table({
-            "k": t.column(key_col),
-            "ts_us": t.column(ts_col).cast(pa.int64())})
-
-    us = ds.map_batches(to_us, batch_format="pyarrow").materialize()
-    env = us.aggregate(Min("ts_us", alias_name="lo"),
-                       Max("ts_us", alias_name="hi"))
-    if env is None or env["lo"] is None:       # empty stream
-        return pd.DataFrame({key_col: pd.Series([], dtype="object"),
-                             "window_s": pd.Series([], dtype="int64"),
-                             "n_exact": pd.Series([], dtype="int64"),
-                             "within_bound": pd.Series([], dtype="bool")})
-    lo, hi = int(env["lo"]), int(env["hi"])
-    span = max(hi - lo + 1, 1)
-
-    def slice_pid(batch: pa.Table) -> pa.Table:
-        t = np.asarray(batch.column("ts_us"), dtype=np.int64)
-        return batch.append_column(
-            "__pid", pa.array(((t - lo) * P) // span))
-
-    def build_eh(group: pa.Table) -> pa.Table:
-        t = np.sort(np.asarray(group.column("ts_us"), dtype=np.int64))
-        eh = ExponentialHistogram.from_sorted(t, L=L)
-        _, n, mn, mx, sizes, ends = eh.to_arrays()
-        return pa.table({
-            "k": group.column("k").slice(0, 1),
-            "pid": pa.array([int(group.column("__pid")[0].as_py())],
-                            pa.int64()),
-            "n": pa.array([int(n)], pa.int64()),
-            "min_ts": pa.array([int(mn)], pa.int64()),
-            "max_ts": pa.array([int(mx)], pa.int64()),
-            "sizes": pa.array([sizes.tobytes()], pa.binary()),
-            "ends": pa.array([ends.tobytes()], pa.binary())})
-
-    parts = (us.map_batches(slice_pid, batch_format="pyarrow")
-             .groupby(["k", "__pid"])
-             .map_groups(build_eh, batch_format="pyarrow")
-             .take_all())
-    parts.sort(key=lambda r: (str(r["k"]), r["pid"]))
-    ehs: dict = {}
-    for r in parts:
-        eh = ehs.setdefault(r["k"], ExponentialHistogram(L=L))
-        eh.merge_newer(ExponentialHistogram.from_arrays(
-            L, r["n"], r["min_ts"], r["max_ts"],
-            np.frombuffer(r["sizes"], dtype=np.int64),
-            np.frombuffer(r["ends"], dtype=np.int64)))
-
-    cuts = {w: hi - w * 1_000_000 for w in wins}
-
-    def exact_partial(batch: pa.Table) -> pa.Table:
-        import pyarrow.compute as pc
-        keys = batch.column("k")
-        if isinstance(keys, pa.ChunkedArray):
-            keys = keys.combine_chunks()
-        enc = pc.dictionary_encode(keys)
-        code = np.asarray(enc.indices, dtype=np.int64)
-        nk = len(enc.dictionary)
-        t = np.asarray(batch.column("ts_us"), dtype=np.int64)
-        ks, ws, ns = [], [], []
-        for w in wins:
-            cnt = np.bincount(code[t > cuts[w]], minlength=nk)
-            ks.append(np.arange(nk))
-            ws.append(np.full(nk, w, dtype=np.int64))
-            ns.append(cnt.astype(np.int64))
-        return pa.table({
-            "k": enc.dictionary.take(pa.array(np.concatenate(ks))),
-            "window_s": pa.array(np.concatenate(ws)),
-            "pn": pa.array(np.concatenate(ns))})
-
-    exact = {(r["k"], r["window_s"]): r["n"] for r in
-             (us.map_batches(exact_partial, batch_format="pyarrow")
-              .groupby(["k", "window_s"])
-              .aggregate(Sum("pn", alias_name="n")).take_all())}
-
-    rows = []
-    for k in sorted(ehs, key=str):
-        for w in wins:
-            est, bound = ehs[k].estimate_after(cuts[w])
-            ex = int(exact.get((k, w), 0))
-            rows.append((k, w, ex, abs(est - ex) <= bound))
-    return pd.DataFrame(rows, columns=[key_col, "window_s", "n_exact",
-                                       "within_bound"])
-
-
 def resample_interp(ds, step_s: int, value_col: str = "value",
                     ts_col: str = "ts", key_col: str = "user_id",
                     id_col: str = "event_id", num_buckets: int = 32):
@@ -2414,224 +2089,453 @@ def linear_attribution(ds, window_s: int, key_col: str = "user_id",
             .map_groups(attribute, batch_format="pyarrow"))
 
 
+# ---------------------------------------------------------------------------
+# Trailing-window sketch family: DGIM exponential histograms and panes
+# ---------------------------------------------------------------------------
+#
+# Every member answers "what arrived in the trailing window (cut, T]?" for
+# several window lengths from sketch state.  Two plans serve the family,
+# over one projection (:func:`_project`): the EH plan
+# (:func:`_eh_windows`) behind the four ``eh_window_*`` entry points, and
+# the pane helper (:func:`_pane_windows`) behind the per-cell pane
+# sketches.  EH partials cross every exchange, and the pane store's
+# files, through one row codec (:func:`_eh_row` / :func:`_eh_from_row`).
+
+def _project(ds, ts_col: str, key_col: str | None = None,
+             value_col: str | None = None, *, scale: int | None = None,
+             cell_us: int | None = None):
+    """The family's one projection and null policy: drop rows whose ts,
+    key or value is null and rows whose value is NaN; read the
+    timestamp as int64 µs whatever its unit (an integer column is taken
+    as µs).  Emits ``ts_us`` — or ``cell``, its epoch-aligned pane
+    start, when ``cell_us`` is given — then ``k`` for a key and, for a
+    value, int64 ``units = rint(v·scale)`` when ``scale`` is given, else
+    float64 ``v``."""
+    import pyarrow.compute as pc
+
+    def project(batch: pa.Table) -> pa.Table:
+        keep = batch.column(ts_col).is_valid()
+        for c in (key_col, value_col):
+            if c is not None:
+                keep = pc.and_(keep, batch.column(c).is_valid())
+        if value_col is not None and pa.types.is_floating(
+                batch.schema.field(value_col).type):
+            keep = pc.and_(keep, pc.invert(pc.is_nan(
+                batch.column(value_col).fill_null(0.0))))
+        t = batch.filter(keep)
+        ts = np.asarray(t.column(ts_col)).astype("datetime64[us]"
+                                                 ).astype(np.int64)
+        out = ({"ts_us": ts} if cell_us is None
+               else {"cell": (ts // cell_us) * cell_us})
+        if key_col is not None:
+            out["k"] = t.column(key_col)
+        if value_col is not None:
+            v = np.asarray(t.column(value_col), dtype=np.float64)
+            if scale is None:
+                out["v"] = v
+            else:
+                out["units"] = np.rint(v * float(scale)).astype(np.int64)
+        return pa.table(out)
+
+    return ds.map_batches(project, batch_format="pyarrow")
+
+
+def _eh_fields(cls) -> list[str]:
+    """Row-codec column names: the parameters of ``cls.from_arrays``
+    after L, i.e. the order of ``to_arrays()`` — so the codec follows
+    the class's serde, and the pane store's parquet columns keep these
+    names."""
+    import inspect
+    return list(inspect.signature(cls.from_arrays).parameters)[1:]
+
+
+def _eh_row(eh) -> dict:
+    """One EH partial as one table row: ``to_arrays()`` without L (every
+    reader passes its own), scalars as int64 and bucket arrays as raw
+    int64 bytes."""
+    return {f: (pa.array([a.tobytes()], pa.binary())
+                if isinstance(a, np.ndarray) else
+                pa.array([int(a)], pa.int64()))
+            for f, a in zip(_eh_fields(type(eh)), eh.to_arrays()[1:])}
+
+
+def _eh_from_row(cls, L: int, row: dict):
+    """Inverse of :func:`_eh_row` for one ``take_all()`` row."""
+    return cls.from_arrays(L, *(
+        np.frombuffer(row[f], dtype=np.int64) if isinstance(row[f], bytes)
+        else row[f] for f in _eh_fields(cls)))
+
+
+def _eh_windows(ds, windows_s: list[int], ts_col: str, L: int,
+                num_partitions: int, key_col: str | None = None,
+                value_col: str | None = None, scale: int = 100):
+    """The one plan behind the four ``eh_window_*`` entry points: event
+    counts (``ExponentialHistogram``) or, with ``value_col``, sums of
+    integer units ``rint(v·scale)`` (``ExponentialHistogramSum``); per
+    key with ``key_col``, else over the whole stream.
+
+    Plan: the projection is materialized once — the envelope, the EH
+    build and the exact side all read it, and each lazy consumer would
+    otherwise re-run the source read.  One fold takes the [min, max] ts
+    envelope.  Events are sliced into ``num_partitions`` uniform TIME
+    ranges (EH merge is ordered, so partials must cover disjoint
+    ascending spans); one vectorized EH is built per (key, slice) inside
+    ``map_groups``; the O(bytes) partials cross to the calling process
+    through the row codec and fold per key in slice order.  The exact
+    side is a per-batch int64 fold over the same projection.  Every
+    key's cuts sit at ``max_ts − W`` (one shared clock).
+
+    Returns ``([key,] window_s, n_exact | sum_units_exact,
+    within_bound)``, keys in ``str`` order; ``within_bound`` asserts the
+    by-construction certificate ``|est − exact| ≤ ⌈straddler/2⌉``
+    against the exact side (the estimate itself depends on the
+    partition layout, so it is asserted, not emitted).  The caller folds
+    ``n_keys × num_partitions`` partial rows: categorical-to-moderate
+    key cardinality."""
+    import pandas as pd
+    import pyarrow.compute as pc
+    from ray.data.aggregate import Max, Min, Sum
+
+    from bqf_ray.sketches.dgim import (ExponentialHistogram,
+                                       ExponentialHistogramSum)
+
+    EH = ExponentialHistogram if value_col is None else \
+        ExponentialHistogramSum
+    P = int(num_partitions)
+    wins = [int(w) for w in windows_s]
+    by = [] if key_col is None else ["k"]
+    exact_col = "n_exact" if value_col is None else "sum_units_exact"
+
+    def frame(rows) -> pd.DataFrame:
+        # rows are (key, window_s, exact, within_bound); the global
+        # variants carry key None and drop it here
+        cols = [key_col, "window_s", exact_col, "within_bound"]
+        skip = 0 if key_col else 1
+        return pd.DataFrame([r[skip:] for r in rows], columns=cols[skip:]) \
+            .astype({"window_s": "int64", exact_col: "int64",
+                     "within_bound": "bool"})
+
+    ehs: dict = {} if key_col else {None: EH(L=L)}
+    us = _project(ds, ts_col, key_col, value_col, scale=scale).materialize()
+    env = us.aggregate(Min("ts_us", alias_name="lo"),
+                       Max("ts_us", alias_name="hi"))
+    if env is None or env["lo"] is None:       # empty stream
+        return frame([(k, w, 0, True) for k in ehs for w in wins])
+    lo, hi = int(env["lo"]), int(env["hi"])
+    span = max(hi - lo + 1, 1)
+    cuts = {w: hi - w * 1_000_000 for w in wins}
+
+    def slice_pid(batch: pa.Table) -> pa.Table:
+        t = np.asarray(batch.column("ts_us"), dtype=np.int64)
+        return batch.append_column(
+            "__pid", pa.array(((t - lo) * P) // span))
+
+    def build_eh(group: pa.Table) -> pa.Table:
+        t = np.asarray(group.column("ts_us"), dtype=np.int64)
+        order = np.argsort(t, kind="stable")
+        cols = [t[order]]
+        if value_col is not None:
+            cols.append(np.asarray(group.column("units"),
+                                   dtype=np.int64)[order])
+        head = {c: group.column(c).slice(0, 1) for c in by + ["__pid"]}
+        return pa.table({**head, **_eh_row(EH.from_sorted(*cols, L=L))})
+
+    parts = (us.map_batches(slice_pid, batch_format="pyarrow")
+             .groupby(by + ["__pid"])
+             .map_groups(build_eh, batch_format="pyarrow").take_all())
+    for r in sorted(parts, key=lambda r: (str(r.get("k")), r["__pid"])):
+        ehs.setdefault(r.get("k"), EH(L=L)).merge_newer(
+            _eh_from_row(EH, L, r))
+
+    def exact_partial(batch: pa.Table) -> pa.Table:
+        t = np.asarray(batch.column("ts_us"), dtype=np.int64)
+        v = (np.ones(len(t), dtype=np.int64) if value_col is None
+             else np.asarray(batch.column("units"), dtype=np.int64))
+        code, nk, out = np.zeros(len(t), dtype=np.int64), 1, {}
+        if key_col is not None:
+            enc = pc.dictionary_encode(batch.column("k").combine_chunks())
+            code = np.asarray(enc.indices, dtype=np.int64)
+            nk = len(enc.dictionary)
+            out["k"] = enc.dictionary.take(
+                pa.array(np.tile(np.arange(nk), len(wins))))
+        sums = np.zeros((len(wins), nk), dtype=np.int64)
+        for i, w in enumerate(wins):
+            m = t > cuts[w]
+            np.add.at(sums[i], code[m], v[m])
+        out["window_s"] = np.repeat(np.asarray(wins, dtype=np.int64), nk)
+        out["pn"] = sums.ravel()
+        return pa.table(out)
+
+    exact = {(r.get("k"), r["window_s"]): r["n"] for r in
+             (us.map_batches(exact_partial, batch_format="pyarrow")
+              .groupby(by + ["window_s"])
+              .aggregate(Sum("pn", alias_name="n")).take_all())}
+
+    rows = []
+    for k in sorted(ehs, key=str):
+        for w in wins:
+            est, bound = ehs[k].estimate_after(cuts[w])
+            ex = int(exact.get((k, w), 0))
+            rows.append((k, w, ex, abs(est - ex) <= bound))
+    return frame(rows)
+
+
+def _pane_windows(ds, windows_s: list[int], ts_col: str, cell_s: int,
+                  panes, merge, *, key_col: str | None = None,
+                  value_col: str | None = None):
+    """The one plan behind the pane sketches (the Flink-pane layout):
+    project to (cell, k | v) over epoch-aligned ``cell_s`` cells,
+    materialized once for the panes and any exact pass; take the
+    ``Max(cell)`` envelope; ``panes(us)`` builds a Dataset of per-cell
+    partial rows, each carrying its ``cell``; ``merge(rows)`` folds the
+    panes inside one window.  Window membership is cell-granular —
+    ``cell > t_max_cell_end − W`` — so an exact side that replays it
+    sees the identical row set (no partial-pane pollution).
+
+    Returns ``(us, cuts, merged)`` — cuts and merged panes by window —
+    or None for an empty stream."""
+    from ray.data.aggregate import Max
+
+    CELL = int(cell_s) * 1_000_000
+    us = _project(ds, ts_col, key_col, value_col,
+                  cell_us=CELL).materialize()
+    env = us.aggregate(Max("cell", alias_name="hi"))
+    if env is None or env["hi"] is None:       # empty stream
+        return None
+    hi = int(env["hi"])
+    cuts = {int(w): hi + CELL - 1 - int(w) * 1_000_000 for w in windows_s}
+    rows = panes(us).take_all()
+    return us, cuts, {w: merge([r for r in rows if r["cell"] > c])
+                      for w, c in cuts.items()}
+
+
+def _sketch_panes(factory, prepare: str, on: str = "k"):
+    """``(panes, merge)`` for :func:`_pane_windows` when a pane is one
+    MergeableSketch: one ``sketch_agg`` blob per cell, and a window
+    merges its panes' blobs (None when no pane falls inside it)."""
+    from bqf_ray.sketches.base import MergeableSketch
+    from bqf_ray.stages.udaf import sketch_agg
+
+    def panes(us):
+        return us.groupby("cell").aggregate(
+            sketch_agg(factory, on=on, prepare=prepare, name="blob"))
+
+    def merge(rows):
+        if not rows:
+            return None
+        sk = MergeableSketch.from_bytes(rows[0]["blob"])
+        for r in rows[1:]:
+            sk.merge(MergeableSketch.from_bytes(r["blob"]))
+        return sk
+
+    return panes, merge
+
+
+def eh_window_counts(ds, windows_s: list[int], ts_col: str = "ts",
+                     L: int = 32, num_partitions: int = 32):
+    """Trailing-window event counts through the DGIM exponential
+    histogram (sketches/dgim.py) — the streaming-window member of the
+    sketch family: per-node state is O(L·log n) buckets instead of the
+    stream, and any trailing window (cut, T] is answerable after the
+    fact.  Plan and certificate: :func:`_eh_windows`.
+
+    Returns a pandas frame ``(window_s, n_exact, within_bound)``."""
+    return _eh_windows(ds, windows_s, ts_col, L, num_partitions)
+
+
+def eh_window_sums(ds, windows_s: list[int], ts_col: str = "ts",
+                   value_col: str = "value", scale: int = 100,
+                   L: int = 32, num_partitions: int = 32):
+    """Trailing-window SUM estimates through the sum exponential
+    histogram (``sketches.dgim.ExponentialHistogramSum``): values fold
+    as exact integer units (``round(v·scale)``), and the certificate
+    ``|est − exact| ≤ ⌈straddler_sum/2⌉`` is asserted against exact
+    window sums a SQL oracle recomputes (:func:`_eh_windows`).
+    Returns ``(window_s, sum_units_exact, within_bound)``."""
+    return _eh_windows(ds, windows_s, ts_col, L, num_partitions,
+                       value_col=value_col, scale=scale)
+
+
+def eh_window_counts_by_key(ds, key_col: str, windows_s: list[int],
+                            ts_col: str = "ts", L: int = 32,
+                            num_partitions: int = 16):
+    """GROUPED trailing-window counts through per-key DGIM exponential
+    histograms: one sketch per (key, time slice), folded per key in
+    slice order — per-key state is O(L·log n_key), so a categorical
+    key multiplies the (tiny) partial table, never the stream.  Window
+    cuts are anchored at the GLOBAL max timestamp (one shared clock,
+    the cross-key-comparable convention).
+
+    Returns ``(key, window_s, n_exact, within_bound)``; plan, envelope
+    and certificate: :func:`_eh_windows`."""
+    return _eh_windows(ds, windows_s, ts_col, L, num_partitions,
+                       key_col=key_col)
+
+
+def eh_window_sums_by_key(ds, key_col: str, windows_s: list[int],
+                          ts_col: str = "ts", value_col: str = "value",
+                          scale: int = 100, L: int = 32,
+                          num_partitions: int = 16):
+    """GROUPED trailing-window SUM estimates — completes the windowed
+    matrix ({count, sum} × {global, per-key}): one
+    :class:`~bqf_ray.sketches.dgim.ExponentialHistogramSum` per
+    (key, time slice), folded per key in slice order, global-clock
+    cuts, per-key certificates vs exact integer-unit sums.  Returns
+    ``(key, window_s, sum_units_exact, within_bound)``; plan:
+    :func:`_eh_windows`."""
+    return _eh_windows(ds, windows_s, ts_col, L, num_partitions,
+                       key_col=key_col, value_col=value_col, scale=scale)
+
+
 def window_quantile_sketch(ds, windows_s: list[int],
                            qs: tuple = (0.25, 0.5, 0.75),
                            ts_col: str = "ts", value_col: str = "value",
                            cell_s: int = 86400, k: int = 200,
                            tol: float = 0.03):
     """Sliding-window QUANTILES from mergeable per-pane KLL sketches —
-    the quantile member of the windowed-sketch family (counts/sums are
-    the exponential histograms): values fold into one KLL per
-    epoch-aligned time CELL (``cell_s`` panes, the Flink-pane layout),
-    and any CELL-ALIGNED trailing window is answered by merging the
-    panes inside it (KLL merge is associative — no re-scan of the
-    stream).  Window membership is cell-granular by definition —
-    ``floor(ts/cell)·cell > t_max − W`` — so the exact side and a SQL
-    oracle replay the IDENTICAL row set and the published KLL rank
-    bound applies cleanly (no partial-pane pollution).
+    the quantile member of the windowed-sketch family: values fold into
+    one KLL per epoch-aligned time CELL, and any CELL-ALIGNED trailing
+    window is answered by merging the panes inside it
+    (:func:`_pane_windows`; KLL merge is associative — no re-scan of
+    the stream).  Cell-granular membership lets the exact side and a
+    SQL oracle replay the IDENTICAL row set, so the published KLL rank
+    bound applies cleanly.
 
     The rank check is distributed: one pass counts rows ≤ each
     (window, q) estimate inside its window, and
     ``|rank − q| ≤ tol`` is asserted per row.  Returns
     ``(window_s, q, n_window, within_bound)``."""
     import pandas as pd
-    import ray
-    from ray.data.aggregate import Max, Sum
+    from ray.data.aggregate import Sum
 
     from bqf_ray.sketches.kll import KLL
-    from bqf_ray.stages.udaf import sketch_agg
 
-    CELL = int(cell_s) * 1_000_000
-    wins = [int(w) for w in windows_s]
-
-    def to_us(batch: pa.Table) -> pa.Table:
-        import pyarrow.compute as pc
-        col = batch.column(value_col)
-        keep = pc.and_(col.is_valid(), batch.column(ts_col).is_valid())
-        if pa.types.is_floating(col.type):
-            keep = pc.and_(keep, pc.invert(pc.is_nan(col.fill_null(0.0))))
-        t = batch.filter(keep)
-        ts = np.asarray(t.column(ts_col)).astype("datetime64[us]"
-                                                 ).astype(np.int64)
-        return pa.table({
-            "cell": pa.array((ts // CELL) * CELL),
-            "v": pa.array(np.asarray(t.column(value_col),
-                                     dtype=np.float64))})
-
-    us = ds.map_batches(to_us, batch_format="pyarrow").materialize()
-    env = us.aggregate(Max("cell", alias_name="hi"))
-    if env is None or env["hi"] is None:       # empty stream
-        return pd.DataFrame({"window_s": pd.Series([], dtype="int64"),
-                             "q": pd.Series([], dtype="object"),
-                             "n_window": pd.Series([], dtype="int64"),
-                             "within_bound": pd.Series([], dtype="bool")})
-    hi = int(env["hi"])
-
-    cells = (us.groupby("cell")
-             .aggregate(sketch_agg(lambda: KLL(k=k, seed=7), on="v",
-                                   prepare="value", name="blob"))
-             .take_all())
-    from bqf_ray.sketches.base import MergeableSketch
-    cuts = {w: hi + CELL - 1 - w * 1_000_000 for w in wins}
-    # cell-aligned membership: cell > t_max_cell_end − W  ⇔  cell > cut
-    ests = {}
-    for w in wins:
-        blobs = [r["blob"] for r in cells if r["cell"] > cuts[w]]
-        if not blobs:
-            continue
-        sk = MergeableSketch.from_bytes(blobs[0])
-        for b in blobs[1:]:
-            sk.merge(MergeableSketch.from_bytes(b))
-        for q in qs:
-            ests[(w, q)] = float(sk.quantile(q))
-
-    pairs = sorted(ests)
-
-    def rank_partial(batch: pa.Table) -> pa.Table:
-        c = np.asarray(batch.column("cell"), dtype=np.int64)
-        v = np.asarray(batch.column("v"), dtype=np.float64)
-        le, n = [], []
-        for (w, q) in pairs:
-            m = c > cuts[w]
-            le.append(int((v[m] <= ests[(w, q)]).sum()))
-            n.append(int(m.sum()))
-        return pa.table({
-            "window_s": pa.array([p[0] for p in pairs], pa.int64()),
-            "q": pa.array([f"{p[1]:.2f}" for p in pairs]),
-            "ple": pa.array(le, pa.int64()),
-            "pn": pa.array(n, pa.int64())})
-
-    folded = (us.map_batches(rank_partial, batch_format="pyarrow")
-              .groupby(["window_s", "q"])
-              .aggregate(Sum("ple", alias_name="le"),
-                         Sum("pn", alias_name="n")).take_all())
+    plan = _pane_windows(
+        ds, windows_s, ts_col, cell_s,
+        *_sketch_panes(lambda: KLL(k=k, seed=7), "value", on="v"),
+        value_col=value_col)
     rows = []
-    for r in sorted(folded, key=lambda r: (r["window_s"], r["q"])):
-        n = int(r["n"])
-        rank = r["le"] / n if n else 0.0
-        rows.append((r["window_s"], r["q"], n,
-                     abs(rank - float(r["q"])) <= tol))
+    if plan is not None:
+        us, cuts, merged = plan
+        ests = {(w, q): float(sk.quantile(q))
+                for w, sk in merged.items() if sk is not None for q in qs}
+        pairs = sorted(ests)
+
+        def rank_partial(batch: pa.Table) -> pa.Table:
+            c = np.asarray(batch.column("cell"), dtype=np.int64)
+            v = np.asarray(batch.column("v"), dtype=np.float64)
+            le, n = [], []
+            for (w, q) in pairs:
+                m = c > cuts[w]
+                le.append(int((v[m] <= ests[(w, q)]).sum()))
+                n.append(int(m.sum()))
+            return pa.table({
+                "window_s": pa.array([p[0] for p in pairs], pa.int64()),
+                "q": pa.array([f"{p[1]:.2f}" for p in pairs]),
+                "ple": pa.array(le, pa.int64()),
+                "pn": pa.array(n, pa.int64())})
+
+        folded = (us.map_batches(rank_partial, batch_format="pyarrow")
+                  .groupby(["window_s", "q"])
+                  .aggregate(Sum("ple", alias_name="le"),
+                             Sum("pn", alias_name="n")).take_all())
+        for r in sorted(folded, key=lambda r: (r["window_s"], r["q"])):
+            n = int(r["n"])
+            rank = r["le"] / n if n else 0.0
+            rows.append((r["window_s"], r["q"], n,
+                         abs(rank - float(r["q"])) <= tol))
     return pd.DataFrame(rows, columns=["window_s", "q", "n_window",
-                                       "within_bound"])
+                                       "within_bound"]).astype(
+        {"window_s": "int64", "n_window": "int64", "within_bound": "bool"})
 
 
 def window_heavy_hitters(ds, windows_s: list[int], key_col: str,
                          ts_col: str = "ts", m: int = 64,
                          cell_s: int = 86400):
     """Trailing-window frequent keys from mergeable per-pane
-    Misra–Gries summaries — the heavy-hitter member of the pane family
-    (counts/sums = exponential histograms, quantiles = KLL panes):
+    Misra–Gries summaries — the heavy-hitter member of the pane family:
     each epoch-aligned cell keeps an O(m) MG summary; a cell-aligned
-    trailing window merges its panes, whose DETERMINISTIC guarantee
-    (every key with window frequency > n_w/(m+1) survives the merge)
-    makes the output EXACTLY ``GROUP BY key HAVING cnt > n_w/(m+1)``
-    after one candidate-recount pass — SQL-oracle-exact per window.
+    trailing window merges its panes (:func:`_pane_windows`), whose
+    DETERMINISTIC guarantee (every key with window frequency >
+    n_w/(m+1) survives the merge) makes the output EXACTLY
+    ``GROUP BY key HAVING cnt > n_w/(m+1)`` after one candidate-recount
+    pass — SQL-oracle-exact per window.
 
-    Plan: one projection pass (cell, key) → per-cell MG blobs on the
-    native aggregate surface → per-window pane merge (driver,
-    O(panes·m)) → ONE distributed recount pass shared by all windows
+    The recount is ONE distributed pass shared by all windows
     (per-batch: member-mask × broadcast candidate membership, partial
-    (window, key) counts) → threshold filter.  Output ``(window_s,
-    key, cnt)``."""
+    (window, key) counts), then a threshold filter.  Output
+    ``(window_s, key, cnt)``."""
     import pandas as pd
     import ray
-    from ray.data.aggregate import Max, Sum
+    from ray.data.aggregate import Sum
 
-    from bqf_ray.sketches.base import MergeableSketch
     from bqf_ray.sketches.misragries import MisraGries
-    from bqf_ray.stages.udaf import prepare_hash, sketch_agg
+    from bqf_ray.stages.udaf import prepare_hash
 
-    CELL = int(cell_s) * 1_000_000
-    wins = [int(w) for w in windows_s]
+    plan = _pane_windows(
+        ds, windows_s, ts_col, cell_s,
+        *_sketch_panes(lambda: MisraGries(m=m), "hash"), key_col=key_col)
+    rows = []
+    if plan is not None:
+        us, cuts, merged = plan
+        ref = ray.put({w: np.empty(0, dtype=np.uint64) if mg is None
+                       else np.sort(mg.candidates()[0])
+                       for w, mg in merged.items()})
 
-    def to_cells(batch: pa.Table) -> pa.Table:
-        import pyarrow.compute as pc
-        keep = pc.and_(batch.column(key_col).is_valid(),
-                       batch.column(ts_col).is_valid())
-        t = batch.filter(keep)
-        ts = np.asarray(t.column(ts_col)).astype("datetime64[us]"
-                                                 ).astype(np.int64)
-        return pa.table({"cell": pa.array((ts // CELL) * CELL),
-                         "k": t.column(key_col)})
+        class Recount:
+            def __init__(self):
+                self.cand = ray.get(ref)
 
-    us = ds.map_batches(to_cells, batch_format="pyarrow").materialize()
-    env = us.aggregate(Max("cell", alias_name="hi"))
-    if env is None or env["hi"] is None:       # empty stream
-        return pd.DataFrame({"window_s": pd.Series([], dtype="int64"),
-                             key_col: pd.Series([], dtype="object"),
-                             "cnt": pd.Series([], dtype="int64")})
-    hi = int(env["hi"])
-    cuts = {w: hi + CELL - 1 - w * 1_000_000 for w in wins}
+            def __call__(self, batch: pa.Table) -> pa.Table:
+                c = np.asarray(batch.column("cell"), dtype=np.int64)
+                keys = batch.column("k")
+                if isinstance(keys, pa.ChunkedArray):
+                    keys = keys.combine_chunks()
+                # probe hashes MUST mirror the MG build's prepare_hash
+                # exactly (string keys go through xxhash64, floats
+                # through their bit pattern) — an inline integer re-hash
+                # would never match the candidate set for non-int key
+                # columns.  The projection dropped null keys, so lengths
+                # stay aligned.
+                h = prepare_hash(keys)
+                outs = []
+                for w, cut in cuts.items():
+                    member = c > cut
+                    cw = self.cand[w]
+                    pos = np.searchsorted(cw, h)
+                    is_cand = np.zeros(len(h), dtype=bool)
+                    inb = pos < len(cw)
+                    if len(cw):
+                        is_cand[inb] = cw[pos[inb]] == h[inb]
+                    sel = member & is_cand
+                    t = pa.table({"k": keys.filter(pa.array(sel))})
+                    g = (t.group_by(["k"]).aggregate([("k", "count")])
+                         .rename_columns(["k", "pc"]))
+                    outs.append(pa.table({
+                        "window_s": pa.array(
+                            np.full(len(g), w, dtype=np.int64)),
+                        "k": g.column("k"),
+                        "pc": g.column("pc"),
+                        "pn": pa.array(np.zeros(len(g), dtype=np.int64))}))
+                    # the window's row count rides a separate null-key row
+                    outs.append(pa.table({
+                        "window_s": pa.array([w], pa.int64()),
+                        "k": pa.array([None], t.schema.field("k").type),
+                        "pc": pa.array([0], pa.int64()),
+                        "pn": pa.array([int(member.sum())], pa.int64())}))
+                return pa.concat_tables(outs)
 
-    panes = (us.groupby("cell")
-             .aggregate(sketch_agg(lambda: MisraGries(m=m), on="k",
-                                   prepare="hash", name="blob"))
-             .take_all())
-    cand: dict[int, np.ndarray] = {}
-    for w in wins:
-        blobs = [r["blob"] for r in panes if r["cell"] > cuts[w]]
-        if not blobs:
-            cand[w] = np.empty(0, dtype=np.uint64)
-            continue
-        mg = MergeableSketch.from_bytes(blobs[0])
-        for b in blobs[1:]:
-            mg.merge(MergeableSketch.from_bytes(b))
-        cand[w] = np.sort(mg.candidates()[0])
-    ref = ray.put(cand)
-
-    class Recount:
-        def __init__(self):
-            self.cand = ray.get(ref)
-
-        def __call__(self, batch: pa.Table) -> pa.Table:
-            c = np.asarray(batch.column("cell"), dtype=np.int64)
-            keys = batch.column("k")
-            if isinstance(keys, pa.ChunkedArray):
-                keys = keys.combine_chunks()
-            # probe hashes MUST mirror the MG build's prepare_hash
-            # exactly (string keys go through xxhash64, floats through
-            # their bit pattern) — an inline integer re-hash would never
-            # match the candidate set for non-int key columns.  Keys are
-            # already null-filtered upstream, so lengths stay aligned.
-            h = prepare_hash(keys)
-            outs = []
-            for w in wins:
-                member = c > cuts[w]
-                cw = self.cand[w]
-                pos = np.searchsorted(cw, h)
-                is_cand = np.zeros(len(h), dtype=bool)
-                inb = pos < len(cw)
-                if len(cw):
-                    is_cand[inb] = cw[pos[inb]] == h[inb]
-                sel = member & is_cand
-                t = pa.table({"k": keys.filter(pa.array(sel))})
-                g = (t.group_by(["k"]).aggregate([("k", "count")])
-                     .rename_columns(["k", "pc"]))
-                outs.append(pa.table({
-                    "window_s": pa.array(
-                        np.full(len(g), w, dtype=np.int64)),
-                    "k": g.column("k"),
-                    "pc": g.column("pc"),
-                    "pn": pa.array(np.zeros(len(g), dtype=np.int64))}))
-                # window row count partial rides a separate null-key row
-                outs.append(pa.table({
-                    "window_s": pa.array([w], pa.int64()),
-                    "k": pa.array([None], t.schema.field("k").type),
-                    "pc": pa.array([0], pa.int64()),
-                    "pn": pa.array([int(member.sum())], pa.int64())}))
-            return pa.concat_tables(outs)
-
-    folded = (us.map_batches(Recount, concurrency=4,
-                             batch_format="pyarrow")
-              .groupby(["window_s", "k"])
-              .aggregate(Sum("pc", alias_name="cnt"),
-                         Sum("pn", alias_name="nw")).take_all())
-    n_w = {r["window_s"]: int(r["nw"]) for r in folded if r["k"] is None}
-    rows = [(r["window_s"], r["k"], int(r["cnt"]))
-            for r in folded
-            if r["k"] is not None
-            and int(r["cnt"]) > n_w[r["window_s"]] / (m + 1)]
-    rows.sort()
+        folded = (us.map_batches(Recount, concurrency=4,
+                                 batch_format="pyarrow")
+                  .groupby(["window_s", "k"])
+                  .aggregate(Sum("pc", alias_name="cnt"),
+                             Sum("pn", alias_name="nw")).take_all())
+        n_w = {r["window_s"]: int(r["nw"]) for r in folded
+               if r["k"] is None}
+        rows = sorted((r["window_s"], r["k"], int(r["cnt"]))
+                      for r in folded
+                      if r["k"] is not None
+                      and int(r["cnt"]) > n_w[r["window_s"]] / (m + 1))
     out = pd.DataFrame(rows, columns=["window_s", key_col, "cnt"])
     if not len(out):                       # dtype-stable empty frame
         out = out.astype({"window_s": "int64", "cnt": "int64"})
@@ -2648,47 +2552,17 @@ def window_distinct_bitmap(ds, windows_s: list[int], key_col: str,
     bit-exact ``COUNT(DISTINCT)`` oracle instead of a bound flag.
     Returns ``(window_s, n_distinct)``."""
     import pandas as pd
-    import ray
-    from ray.data.aggregate import Max
 
-    from bqf_ray.sketches.base import MergeableSketch
     from bqf_ray.sketches.bitmap import CompressedBitmap
-    from bqf_ray.stages.udaf import sketch_agg
 
-    CELL = int(cell_s) * 1_000_000
-    wins = [int(w) for w in windows_s]
-
-    def to_cells(batch: pa.Table) -> pa.Table:
-        import pyarrow.compute as pc
-        keep = pc.and_(batch.column(key_col).is_valid(),
-                       batch.column(ts_col).is_valid())
-        t = batch.filter(keep)
-        ts = np.asarray(t.column(ts_col)).astype("datetime64[us]"
-                                                 ).astype(np.int64)
-        return pa.table({"cell": pa.array((ts // CELL) * CELL),
-                         "k": t.column(key_col)})
-
-    us = ds.map_batches(to_cells, batch_format="pyarrow").materialize()
-    env = us.aggregate(Max("cell", alias_name="hi"))
-    if env is None or env["hi"] is None:
-        return pd.DataFrame({"window_s": pd.Series(wins, dtype="int64"),
-                             "n_distinct": pd.Series([0] * len(wins),
-                                                     dtype="int64")})
-    hi = int(env["hi"])
-    cuts = {w: hi + CELL - 1 - w * 1_000_000 for w in wins}
-    panes = (us.groupby("cell")
-             .aggregate(sketch_agg(CompressedBitmap, on="k",
-                                   prepare="int", name="blob"))
-             .take_all())
-    rows = []
-    for w in wins:
-        bm = CompressedBitmap()
-        for r in panes:
-            if r["cell"] > cuts[w]:
-                bm.merge(MergeableSketch.from_bytes(r["blob"]))
-        rows.append((w, bm.count()))
-    return pd.DataFrame(rows, columns=["window_s", "n_distinct"]) \
-        .astype({"window_s": "int64", "n_distinct": "int64"})
+    plan = _pane_windows(ds, windows_s, ts_col, cell_s,
+                         *_sketch_panes(CompressedBitmap, "int"),
+                         key_col=key_col)
+    merged = plan[2] if plan else dict.fromkeys(int(w) for w in windows_s)
+    return pd.DataFrame(
+        [(w, 0 if bm is None else bm.count()) for w, bm in merged.items()],
+        columns=["window_s", "n_distinct"]).astype(
+        {"window_s": "int64", "n_distinct": "int64"})
 
 
 def window_sample(ds, windows_s: list[int], k: int, id_col: str,
@@ -2702,184 +2576,34 @@ def window_sample(ds, windows_s: list[int], k: int, id_col: str,
     it verbatim (``ORDER BY hash LIMIT k`` within the window).
     Returns ``(window_s, id, rk)`` with rk 1..k by ascending hash."""
     import pandas as pd
-    import ray
-    from ray.data.aggregate import Max
+    import pyarrow.compute as pc
 
     from bqf_ray.pipelines.sampling import _key_u64
 
-    CELL = int(cell_s) * 1_000_000
-    wins = [int(w) for w in windows_s]
     K = int(k)
 
-    def to_cells(batch: pa.Table) -> pa.Table:
-        import pyarrow.compute as pc
-        keep = pc.and_(batch.column(id_col).is_valid(),
-                       batch.column(ts_col).is_valid())
-        t = batch.filter(keep)
-        ts = np.asarray(t.column(ts_col)).astype("datetime64[us]"
-                                                 ).astype(np.int64)
-        u = _key_u64(t, id_col, salt, "md5")
-        return pa.table({"cell": pa.array((ts // CELL) * CELL),
-                         "i": pa.compute.cast(t.column(id_col),
-                                              pa.int64()),
-                         "h": pa.array(u.view(np.int64))})
-
-    us = ds.map_batches(to_cells, batch_format="pyarrow").materialize()
-    env = us.aggregate(Max("cell", alias_name="hi"))
-    if env is None or env["hi"] is None:
-        return pd.DataFrame({"window_s": pd.Series([], dtype="int64"),
-                             "id": pd.Series([], dtype="int64"),
-                             "rk": pd.Series([], dtype="int64")})
-    hi = int(env["hi"])
-    cuts = {w: hi + CELL - 1 - w * 1_000_000 for w in wins}
-
     def pane_bottomk(group: pa.Table) -> pa.Table:
-        h = np.asarray(group.column("h"), dtype=np.int64).view(np.uint64)
-        i = np.asarray(group.column("i"), dtype=np.int64)
+        h = _key_u64(group, "k", salt, "md5")
+        i = np.asarray(pc.cast(group.column("k"), pa.int64()))
         order = np.lexsort((i, h))[:K]        # id tiebreak: determinism
-        return pa.table({
-            "cell": group.column("cell").slice(0, 1)
-                    .take(pa.array(np.zeros(len(order), np.int64))),
-            "i": pa.array(i[order]),
-            "h": pa.array(h[order].view(np.int64))})
+        return pa.table({"cell": group.column("cell").take(order),
+                         "i": pa.array(i[order]),
+                         "h": pa.array(h[order].view(np.int64))})
 
-    panes = (us.groupby("cell")
-             .map_groups(pane_bottomk, batch_format="pyarrow")
-             .take_all())
-    rows = []
-    for w in wins:
-        hh = np.array([r["h"] for r in panes if r["cell"] > cuts[w]],
-                      dtype=np.int64).view(np.uint64)
-        ii = np.array([r["i"] for r in panes if r["cell"] > cuts[w]],
-                      dtype=np.int64)
-        order = np.lexsort((ii, hh))[:K]
-        for rk, j in enumerate(order, 1):
-            rows.append((w, int(ii[j]), rk))
+    def merge(rows) -> np.ndarray:
+        h = np.array([r["h"] for r in rows], dtype=np.int64).view(np.uint64)
+        i = np.array([r["i"] for r in rows], dtype=np.int64)
+        return i[np.lexsort((i, h))[:K]]
+
+    plan = _pane_windows(
+        ds, windows_s, ts_col, cell_s,
+        lambda us: us.groupby("cell").map_groups(pane_bottomk,
+                                                 batch_format="pyarrow"),
+        merge, key_col=id_col)
+    rows = [(w, int(i), rk) for w, ids in (plan[2] if plan else {}).items()
+            for rk, i in enumerate(ids, 1)]
     return pd.DataFrame(rows, columns=["window_s", "id", "rk"]) \
         .astype({"window_s": "int64", "id": "int64", "rk": "int64"})
-
-
-def eh_window_sums_by_key(ds, key_col: str, windows_s: list[int],
-                          ts_col: str = "ts", value_col: str = "value",
-                          scale: int = 100, L: int = 32,
-                          num_partitions: int = 16):
-    """GROUPED trailing-window SUM estimates — completes the windowed
-    matrix ({count, sum} × {global, per-key}): one
-    :class:`~bqf_ray.sketches.dgim.ExponentialHistogramSum` per
-    (key, time slice), folded per key in slice order, global-clock
-    cuts, per-key certificates vs independently-folded exact
-    integer-unit sums.  Returns ``(key, window_s, sum_units_exact,
-    within_bound)``.  Same driver-fold envelope as
-    :func:`eh_window_counts_by_key` (n_keys × P pane partials)."""
-    import pandas as pd
-    import ray
-    from ray.data.aggregate import Max, Min, Sum
-
-    from bqf_ray.sketches.dgim import ExponentialHistogramSum
-
-    P = int(num_partitions)
-    wins = [int(w) for w in windows_s]
-    SC = float(scale)
-
-    def to_us(batch: pa.Table) -> pa.Table:
-        import pyarrow.compute as pc
-        col = batch.column(value_col)
-        keep = pc.and_(col.is_valid(), pc.and_(
-            batch.column(key_col).is_valid(),
-            batch.column(ts_col).is_valid()))
-        if pa.types.is_floating(col.type):
-            keep = pc.and_(keep, pc.invert(pc.is_nan(col.fill_null(0.0))))
-        t = batch.filter(keep)
-        v = np.asarray(t.column(value_col), dtype=np.float64)
-        return pa.table({
-            "k": t.column(key_col),
-            "ts_us": t.column(ts_col).cast(pa.int64()),
-            "units": pa.array(np.rint(v * SC).astype(np.int64))})
-
-    us = ds.map_batches(to_us, batch_format="pyarrow").materialize()
-    env = us.aggregate(Min("ts_us", alias_name="lo"),
-                       Max("ts_us", alias_name="hi"))
-    if env is None or env["lo"] is None:
-        return pd.DataFrame({key_col: pd.Series([], dtype="object"),
-                             "window_s": pd.Series([], dtype="int64"),
-                             "sum_units_exact": pd.Series([],
-                                                          dtype="int64"),
-                             "within_bound": pd.Series([], dtype="bool")})
-    lo, hi = int(env["lo"]), int(env["hi"])
-    span = max(hi - lo + 1, 1)
-
-    def slice_pid(batch: pa.Table) -> pa.Table:
-        t = np.asarray(batch.column("ts_us"), dtype=np.int64)
-        return batch.append_column(
-            "__pid", pa.array(((t - lo) * P) // span))
-
-    def build_eh(group: pa.Table) -> pa.Table:
-        t = np.asarray(group.column("ts_us"), dtype=np.int64)
-        v = np.asarray(group.column("units"), dtype=np.int64)
-        order = np.argsort(t, kind="stable")
-        eh = ExponentialHistogramSum.from_sorted(t[order], v[order], L=L)
-        _, n, total, mn, mx, sums, ends = eh.to_arrays()
-        return pa.table({
-            "k": group.column("k").slice(0, 1),
-            "pid": pa.array([int(group.column("__pid")[0].as_py())],
-                            pa.int64()),
-            "n": pa.array([int(n)], pa.int64()),
-            "total": pa.array([int(total)], pa.int64()),
-            "min_ts": pa.array([int(mn)], pa.int64()),
-            "max_ts": pa.array([int(mx)], pa.int64()),
-            "sums": pa.array([sums.tobytes()], pa.binary()),
-            "ends": pa.array([ends.tobytes()], pa.binary())})
-
-    parts = (us.map_batches(slice_pid, batch_format="pyarrow")
-             .groupby(["k", "__pid"])
-             .map_groups(build_eh, batch_format="pyarrow").take_all())
-    parts.sort(key=lambda r: (str(r["k"]), r["pid"]))
-    ehs: dict = {}
-    for r in parts:
-        eh = ehs.setdefault(r["k"], ExponentialHistogramSum(L=L))
-        eh.merge_newer(ExponentialHistogramSum.from_arrays(
-            L, r["n"], r["total"], r["min_ts"], r["max_ts"],
-            np.frombuffer(r["sums"], dtype=np.int64),
-            np.frombuffer(r["ends"], dtype=np.int64)))
-
-    cuts = {w: hi - w * 1_000_000 for w in wins}
-
-    def exact_partial(batch: pa.Table) -> pa.Table:
-        import pyarrow.compute as pc
-        keys = batch.column("k")
-        if isinstance(keys, pa.ChunkedArray):
-            keys = keys.combine_chunks()
-        enc = pc.dictionary_encode(keys)
-        code = np.asarray(enc.indices, dtype=np.int64)
-        nk = len(enc.dictionary)
-        t = np.asarray(batch.column("ts_us"), dtype=np.int64)
-        v = np.asarray(batch.column("units"), dtype=np.int64)
-        ks, ws, ss = [], [], []
-        for w in wins:
-            m = t > cuts[w]
-            s = np.bincount(code[m], weights=v[m].astype(np.float64),
-                            minlength=nk).astype(np.int64)
-            ks.append(np.arange(nk))
-            ws.append(np.full(nk, w, dtype=np.int64))
-            ss.append(s)
-        return pa.table({
-            "k": enc.dictionary.take(pa.array(np.concatenate(ks))),
-            "window_s": pa.array(np.concatenate(ws)),
-            "ps": pa.array(np.concatenate(ss))})
-
-    exact = {(r["k"], r["window_s"]): r["s"] for r in
-             (us.map_batches(exact_partial, batch_format="pyarrow")
-              .groupby(["k", "window_s"])
-              .aggregate(Sum("ps", alias_name="s")).take_all())}
-
-    rows = []
-    for k in sorted(ehs, key=str):
-        for w in wins:
-            est, bound = ehs[k].estimate_after(cuts[w])
-            ex = int(exact.get((k, w), 0))
-            rows.append((k, w, ex, abs(est - ex) <= bound))
-    return pd.DataFrame(rows, columns=[key_col, "window_s",
-                                       "sum_units_exact", "within_bound"])
 
 
 def window_counts_bqf(ds, windows_s: list[int], key_col: str,
@@ -2895,61 +2619,28 @@ def window_counts_bqf(ds, windows_s: list[int], key_col: str,
     ``LEAST(count(*), 2^c−1)`` per (window, key), bit-exact.
     Returns ``(window_s, key, cnt)``."""
     import pandas as pd
-    import ray
-    from ray.data.aggregate import Max
 
-    from bqf_ray.sketches.base import MergeableSketch
     from bqf_ray.sketches.bqf import BqfEc
-    from bqf_ray.stages.udaf import prepare_hash, sketch_agg
+    from bqf_ray.stages.udaf import prepare_hash
 
-    CELL = int(cell_s) * 1_000_000
-    wins = [int(w) for w in windows_s]
-
-    def to_cells(batch: pa.Table) -> pa.Table:
-        import pyarrow.compute as pc
-        keep = pc.and_(batch.column(key_col).is_valid(),
-                       batch.column(ts_col).is_valid())
-        t = batch.filter(keep)
-        ts = np.asarray(t.column(ts_col)).astype("datetime64[us]"
-                                                 ).astype(np.int64)
-        return pa.table({"cell": pa.array((ts // CELL) * CELL),
-                         "k": t.column(key_col)})
-
-    us = ds.map_batches(to_cells, batch_format="pyarrow").materialize()
-    env = us.aggregate(Max("cell", alias_name="hi"))
-    if env is None or env["hi"] is None:
-        return pd.DataFrame({"window_s": pd.Series([], dtype="int64"),
-                             key_col: pd.Series([], dtype="object"),
-                             "cnt": pd.Series([], dtype="int64")})
-    hi = int(env["hi"])
-    cuts = {w: hi + CELL - 1 - w * 1_000_000 for w in wins}
-
-    panes = (us.groupby("cell")
-             .aggregate(sketch_agg(
-                 lambda: BqfEc(q=q, count_size=count_size),
-                 on="k", prepare="hash", name="blob"))
-             .take_all())
-    # distinct keys (tiny here; the corpus form rides distinct_values);
-    # probe hashes MUST mirror the build's prepare_hash exactly (string
-    # xxh64 vs int fmix64 differ) — share the function, not a re-code
-    keys = sorted({r["k"] for r in
-                   us.groupby("k").count().take_all()})
-    karr = pa.array(keys)
-    kh = prepare_hash(karr)
-
+    plan = _pane_windows(
+        ds, windows_s, ts_col, cell_s,
+        *_sketch_panes(lambda: BqfEc(q=q, count_size=count_size), "hash"),
+        key_col=key_col)
     rows = []
-    for w in wins:
-        blobs = [r["blob"] for r in panes if r["cell"] > cuts[w]]
-        if not blobs:
-            continue
-        sk = MergeableSketch.from_bytes(blobs[0])
-        for b in blobs[1:]:
-            sk.merge(MergeableSketch.from_bytes(b))
-        cnt = sk.query_batch(kh).astype(np.int64)
-        for kk, c in zip(keys, cnt):
-            if c > 0:
-                rows.append((w, kk, int(c)))
-    rows.sort()
+    if plan is not None:
+        us, _, merged = plan
+        # distinct keys (tiny here; the corpus form rides
+        # distinct_values); probe hashes MUST mirror the build's
+        # prepare_hash exactly (string xxh64 vs int fmix64 differ) —
+        # share the function, not a re-code
+        keys = sorted({r["k"] for r in us.groupby("k").count().take_all()})
+        kh = prepare_hash(pa.array(keys))
+        for w, sk in merged.items():
+            if sk is not None:
+                cnt = sk.query_batch(kh).astype(np.int64)
+                rows += [(w, kk, int(c)) for kk, c in zip(keys, cnt) if c > 0]
+        rows.sort()
     return pd.DataFrame(rows, columns=["window_s", key_col, "cnt"]) \
         .astype({"window_s": "int64", "cnt": "int64"})
 
@@ -2961,40 +2652,31 @@ def update_pane_store(ds, root: str, ts_col: str = "ts", L: int = 32,
     resumable partitioned sink (``state/output.py`` — atomic ``_DONE``
     markers per ``part=<cell>``), so a re-run after new data builds
     ONLY cells without a verified marker; finished panes are never
-    recomputed or even read.
+    recomputed or even read.  Each pane is one EH codec row
+    (:func:`_eh_row`) plus its ``cell``.
 
     Watermark contract (documented, loud): a cell is written once seen
     — callers must feed CLOSED cells only (drop the trailing open cell
     upstream, the standard watermark rule); late rows for a finished
     cell are ignored by the skip.  Returns the per-run write metadata
     (one row per NEW cell)."""
-    import ray
-
     from bqf_ray.sketches.dgim import ExponentialHistogram
     from bqf_ray.state.output import resumable_write_parquet
 
     CELL = int(cell_s) * 1_000_000
 
-    def to_cells(batch: pa.Table) -> pa.Table:
-        t = batch.filter(batch.column(ts_col).is_valid())
-        ts = np.asarray(t.column(ts_col)).astype("datetime64[us]"
-                                                 ).astype(np.int64)
-        return pa.table({"cell": pa.array((ts // CELL) * CELL),
-                         "ts_us": pa.array(ts)})
+    def with_cell(batch: pa.Table) -> pa.Table:
+        t = np.asarray(batch.column("ts_us"), dtype=np.int64)
+        return batch.append_column("cell", pa.array((t // CELL) * CELL))
 
     def build_pane(group: pa.Table) -> pa.Table:
         t = np.sort(np.asarray(group.column("ts_us"), dtype=np.int64))
-        eh = ExponentialHistogram.from_sorted(t, L=L)
-        _, n, mn, mx, sizes, ends = eh.to_arrays()
         return pa.table({
             "cell": group.column("cell").slice(0, 1),
-            "n": pa.array([int(n)], pa.int64()),
-            "min_ts": pa.array([int(mn)], pa.int64()),
-            "max_ts": pa.array([int(mx)], pa.int64()),
-            "sizes": pa.array([sizes.tobytes()], pa.binary()),
-            "ends": pa.array([ends.tobytes()], pa.binary())})
+            **_eh_row(ExponentialHistogram.from_sorted(t, L=L))})
 
-    panes = (ds.map_batches(to_cells, batch_format="pyarrow")
+    panes = (_project(ds, ts_col)
+             .map_batches(with_cell, batch_format="pyarrow")
              .groupby("cell").map_groups(build_pane,
                                          batch_format="pyarrow"))
     return resumable_write_parquet(panes, root, "cell")
@@ -3022,10 +2704,7 @@ def query_pane_store(root: str, windows_s: list[int], L: int = 32,
                              "n_total": pd.Series([], dtype="int64")})
     eh = ExponentialHistogram(L=L)
     for r in rows:
-        eh.merge_newer(ExponentialHistogram.from_arrays(
-            L, r["n"], r["min_ts"], r["max_ts"],
-            np.frombuffer(r["sizes"], dtype=np.int64),
-            np.frombuffer(r["ends"], dtype=np.int64)))
+        eh.merge_newer(_eh_from_row(ExponentialHistogram, L, r))
     hi_cell = int(rows[-1]["cell"])
     out = []
     for w in [int(x) for x in windows_s]:

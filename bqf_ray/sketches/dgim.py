@@ -203,8 +203,8 @@ class ExponentialHistogram:
                     ) -> "ExponentialHistogram":
         self = cls(int(L))
         self.n = int(n)
-        self.min_ts = None if int(min_ts) < 0 else int(min_ts)
-        self.max_ts = None if int(max_ts) < 0 else int(max_ts)
+        if self.n:              # any int64 is a timestamp, pre-1970 too
+            self.min_ts, self.max_ts = int(min_ts), int(max_ts)
         self.sizes = np.asarray(sizes, dtype=np.int64)
         self.ends = np.asarray(ends, dtype=np.int64)
         return self
@@ -329,8 +329,8 @@ class ExponentialHistogramSum:
         self = cls(int(L))
         self.n = int(n)
         self.total = int(total)
-        self.min_ts = None if int(min_ts) < 0 else int(min_ts)
-        self.max_ts = None if int(max_ts) < 0 else int(max_ts)
+        if self.n:
+            self.min_ts, self.max_ts = int(min_ts), int(max_ts)
         self.sums = np.asarray(sums, dtype=np.int64)
         self.ends = np.asarray(ends, dtype=np.int64)
         return self

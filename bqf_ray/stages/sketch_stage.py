@@ -135,32 +135,35 @@ def build_partitioned(ds, key_fn: KeyFn, factory: Callable[[], MergeableSketch],
             "count": pa.array(agg.astype(np.int64)),
         })
 
-    def build_group(batch: pa.Table) -> pa.Table:
-        part = int(batch.column("__part")[0].as_py())
-        keys = np.asarray(batch.column("key"), dtype=np.int64).astype(np.uint64)
-        counts = np.asarray(batch.column("count"), dtype=np.int64).astype(np.uint64)
-        sk = factory()
-        sk.update_batch(keys, counts)
-        blob = sk.to_bytes()
-        n_keys = len(np.unique(keys))
+    def finish(part: int, sk: MergeableSketch) -> pa.Table:
+        """Serialize one shard and return its metadata row.  With
+        ``sink_dir`` the blob is written from inside the task (atomic,
+        deterministic name → idempotent under retries) and only
+        metadata flows back."""
         import hashlib
-        size = len(blob)
-        sha = hashlib.sha256(blob).hexdigest()
+        import os
+
+        from bqf_ray.state.checkpoint import _atomic_write
+        blob = sk.to_bytes()
+        size, sha = len(blob), hashlib.sha256(blob).hexdigest()
         if sink_dir is not None:
-            # write the shard from inside the task (atomic, deterministic
-            # name → idempotent under retries); only metadata flows back
-            from bqf_ray.state.checkpoint import _atomic_write
-            import os
-            path = os.path.join(sink_dir, f"part-{part:05d}.sketch")
-            _atomic_write(path, blob)
+            _atomic_write(os.path.join(sink_dir, f"part-{part:05d}.sketch"),
+                          blob)
             blob = b""
         return pa.table({
             "part": pa.array([part], pa.int64()),
             "blob": pa.array([blob], pa.binary()),
-            "n_keys": pa.array([n_keys], pa.int64()),
+            "n_keys": pa.array([sk.elements_inside], pa.int64()),
             "bytes": pa.array([size], pa.int64()),
             "sha256": pa.array([sha], pa.string()),
         })
+
+    def build_group(batch: pa.Table) -> pa.Table:
+        keys = np.asarray(batch.column("key"), dtype=np.int64).astype(np.uint64)
+        counts = np.asarray(batch.column("count"), dtype=np.int64).astype(np.uint64)
+        sk = factory()
+        sk.update_batch(keys, counts)
+        return finish(int(batch.column("__part")[0].as_py()), sk)
 
     def to_partial_blobs(batch: pa.Table) -> pa.Table:
         """Combiner form: build one PARTIAL sketch per (task, partition) so
@@ -189,28 +192,10 @@ def build_partitioned(ds, key_fn: KeyFn, factory: Callable[[], MergeableSketch],
                          "blob": pa.array(blobs_out, pa.binary())})
 
     def merge_group(batch: pa.Table) -> pa.Table:
-        part = int(batch.column("__part")[0].as_py())
         blobs = batch.column("blob").to_pylist()
         sk = MergeableSketch.from_bytes(blobs[0])
         sk.merge_many([MergeableSketch.from_bytes(b) for b in blobs[1:]])
-        blob = sk.to_bytes()
-        n_keys = sk.elements_inside
-        size = len(blob)
-        import hashlib
-        sha = hashlib.sha256(blob).hexdigest()
-        if sink_dir is not None:
-            from bqf_ray.state.checkpoint import _atomic_write
-            import os
-            _atomic_write(os.path.join(sink_dir, f"part-{part:05d}.sketch"),
-                          blob)
-            blob = b""
-        return pa.table({
-            "part": pa.array([part], pa.int64()),
-            "blob": pa.array([blob], pa.binary()),
-            "n_keys": pa.array([n_keys], pa.int64()),
-            "bytes": pa.array([size], pa.int64()),
-            "sha256": pa.array([sha], pa.string()),
-        })
+        return finish(int(batch.column("__part")[0].as_py()), sk)
 
     if combine:
         return (ds.map_batches(to_partial_blobs, batch_format="pyarrow",

@@ -79,6 +79,26 @@ def test_arrays_roundtrip():
         assert back.estimate_after(int(cut)) == eh.estimate_after(int(cut))
 
 
+def test_arrays_roundtrip_negative_timestamps():
+    """Pre-1970 (negative) timestamps survive the codec: only an empty
+    sketch decodes to "no timestamp"."""
+    from bqf_ray.sketches.dgim import ExponentialHistogramSum as EHS
+
+    def roundtrip(eh):
+        return type(eh).from_arrays(*eh.to_arrays())
+
+    old, new = np.array([-100, -90, -80]), np.array([-50, -40])
+    for build in (lambda t: ExponentialHistogram.from_sorted(t, L=4),
+                  lambda t: EHS.from_sorted(t, np.ones(len(t)), L=4)):
+        eh = roundtrip(build(old))
+        assert (eh.min_ts, eh.max_ts) == (-100, -80)
+        assert eh.estimate_after(-1000) == build(old).estimate_after(-1000)
+        eh.merge_newer(roundtrip(build(new)))
+        assert eh.estimate_after(-1000) == (5, 0)
+        empty = roundtrip(build(np.array([], dtype=np.int64)))
+        assert (empty.n, empty.min_ts, empty.max_ts) == (0, None, None)
+
+
 def test_eh_window_counts_pipeline(ray_session):
     import pandas as pd
     import ray
@@ -331,6 +351,46 @@ def test_eh_window_sums_by_key_pipeline(ray_session):
     for _, row in got.iterrows():
         m = (keys == row["k"]) & (us > hi - row["window_s"] * 1_000_000)
         assert row["sum_units_exact"] == int(units[m].sum())
+        assert bool(row["within_bound"])
+
+
+@pytest.mark.parametrize("case", ["null_ts", "ts_ms", "pre_1970"])
+@pytest.mark.parametrize("fn", ["eh_window_counts", "eh_window_sums",
+                                "eh_window_counts_by_key",
+                                "eh_window_sums_by_key"])
+def test_eh_window_input_cases(ray_session, fn, case):
+    """Every EH entry point drops a null-ts row, reads a ms timestamp
+    column in its own unit, and folds events before 1970."""
+    import pyarrow as pa
+    import ray
+
+    from bqf_ray.pipelines import windowed
+    n, minute = 500, 60_000_000
+    base = (-3_000 * 86_400_000_000 if case == "pre_1970"
+            else 1_700_000_000_000_000)
+    us = base + np.arange(n, dtype=np.int64) * minute
+    keys = np.array(["a", "b", "c"])[np.arange(n) % 3]
+    vals = np.round(np.random.RandomState(0).gamma(2.0, 20.0, n), 2)
+    ts = (pa.array(us // 1000, pa.timestamp("ms")) if case == "ts_ms"
+          else pa.array(us, pa.timestamp("us")))
+    tbl = pa.table({"ts": ts, "k": keys, "value": vals})
+    if case == "null_ts":
+        tbl = pa.concat_tables([tbl, pa.table({
+            "ts": pa.array([None], ts.type), "k": ["a"], "value": [1.0]})])
+    ds = ray.data.from_arrow(tbl).repartition(3)
+    wins = [600, 3600, 86400]
+    keyed, summed = fn.endswith("_by_key"), "sums" in fn
+    args = (ds, "k", wins) if keyed else (ds, wins)
+    got = getattr(windowed, fn)(*args, num_partitions=4)
+    weight = np.rint(vals * 100).astype(np.int64) if summed else \
+        np.ones(n, dtype=np.int64)
+    exact_col = "sum_units_exact" if summed else "n_exact"
+    assert len(got) == len(wins) * (3 if keyed else 1)
+    for _, row in got.iterrows():
+        m = us > us.max() - row["window_s"] * 1_000_000
+        if keyed:
+            m &= keys == row["k"]
+        assert row[exact_col] == int(weight[m].sum())
         assert bool(row["within_bound"])
 
 

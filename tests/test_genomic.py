@@ -105,6 +105,41 @@ def test_cli_end_to_end(ray_session, counted_smers, tmp_path):
     assert len(res) == 1 and "presence_ratio" in res.columns
 
 
+def test_cli_query_after_rebuild_with_fewer_partitions(ray_session,
+                                                       counted_smers,
+                                                       tmp_path):
+    """A rebuild into the same directory leaves the old build's higher
+    part files behind; ``bqf query`` loads only the manifest's shards."""
+    import os
+
+    import pandas as pd
+    import pyarrow.parquet as pq
+    from bqf_ray import cli
+    s, tbl = counted_smers
+    inp = str(tmp_path / "counted.parquet")
+    pq.write_table(tbl, inp)
+    qin = str(tmp_path / "queries.parquet")
+    pq.write_table(pa.table({"query_id": pa.array([0, 1], pa.int64()),
+                             "seq": pa.array(tbl["smer"].to_pylist()[:2])}),
+                   qin)
+
+    def query(idx_dir):
+        out = str(tmp_path / f"q_{os.path.basename(idx_dir)}")
+        cli.main(["query", "-b", idx_dir, "-i", qin, "-o", out,
+                  "-k", str(s), "-s", str(s)])
+        return pq.read_table(out).to_pandas().sort_values("query_id") \
+            .reset_index(drop=True)
+
+    reused, clean = str(tmp_path / "reused"), str(tmp_path / "clean")
+    for idx_dir, parts in ((reused, 8), (reused, 4), (clean, 4)):
+        cli.main(["build", "-i", inp, "-o", idx_dir, "-s", str(s),
+                  "-c", "5", "--partitions", str(parts)])
+    assert os.path.exists(os.path.join(reused, "part-00007.sketch"))
+    got = query(reused)
+    assert len(got) == 2
+    pd.testing.assert_frame_equal(got, query(clean))
+
+
 def test_cli_index_probe_webtext(ray_session, tmp_path):
     """Drive the web-text CLI: index pages parquet, probe documents."""
     import pyarrow.parquet as pq

@@ -267,6 +267,66 @@ def test_partitioned_empty_highest_partition(ray_session):
     assert (ps.query_batch(absent) == 0).all()
 
 
+@pytest.mark.parametrize("combine", [False, True])
+def test_partitioned_n_keys_counts_stored_keys(ray_session, combine):
+    """Both plans report ``n_keys`` as the keys the shard stores: with
+    hash_bits=16, k and k+2^16 share one fingerprint (and one
+    partition), so 2,000 input keys are 1,000 stored keys."""
+    import ray
+    k = np.arange(1000, dtype=np.uint64)
+    keys = np.concatenate([k, k + np.uint64(1 << 16)])
+    tbl = pa.table({"key": pa.array(keys.astype(np.int64))})
+
+    def key_fn(batch):
+        return (np.asarray(batch.column("key"), dtype=np.int64)
+                .astype(np.uint64), None)
+
+    meta = build_partitioned(
+        ray.data.from_arrow(tbl).repartition(3), key_fn,
+        lambda: BqfEc(q=10, count_size=8, hash_bits=16),
+        num_partitions=4, batch_size=256, combine=combine).take_all()
+    assert sum(int(r["n_keys"]) for r in meta) == 1000
+
+
+def _plans_of(run):
+    """The ``build_bqf_index`` plan records ``run()`` leaves behind."""
+    import uuid
+
+    from bqf_ray.plans import plan_log, recent_plans
+    marker = uuid.uuid4().hex
+    plan_log("test-marker", marker)
+    run()
+    recs = recent_plans()
+    start = max(i for i, r in enumerate(recs) if r["plan"] == marker)
+    return [r for r in recs[start + 1:] if r["op"] == "build_bqf_index"]
+
+
+def test_build_index_logs_one_plan(ray_session):
+    import ray
+    rng = np.random.RandomState(5)
+    words = np.array([f"w{i:07d}" for i in rng.permutation(10**6)[:60_000]])
+    varied = pa.table({"text": [" ".join(words[i:i + 50])
+                                for i in range(0, 60_000, 50)]})
+    repeated = pa.table({"text": ["the same few words"] * 1200})
+    empty = pa.table({"text": pa.array([], pa.string())})
+
+    def build(tbl, **kw):
+        return lambda: build_bqf_index(ray.data.from_arrow(tbl),
+                                       num_partitions=2, q=10,
+                                       batch_size=1024, **kw)
+
+    def summary(recs):
+        return [(r["plan"], r["n_distinct"], r["n_sampled"], r["forced"])
+                for r in recs]
+
+    assert summary(_plans_of(build(varied))) == [
+        ("combiner", 51_200, 51_200, 0)]
+    assert summary(_plans_of(build(repeated))) == [("row", 4, 4096, 0)]
+    assert summary(_plans_of(build(varied, combine=False))) == [
+        ("row", 0, 0, 1)]
+    assert summary(_plans_of(build(empty))) == [("row", 0, 0, 0)]
+
+
 def test_rollup_aggregate_levels(ray_session):
     import ray
     import pandas as pd
