@@ -11,6 +11,9 @@ contains it whole):
     {"metric": ..., "value": <headline sec>, "unit": "sec", "sf": ...,
      "num_cpus": N, "docs_per_sec": ..., "queries_n": ..., ...}
 
+The headline is the fastest of three builds; every rep is printed on an
+earlier line (``{"headline_reps": [...]}``).
+
 ``--scaling``: run the headline pipeline in fresh processes at
 num_cpus=8 and num_cpus=32 on identical input and report both
 throughputs + scaling efficiency (the sandbox stand-in for the
@@ -29,6 +32,7 @@ import time
 SF_DIR = os.environ.get("GRAFT_SF_DIR", "/root/testdata/sf0.1")
 NUM_CPUS = int(os.environ.get("RAY_GRAFT_CPUS", "32"))
 BENCH_DIR = "/tmp/bqf_bench"
+HEADLINE_REPS = 3
 
 sys.path.insert(0, os.path.dirname(os.path.abspath(__file__)))
 
@@ -164,7 +168,13 @@ def main_bench() -> dict:
     _bbi(ray.data.read_parquet(pages_path, columns=["html"]).limit(2048)
          .map_batches(_Ex(), batch_format="pyarrow", batch_size=1024),
          text_col="text", s=1, q=10, num_partitions=4, batch_size=1024)
-    build_sec, space = headline_build(pages_path, n_rows)
+    # best-of-3: single builds swing ±30% with host noise; every rep is
+    # printed on its own line and the final line reports the fastest
+    reps = [headline_build(pages_path, n_rows) for _ in range(HEADLINE_REPS)]
+    print(json.dumps({"headline_reps": [
+        {"sec": round(sec, 3), "docs_per_sec": round(n_rows / sec, 1),
+         "bits_per_element": sp["bits_per_element"]} for sec, sp in reps]}))
+    build_sec, space = min(reps, key=lambda r: r[0])
     queries, canaries = ({}, {}) if os.environ.get("GRAFT_SKIP_QUERIES") \
         else run_queries()
     # Per-query timings go on their OWN earlier line: the driver captures a
@@ -205,7 +215,7 @@ def run_scaling() -> dict:
     scale_pages = os.environ.get("GRAFT_SCALING_PAGES", "1600000")
     os.environ["GRAFT_BENCH_PAGES"] = scale_pages
     reps = int(os.environ.get("GRAFT_SCALING_REPS", "3"))
-    # best-of-n per level: single-box wall times swing ±30% with page-cache
+    # best-of-n per level (each process's headline is itself best-of-3): single-box wall times swing ±30% with page-cache
     # and allocator state; the minimum is the cleanest estimate of the
     # pipeline's true cost at each parallelism level
     runs_lo = [run(lo) for _ in range(reps)]

@@ -22,6 +22,7 @@ from __future__ import annotations
 
 import io
 import json
+import math
 import struct
 from abc import ABC, abstractmethod
 
@@ -94,8 +95,13 @@ class MergeableSketch(ABC):
 
     @staticmethod
     def from_bytes(data: bytes) -> "MergeableSketch":
-        assert data[:4] == _MAGIC, "bad sketch blob"
+        # ValueError, not assert: ``python -O`` strips asserts, and every
+        # length below is checked before the bytes are sliced
+        if len(data) < 8 or data[:4] != _MAGIC:
+            raise ValueError("bad sketch blob: no BQRS magic")
         (hlen,) = struct.unpack("<I", data[4:8])
+        if 8 + hlen > len(data):
+            raise ValueError("truncated sketch blob: header")
         head = json.loads(data[8:8 + hlen].decode())
         cfg = head["config"]
         tname = cfg.pop("__type__")
@@ -116,8 +122,10 @@ class MergeableSketch(ABC):
         arrays = {}
         for k in sorted(head["arrays"]):
             dtype, shape = head["arrays"][k]
-            n = int(np.prod(shape)) if shape else 1
-            nbytes = n * np.dtype(dtype).itemsize
+            dims = [int(d) for d in shape]
+            nbytes = math.prod(dims) * np.dtype(dtype).itemsize
+            if min(dims, default=0) < 0 or pos + nbytes > len(data):
+                raise ValueError(f"truncated sketch blob: array {k!r}")
             arrays[k] = np.frombuffer(
                 data[pos:pos + nbytes], dtype=dtype).reshape(shape).copy()
             pos += nbytes

@@ -34,9 +34,12 @@ deliberate and observable-behavior-preserving):
   batch operation a flat vectorized scan.  Slot occupancy and run contents
   are identical up to that rotation.
 - **In-memory slots are one uint64 each** (vectorized access); the
-  *serialized* form bit-packs slots to ``r + count_size`` bits (that is
-  what travels through the object store / checkpoints, preserving the
-  ~(r+c+2.125) bits/element wire size that motivates the structure).
+  *serialized* form (what travels through the object store, the shuffle
+  and checkpoints) stores elements, not slots: the occupieds bitvector,
+  one run-end bit per element and the ``r + count_size``-bit slot values
+  of the occupied slots only.  That costs r + c + 1 + 2^q/n bits per
+  element plus the JSON header; empty slots cost nothing beyond their
+  occupieds bit, and decoding re-places the runs exactly as a build does.
 - **Resize** re-derives quotients from stored hashes at q+n — the
   observable contract of the reference's streaming in-place resize
   (/root/reference/src/abstract_bqf.cpp:302-479) at the same O(n) cost,
@@ -73,7 +76,32 @@ def _test_bits(bitvec: np.ndarray, positions: np.ndarray) -> np.ndarray:
 def _bit_positions(bitvec: np.ndarray, limit: int) -> np.ndarray:
     """Sorted positions of set bits below ``limit`` (vectorized select table)."""
     bits = np.unpackbits(bitvec.view(np.uint8), bitorder="little")
-    return np.flatnonzero(bits[:limit]).astype(np.int64)
+    return np.flatnonzero(bits[:limit].view(bool)).astype(np.int64)
+
+
+def _pack_flags(flags: np.ndarray) -> np.ndarray:
+    """Bool array → bitvector words, flag i at bit i (read back with
+    :func:`_bit_positions`)."""
+    words = np.zeros((len(flags) + 63) // 64, dtype=np.uint64)
+    packed = np.packbits(flags, bitorder="little")
+    words.view(np.uint8)[: len(packed)] = packed
+    return words
+
+
+def _bitvec(positions: np.ndarray, nbits: int) -> np.ndarray:
+    """⌈nbits/64⌉-word bitvector with the given bits set (on a fresh
+    vector several times faster than :func:`_set_bits`)."""
+    flags = np.zeros(nbits, dtype=bool)
+    flags[positions] = True
+    return _pack_flags(flags)
+
+
+def _check_words(arrays: dict, name: str, bits: int) -> None:
+    """A decoded bitvector/packed array must be exactly ⌈bits/64⌉ words."""
+    a = arrays.get(name)
+    if bits < 0 or a is None or a.dtype != np.uint64 \
+            or a.shape != ((bits + 63) // 64,):
+        raise ValueError(f"filter blob: {name!r} does not hold {bits} bits")
 
 
 def pack_bits(values: np.ndarray, width: int) -> np.ndarray:
@@ -195,6 +223,13 @@ class _QuotientFilterKernel(MergeableSketch):
     @property
     def slot_width(self) -> int:
         return self.remainder_bits + self.count_size
+
+    def error_bound(self) -> float:
+        """Per-query false-positive bound 2^-(hash_bits − q): an absent
+        key is reported present only when its remainder matches a stored
+        one in its quotient's run (README.md:54 analog, FP ≤ 2^-r)."""
+        self._compact()
+        return 2.0 ** -self.remainder_bits
 
     @property
     def size_limit(self) -> int:
@@ -335,32 +370,40 @@ class _QuotientFilterKernel(MergeableSketch):
         """Vectorized layout construction from unique keys (any order)."""
         q = self.q
         nq = 1 << q
-        n = len(ukeys)
-        self.elements_inside = n
-        if n == 0:
-            self._alloc_empty()
-            return
         quot = (ukeys & U64(nq - 1)).astype(np.int64)
         rem = (ukeys >> U64(q)).astype(np.uint64)
         order = np.lexsort((rem, quot))
         quot, rem, counts = quot[order], rem[order], counts.astype(np.uint64)[order]
-        uq, run_idx, run_counts = np.unique(quot, return_index=True, return_counts=True)
+        uq, run_counts = np.unique(quot, return_counts=True)
+        c = U64(self.count_size)
+        self._place(uq, run_counts, (rem << c) | counts if self.count_size else rem)
+
+    def _place(self, uq: np.ndarray, run_counts: np.ndarray,
+               vals: np.ndarray) -> None:
+        """Greedy run placement: the run of quotient ``uq[i]`` (sorted)
+        takes ``run_counts[i]`` slots starting at max(uq[i], previous run
+        end + 1); ``vals`` are the slot words in slot order.  The layout
+        is a function of the elements alone, so a build, a resize and a
+        wire decode of the same elements all land on the same slots."""
+        q = self.q
+        nq = 1 << q
+        n = len(vals)
+        self.elements_inside = n
+        if n == 0:
+            self._alloc_empty()
+            return
         D = np.cumsum(run_counts)
         prev_d = np.concatenate([[0], D[:-1]])
         g = np.maximum.accumulate(uq - 1 - prev_d)
         ends = g + D
-        starts = ends - run_counts + 1
-        pos = np.repeat(starts, run_counts) + (np.arange(n) - np.repeat(prev_d, run_counts))
+        pos = np.arange(n) + np.repeat(g + 1, run_counts)
         self._built_q = q
         extent = int(ends[-1]) + 1
         cap = max(nq + self._SLACK, extent + 64)
         self._slots = np.zeros(cap, dtype=np.uint64)
-        c = U64(self.count_size)
-        self._slots[pos] = (rem << c) | counts if self.count_size else rem
-        self._occupieds = np.zeros((nq + 63) // 64, dtype=np.uint64)
-        _set_bits(self._occupieds, uq)
-        self._runends = np.zeros((cap + 63) // 64, dtype=np.uint64)
-        _set_bits(self._runends, ends)
+        self._slots[pos] = vals
+        self._occupieds = _bitvec(uq, nq)
+        self._runends = _bitvec(ends, cap)
         self._extent = extent
         # rank/select caches
         self._occ_quots = uq
@@ -412,10 +455,7 @@ class _QuotientFilterKernel(MergeableSketch):
         last_end = np.int64(-1)
         last_quot = np.int64(-2)
         old_uq = self._occ_quots
-        old_ends = self._runend_pos
-        old_starts = np.maximum(
-            old_uq, np.concatenate([[-1], old_ends[:-1]]) + 1)
-        old_lens = old_ends - old_starts + 1
+        old_starts, old_lens = self._runs()
         for j in range(1 << n):
             jq = np.int64(j) << np.int64(old_q)
             for r0 in range(0, len(old_uq), int(chunk_runs)):
@@ -543,17 +583,26 @@ class _QuotientFilterKernel(MergeableSketch):
 
     # --- enumeration (C8) --------------------------------------------------
 
+    def _runs(self) -> tuple[np.ndarray, np.ndarray]:
+        """(first slot, length) of every run of the built layout."""
+        ends = self._runend_pos
+        starts = np.maximum(self._occ_quots,
+                            np.concatenate([[-1], ends[:-1]]) + 1)
+        return starts, ends - starts + 1
+
+    def _element_slots(self) -> tuple[np.ndarray, np.ndarray]:
+        """(slot position of every stored element in slot order, length of
+        every run) of the built layout."""
+        starts, lens = self._runs()
+        pos = np.arange(int(lens.sum())) + \
+            np.repeat(starts - (np.cumsum(lens) - lens), lens)
+        return pos, lens
+
     def _enumerate_built(self) -> tuple[np.ndarray, np.ndarray]:
         """(keys, stored_counts) of the built (compacted) portion."""
         if self.elements_inside == 0:
             return (np.empty(0, dtype=np.uint64), np.empty(0, dtype=np.uint64))
-        uq = self._occ_quots
-        ends = self._runend_pos
-        starts = np.maximum(uq, np.concatenate([[-1], ends[:-1]]) + 1)
-        lens = ends - starts + 1
-        n = int(lens.sum())
-        pos = np.repeat(starts, lens) + \
-            (np.arange(n) - np.repeat(np.concatenate([[0], np.cumsum(lens)[:-1]]), lens))
+        pos, lens = self._element_slots()
         vals = self._slots[pos]
         c = U64(self.count_size)
         if self.count_size:
@@ -561,8 +610,9 @@ class _QuotientFilterKernel(MergeableSketch):
             counts = vals & ((U64(1) << c) - U64(1))
         else:
             rem = vals
-            counts = np.ones(n, dtype=np.uint64)
-        keys = (rem << U64(self._built_q)) | np.repeat(uq, lens).astype(np.uint64)
+            counts = np.ones(len(pos), dtype=np.uint64)
+        keys = (rem << U64(self._built_q)) | \
+            np.repeat(self._occ_quots, lens).astype(np.uint64)
         return keys, counts
 
     def enumerate(self) -> tuple[np.ndarray, np.ndarray]:
@@ -593,23 +643,32 @@ class _QuotientFilterKernel(MergeableSketch):
         return self
 
     # --- serde -------------------------------------------------------------
-    # Wire format mirrors the reference's on-disk layout idea
-    # (/root/reference/src/abstract_bqf.cpp:512-529): geometry header +
-    # metadata bitvectors + bit-packed slots; the quotient is implicit in
-    # slot position, so each element costs ~(r + c + 2.125) bits.
+    # Wire format (``wire: 2``), the reference's on-disk layout idea
+    # (its src/abstract_bqf.cpp:512-529) applied to elements
+    # instead of slots: the occupieds bitvector (2^q bits), one run-end bit
+    # per stored element in slot order, and the stored slot values
+    # (remainder << c | count) bit-packed at ``slot_width``, plus ``n`` in
+    # the header.  Quotients stay implicit in the run structure and empty
+    # slots are not written, so an element costs r + c + 1 + 2^q/n bits
+    # plus the JSON header.  Decoding re-places the runs with ``_place``;
+    # the layout is canonical, so slots, run ends, extent and the
+    # rank/select caches come back identical.  Blobs without ``wire``
+    # (every slot up to ``extent``) stay readable.
 
     def _state_arrays(self) -> dict[str, np.ndarray]:
         self._compact()
-        extent = self._extent
+        pos, lens = self._element_slots()
+        last = np.zeros(len(pos), dtype=bool)
+        last[np.cumsum(lens) - 1] = True
         return {"occupieds": self._occupieds,
-                "runends": self._runends[: (extent + 63) // 64],
-                "slots": pack_bits(self._slots[:extent], self.slot_width),
-                "extent": np.array([extent], dtype=np.int64)}
+                "run_ends": _pack_flags(last),
+                "elems": pack_bits(self._slots[pos], self.slot_width)}
 
     def _config(self) -> dict:
         return {"q": self.q, "hash_bits": self.hash_bits,
                 "count_size": self.count_size,
-                "auto_resize": int(self.auto_resize)}
+                "auto_resize": int(self.auto_resize),
+                "wire": 2, "n": self.elements_inside}
 
     @classmethod
     def _construct(cls, config) -> "_QuotientFilterKernel":
@@ -621,29 +680,66 @@ class _QuotientFilterKernel(MergeableSketch):
 
     @classmethod
     def _from_state(cls, config, arrays):
-        s = cls._construct(config)
-        nq = 1 << s.q
-        extent = int(arrays["extent"][0])
-        cap = max(nq + s._SLACK, extent + 64)
-        s._slots = np.zeros(cap, dtype=np.uint64)
-        s._slots[:extent] = unpack_bits(arrays["slots"], s.slot_width, extent)
-        s._occupieds = arrays["occupieds"].astype(np.uint64)
-        s._runends = np.zeros((cap + 63) // 64, dtype=np.uint64)
-        re_words = arrays["runends"].astype(np.uint64)
-        s._runends[: len(re_words)] = re_words
-        s._extent = extent
-        s._built_q = s.q
-        s._occ_quots = _bit_positions(s._occupieds, nq)
-        s._runend_pos = _bit_positions(s._runends, extent)
-        pc = _popcount64(s._occupieds).astype(np.int64)
-        s._occ_prefix = np.concatenate([[0], np.cumsum(pc)[:-1]])
-        if len(s._occ_quots):
-            starts = np.maximum(s._occ_quots,
-                                np.concatenate([[-1], s._runend_pos[:-1]]) + 1)
-            s.elements_inside = int((s._runend_pos - starts + 1).sum())
+        # every array length is checked against the header before the
+        # 2^q-slot layout is allocated, so a corrupt header cannot make
+        # the decoder allocate more than the blob itself justifies
+        q, h, c = (int(config[k]) for k in ("q", "hash_bits", "count_size"))
+        if not (1 <= q < h <= 64 and 0 <= c <= 64 - (h - q)):
+            raise ValueError(f"bad filter geometry: q={q} hash_bits={h} "
+                             f"count_size={c}")
+        width = h - q + c
+        nq = 1 << q
+        _check_words(arrays, "occupieds", nq)
+        wire = config.get("wire", 1)           # no field: slot-array blob
+        if wire == 1:
+            ext = arrays.get("extent")
+            extent = int(ext[0]) if ext is not None and ext.shape == (1,) \
+                else -1
+            _check_words(arrays, "runends", extent)
+            _check_words(arrays, "slots", extent * width)
+        elif wire == 2:
+            n = int(config["n"])
+            _check_words(arrays, "run_ends", n)
+            _check_words(arrays, "elems", n * width)
+            occ, run_ends = arrays["occupieds"], arrays["run_ends"]
+            uq = _bit_positions(occ, 64 * len(occ))
+            last = _bit_positions(run_ends, 64 * len(run_ends))
+            if (len(last) != len(uq) or (len(uq) and uq[-1] >= nq)
+                    or (int(last[-1]) + 1 if len(last) else 0) != n):
+                raise ValueError("filter blob: run ends do not match "
+                                 "occupieds and n")
         else:
-            s.elements_inside = 0
+            raise ValueError(f"unknown filter wire format {wire!r}")
+        s = cls._construct(config)
+        if (s.q, s.count_size) != (q, c):
+            raise ValueError(f"filter blob geometry q={q} count_size={c} "
+                             f"does not fit {cls.__name__}")
+        if wire == 1:
+            s._load_slots(arrays, extent)
+        else:
+            s._place(uq, np.diff(last, prepend=-1),
+                     unpack_bits(arrays["elems"], width, n))
         return s
+
+    def _load_slots(self, arrays, extent: int) -> None:
+        """Restore a slot-array blob (written before the ``wire`` field):
+        every slot up to ``extent`` bit-packed, plus the run-end bits of
+        those slots."""
+        nq = 1 << self.q
+        cap = max(nq + self._SLACK, extent + 64)
+        self._slots = np.zeros(cap, dtype=np.uint64)
+        self._slots[:extent] = unpack_bits(arrays["slots"], self.slot_width,
+                                           extent)
+        self._occupieds = arrays["occupieds"]
+        self._runends = np.zeros((cap + 63) // 64, dtype=np.uint64)
+        self._runends[: len(arrays["runends"])] = arrays["runends"]
+        self._extent = extent
+        self._built_q = self.q
+        self._occ_quots = _bit_positions(self._occupieds, nq)
+        self._runend_pos = _bit_positions(self._runends, extent)
+        pc = _popcount64(self._occupieds).astype(np.int64)
+        self._occ_prefix = np.concatenate([[0], np.cumsum(pc)[:-1]])
+        self.elements_inside = len(self._element_slots()[0])
 
     def serialized_bits_per_element(self) -> float:
         self._compact()

@@ -253,3 +253,72 @@ def test_oom_rejects_overflowing_count_size():
     with pytest.raises(AssertionError):
         BqfOom(q=8, count_size=7)
     BqfOom(q=8, count_size=6)          # cap 63: the largest legal config
+
+
+# --- quotiented wire format: space and layout identity ----------------------
+
+def test_wire_size_shard_shaped_bqf_ec():
+    """A benchmark-shaped shard (18.7k fmix64 keys at q=15, load 0.57)
+    pays for its elements, not its 2^q + spill slots: r + c + 1 + 2^q/n
+    = 49 + 8 + 1 + 1.75 bits plus the header (the slot-array format
+    needed 103.5)."""
+    f = BqfEc(q=15, count_size=8)
+    f.update_batch(fmix64(np.arange(1, 18_701, dtype=np.uint64)))
+    assert f.q == 15
+    assert f.serialized_bits_per_element() <= 62
+
+
+def _spill_keys(q, n, seed):
+    """Keys whose quotients crowd the top of the table, so runs spill past
+    slot 2^q into the slack."""
+    rng = np.random.RandomState(seed)
+    quot = rng.randint((1 << q) - 16, 1 << q, n).astype(np.uint64)
+    rem = rng.randint(0, 2**40, n).astype(np.uint64)
+    return np.unique((rem << np.uint64(q)) | quot)
+
+
+def _layout_case(cls, case):
+    kw = {} if cls in (Rsqf, BqfCf) else {"count_size": 3}
+    if case == "empty":
+        return cls(q=8, **kw)
+    if case == "one_key":
+        f = cls(q=8, **kw)
+        f.insert(0x9E3779B97F4A7C15, 3)
+        return f
+    if case == "spill":
+        f = cls(q=6, auto_resize=False, **kw)
+        f.update_batch(_spill_keys(6, 40, seed=21))
+        f._compact()
+        assert f._extent > 1 << f.q
+        return f
+    f = cls(q=8, **kw)                                    # "resized"
+    keys = _rand_keys(200, seed=22)
+    f.update_batch(keys, np.arange(1, 201, dtype=np.uint64) % 9 + 1)
+    f.resize(2)
+    assert f.q == 10
+    return f
+
+
+@pytest.mark.parametrize("case", ["empty", "one_key", "spill", "resized"])
+@pytest.mark.parametrize("cls", [Rsqf, BqfEc, BqfOom, BqfCf])
+def test_wire_roundtrip_layout_identity(cls, case):
+    """Decoding re-places runs greedily; the in-memory layout is
+    canonical, so every layout array and cache comes back identical."""
+    f = _layout_case(cls, case)
+    g = MergeableSketch.from_bytes(f.to_bytes())
+    assert type(g) is cls
+    assert (g.q, g._built_q, g.elements_inside, g._extent) == \
+        (f.q, f._built_q, f.elements_inside, f._extent)
+    ext = f._extent
+    np.testing.assert_array_equal(g._slots[:ext], f._slots[:ext])
+    words = (ext + 63) // 64
+    np.testing.assert_array_equal(g._runends[:words], f._runends[:words])
+    assert not g._runends[words:].any() and not f._runends[words:].any()
+    for name in ("_occupieds", "_occ_quots", "_runend_pos", "_occ_prefix"):
+        np.testing.assert_array_equal(getattr(g, name), getattr(f, name),
+                                      err_msg=name)
+    fk, fc = f.enumerate()
+    gk, gc = g.enumerate()
+    np.testing.assert_array_equal(gk, fk)
+    np.testing.assert_array_equal(gc, fc)
+    assert g.to_bytes() == f.to_bytes()
