@@ -3,9 +3,11 @@ pages, checkpoint it with lineage, and probe documents against it.
 
 Ray shape (SURVEY.md §3.1):
     read_parquet(pages) ──map_batches(extract if needed)──
-    map_batches(tokenize+shingle+hash, pre-aggregated)──
-    shuffle on key%P ── map_groups(build shard sketch, write shard) ──
+    map_batches(tokenize+shingle+hash → key runs: equal keys summed,
+                one row of key/count lists per key%P partition)──
+    groupby(key%P) ── map_groups(build shard sketch, write shard) ──
     manifest
+The build reads its input once.
 Probe (§3.2): broadcast shards via ray.put → actor-pool map_batches.
 """
 
@@ -15,11 +17,13 @@ from typing import Callable
 
 import numpy as np
 import pyarrow as pa
+import pyarrow.compute as pc
 
 from bqf_ray.functions.tokenize import shingle_hashes, token_hashes
 from bqf_ray.plans import plan_log
 from bqf_ray.sketches.bqf import BqfEc, fimpera_from_abundances
-from bqf_ray.stages.sketch_stage import (PartitionedSketch, build_partitioned)
+from bqf_ray.stages.sketch_stage import (PartitionedSketch, build_partitioned,
+                                         key_runs, run_arrays)
 from bqf_ray.state.checkpoint import SketchCheckpoint
 
 
@@ -68,7 +72,9 @@ def build_bqf_index(pages_ds, *, text_col: str = "text", s: int = 1,
 
     If ``checkpoint_dir`` holds a manifest for the same (config, lineage),
     finished partitions are skipped — only missing shards recompute
-    (north-rule resumability).
+    (north-rule resumability).  ``combine`` is accepted for compatibility
+    and ignored: every build runs the one key-run exchange of
+    :func:`build_partitioned`.
     """
     config = {"s": s, "num_partitions": num_partitions, "q": q,
               "count_size": count_size, "hash_bits": hash_bits, "seed": seed,
@@ -93,41 +99,12 @@ def build_bqf_index(pages_ds, *, text_col: str = "text", s: int = 1,
                 if int(p) in done:
                     ckpt.manifest.partitions[p] = info
 
-    forced = combine is not None
-    n_distinct = n_sampled = 0
-    if not forced:
-        # auto-plan: sample one batch; the COMBINER (ship partial sketch
-        # blobs) only beats the pre-aggregated ROW shuffle when per-batch
-        # pre-aggregation cannot compress — i.e. keys are both numerous
-        # AND mostly unique within a batch.  Measured: 50M-distinct-key
-        # stress (unique ratio ~1.0) runs 1.67x faster combined; on the
-        # 1.6M-page corpus an A/B of the two plans measured row 12-15s vs
-        # combiner 19-23s (ratio 0.017 there — heavy repetition means the
-        # row shuffle is already tiny).  The ratio guard keeps corpora
-        # with MANY distinct but still-compressible batches on the row
-        # plan, where a distinct-count threshold alone would flip them.
-        # An empty input yields no batch and takes the row plan.
-        n = int(batch_size or 2048)
-        sample = next(iter(pages_ds.limit(n).iter_batches(
-            batch_size=n, prefetch_batches=0, batch_format="pyarrow")), None)
-        if sample is not None:
-            skeys, _ = _key_fn_from_config(config)(sample)
-            n_distinct, n_sampled = len(np.unique(skeys)), len(skeys)
-        combine = (n_distinct >= 20_000
-                   and n_distinct >= 0.5 * max(n_sampled, 1))
-    plan_log("build_bqf_index", "combiner" if combine else "row",
-             n_distinct=n_distinct, n_sampled=n_sampled, forced=int(forced))
-
+    plan_log("build_bqf_index", "runs", forced=int(combine is not None))
     factory = lambda: BqfEc(q=q, count_size=count_size, hash_bits=hash_bits)
-    # combiner partials start tiny (q=8) and auto-resize — an empty q=16
-    # filter per (task, partition) would dominate otherwise
-    partial_factory = lambda: BqfEc(q=8, count_size=count_size,
-                                    hash_bits=hash_bits)
     blob_ds = build_partitioned(
         pages_ds, _key_fn_from_config(config), factory,
         num_partitions=num_partitions, batch_size=batch_size,
-        sink_dir=checkpoint_dir, skip_partitions=done or None,
-        combine=combine, partial_factory=partial_factory)
+        sink_dir=checkpoint_dir, skip_partitions=done or None)
     meta = blob_ds.take_all()         # small: one metadata row per partition
 
     shards: dict[int, object] = {}
@@ -154,11 +131,12 @@ def update_bqf_index(checkpoint_dir: str, add_ds=None, remove_ds=None,
     reference's remove semantics /root/reference/src/rsqf.cpp:294-377)
     without rebuilding untouched state.
 
-    Plan: the same pre-aggregated (key, count) shuffle as the build, with
-    a sign column; ONE task per touched partition loads its shard blob
-    from the checkpoint, applies adds then removes, and rewrites the blob
-    atomically — partitions receiving no delta are never read or
-    written.  The manifest is refreshed with the new sizes/hashes.
+    Plan: the build's key-run exchange (:func:`key_runs`), with a
+    constant sign column per side; ONE task per touched partition loads
+    its shard blob from the checkpoint, applies adds then removes, and
+    rewrites the blob atomically — partitions receiving no delta are
+    never read or written.  The manifest is refreshed with the new
+    sizes/hashes.
     Requires shared storage for the checkpoint dir (same assumption as
     the checkpoint design itself).  Within one call, adds apply before
     removes.  Caveat (shared with the reference): removing from a
@@ -172,35 +150,27 @@ def update_bqf_index(checkpoint_dir: str, add_ds=None, remove_ds=None,
     P = int(config["num_partitions"])
     key_fn = _key_fn_from_config(config)
 
-    def to_kv(sign: int):
+    def to_runs(sign: int):
         def fn(batch: pa.Table) -> pa.Table:
-            keys, _ = key_fn(batch)
-            keys = np.asarray(keys, dtype=np.uint64)
-            uniq, cnt = np.unique(keys, return_counts=True)
-            return pa.table({
-                "__part": pa.array((uniq % np.uint64(P)).astype(np.int64)),
-                "key": pa.array(uniq.astype(np.int64)),
-                "count": pa.array(cnt.astype(np.int64)),
-                "sign": pa.array(np.full(len(uniq), sign, dtype=np.int8)),
-            })
+            runs = key_runs(*key_fn(batch), P)
+            return runs.append_column(
+                "sign", pa.array(np.full(runs.num_rows, sign, np.int8)))
         return fn
 
     parts = []
     if add_ds is not None:
-        parts.append(add_ds.map_batches(to_kv(1), batch_format="pyarrow"))
+        parts.append(add_ds.map_batches(to_runs(1), batch_format="pyarrow"))
     if remove_ds is not None:
-        parts.append(remove_ds.map_batches(to_kv(-1), batch_format="pyarrow"))
+        parts.append(remove_ds.map_batches(to_runs(-1),
+                                           batch_format="pyarrow"))
     if not parts:
         return BqfIndex.load(checkpoint_dir)
-    kv = parts[0] if len(parts) == 1 else parts[0].union(parts[1])
+    runs = parts[0] if len(parts) == 1 else parts[0].union(parts[1])
 
     def apply_delta(group: pa.Table) -> pa.Table:
         part = int(group.column("__part")[0].as_py())
-        sign = np.asarray(group.column("sign"))
-        keys = np.asarray(group.column("key"), dtype=np.int64) \
-            .astype(np.uint64)
-        cnt = np.asarray(group.column("count"), dtype=np.int64) \
-            .astype(np.uint64)
+        adds = group.filter(pc.equal(group.column("sign"), 1))
+        removes = group.filter(pc.equal(group.column("sign"), -1))
         path = os.path.join(checkpoint_dir, f"part-{part:05d}.sketch")
         if os.path.exists(path):
             with open(path, "rb") as f:
@@ -212,11 +182,8 @@ def update_bqf_index(checkpoint_dir: str, add_ds=None, remove_ds=None,
             sk = BqfEc(q=int(config["q"]),
                        count_size=int(config["count_size"]),
                        hash_bits=int(config["hash_bits"]))
-        adds = sign == 1
-        if adds.any():
-            sk.update_batch(keys[adds], cnt[adds])
-        if (~adds).any():
-            sk.remove_batch(keys[~adds], cnt[~adds])
+        sk.update_batch(*run_arrays(adds))
+        sk.remove_batch(*run_arrays(removes))
         blob = sk.to_bytes()
         from bqf_ray.state.checkpoint import _atomic_write
         _atomic_write(path, blob)
@@ -228,8 +195,7 @@ def update_bqf_index(checkpoint_dir: str, add_ds=None, remove_ds=None,
                                pa.string()),
         })
 
-    meta = (kv.repartition(min(P, 64))
-            .groupby("__part")
+    meta = (runs.groupby("__part")
             .map_groups(apply_delta, batch_format="pyarrow")
             .take_all())                       # one row per touched shard
 

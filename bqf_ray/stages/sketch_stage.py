@@ -10,13 +10,18 @@ Three shapes (SURVEY.md §3.1 "Ray shape" / §7.3):
    mergeable-UDAF plan.  Works for any sketch; network cost per level is
    (#partials / fanout) × sketch_size.
 
-2. **Partitioned build** (`build_partitioned`): one hash-partition shuffle
-   on ``key % P`` co-locates every occurrence of a key, then one sketch is
-   built per partition (``groupby("__part").map_groups``).  Keys are
-   disjoint across shards, so the shard set IS the global sketch —
-   probes route by the same ``key % P``.  This is the shape for sketches
-   whose size grows with distinct keys (BQF), where a tree-merge of
-   overlapping partials would thrash.
+2. **Partitioned build** (`build_partitioned`): one key-run exchange on
+   ``key % P`` co-locates every occurrence of a key.  Each map batch sums
+   its equal keys and emits one row per non-empty partition, holding
+   that partition's sorted keys and counts as two list columns
+   (:func:`key_runs`); ``groupby("__part").map_groups`` then builds one
+   sketch per partition from one ``update_batch`` call.  The exchange
+   moves at most P rows per batch, whatever the key cardinality, so
+   there is no plan to choose.  Keys are disjoint across shards, so the
+   shard set IS the global sketch — probes route by the same
+   ``key % P``.  This is the shape for sketches whose size grows with
+   distinct keys (BQF), where a tree-merge of overlapping partials would
+   thrash.
 
 3. **Probe** (`ProbeStage`): broadcast the (shard) sketch blobs once via
    ``ray.put``; an actor pool deserializes in ``__init__`` and serves
@@ -34,6 +39,7 @@ from typing import Callable
 
 import numpy as np
 import pyarrow as pa
+import pyarrow.compute as pc
 
 from bqf_ray.sketches.base import MergeableSketch
 
@@ -102,41 +108,79 @@ def build_sketch(ds, key_fn: KeyFn, factory: Callable[[], MergeableSketch],
 # shape 2: partitioned build (disjoint key ranges)
 # ---------------------------------------------------------------------------
 
+def _run_heads(a: np.ndarray) -> np.ndarray:
+    """Indices where a new value starts in the grouped array ``a``."""
+    return np.flatnonzero(np.r_[len(a) > 0, a[1:] != a[:-1]])
+
+
+def key_runs(keys: np.ndarray, counts: np.ndarray | None, num_partitions: int,
+             skip_partitions: set[int] | None = None) -> pa.Table:
+    """One batch's keys as runs: equal keys summed, sorted by (key % P,
+    key), one row per non-empty partition → Table[(__part: int64,
+    key: list<uint64>, count: list<uint64>)].  Rows of
+    ``skip_partitions`` are dropped here, before any exchange."""
+    keys = np.asarray(keys, dtype=np.uint64)
+    order = np.argsort(keys)
+    keys = keys[order]
+    head = _run_heads(keys)
+    if counts is None:
+        counts = np.diff(np.r_[head, len(keys)]).astype(np.uint64)
+    elif len(head):
+        counts = np.add.reduceat(np.asarray(counts, np.uint64)[order], head)
+    else:
+        counts = np.empty(0, dtype=np.uint64)
+    keys = keys[head]
+    # the narrowest dtype that holds P-1 makes the stable sort a radix sort
+    part = (keys % np.uint64(num_partitions)).astype(
+        np.min_scalar_type(num_partitions - 1))
+    if skip_partitions:
+        keep = ~np.isin(part, list(skip_partitions))
+        keys, counts, part = keys[keep], counts[keep], part[keep]
+    order = np.argsort(part, kind="stable")    # keys stay sorted per run
+    keys, counts, part = keys[order], counts[order], part[order]
+    head = _run_heads(part)
+    offsets = pa.array(np.r_[head, len(part)].astype(np.int32))
+    return pa.table({
+        "__part": pa.array(part[head].astype(np.int64)),
+        "key": pa.ListArray.from_arrays(offsets, pa.array(keys)),
+        "count": pa.ListArray.from_arrays(offsets, pa.array(counts)),
+    })
+
+
+def run_arrays(group: pa.Table) -> tuple[np.ndarray, np.ndarray]:
+    """The (keys, counts) a group of :func:`key_runs` rows carries."""
+    return (pc.list_flatten(group.column("key")).to_numpy(),
+            pc.list_flatten(group.column("count")).to_numpy())
+
+
 def build_partitioned(ds, key_fn: KeyFn, factory: Callable[[], MergeableSketch],
                       num_partitions: int = 16, batch_size: int | None = 4096,
                       sink_dir: str | None = None,
                       skip_partitions: set[int] | None = None,
                       combine: bool = False,
                       partial_factory: Callable[[], MergeableSketch] | None = None):
-    """One shuffle: route (key, count) rows by ``key % P``, build one sketch
-    per partition → Dataset[(part, blob, n_keys, bytes)].
+    """One exchange: each map batch emits its (key, count) runs, one row
+    per ``key % P`` partition (:func:`key_runs`), and one sketch is built
+    per partition from all its rows → Dataset[(part, blob, n_keys, bytes,
+    sha256)].
 
-    Pre-aggregates (key, count) inside each map task before the shuffle so
-    the exchange carries per-batch-unique keys, not raw occurrences
-    (ray_guide 'Aggregation at scale').  With ``sink_dir`` set, shard blobs
-    are written from inside the build tasks (atomic + idempotent) and the
-    returned dataset carries metadata only — nothing big flows to the
-    driver.  ``skip_partitions`` drops already-checkpointed partitions
-    right after the pre-aggregation (resume path).
+    The exchange moves at most P rows per batch, carrying per-batch-unique
+    keys, not raw occurrences (ray_guide 'Aggregation at scale').  With
+    ``sink_dir`` set, shard blobs are written from inside the build tasks
+    (atomic + idempotent) and the returned dataset carries metadata only —
+    nothing big flows to the driver.  ``skip_partitions`` drops
+    already-checkpointed partitions before the exchange (resume path).
+    ``combine`` and ``partial_factory`` are accepted for compatibility and
+    ignored: there is one exchange plan.
     """
     P = int(num_partitions)
 
-    def to_kv(batch: pa.Table) -> pa.Table:
+    def to_runs(batch: pa.Table) -> pa.Table:
         keys, counts = key_fn(batch)
-        keys = np.asarray(keys, dtype=np.uint64)
-        if counts is None:
-            counts = np.ones(len(keys), dtype=np.uint64)
-        uniq, inv = np.unique(keys, return_inverse=True)
-        agg = np.zeros(len(uniq), dtype=np.uint64)
-        np.add.at(agg, inv, np.asarray(counts, dtype=np.uint64))
-        return pa.table({
-            "__part": pa.array((uniq % np.uint64(P)).astype(np.int64)),
-            "key": pa.array(uniq.astype(np.int64)),   # arrow-friendly signed view
-            "count": pa.array(agg.astype(np.int64)),
-        })
+        return key_runs(keys, counts, P, skip_partitions)
 
-    def finish(part: int, sk: MergeableSketch) -> pa.Table:
-        """Serialize one shard and return its metadata row.  With
+    def build(group: pa.Table) -> pa.Table:
+        """Build one shard and return its metadata row.  With
         ``sink_dir`` the blob is written from inside the task (atomic,
         deterministic name → idempotent under retries) and only
         metadata flows back."""
@@ -144,6 +188,9 @@ def build_partitioned(ds, key_fn: KeyFn, factory: Callable[[], MergeableSketch],
         import os
 
         from bqf_ray.state.checkpoint import _atomic_write
+        part = int(group.column("__part")[0].as_py())
+        sk = factory()
+        sk.update_batch(*run_arrays(group))
         blob = sk.to_bytes()
         size, sha = len(blob), hashlib.sha256(blob).hexdigest()
         if sink_dir is not None:
@@ -158,68 +205,10 @@ def build_partitioned(ds, key_fn: KeyFn, factory: Callable[[], MergeableSketch],
             "sha256": pa.array([sha], pa.string()),
         })
 
-    def build_group(batch: pa.Table) -> pa.Table:
-        keys = np.asarray(batch.column("key"), dtype=np.int64).astype(np.uint64)
-        counts = np.asarray(batch.column("count"), dtype=np.int64).astype(np.uint64)
-        sk = factory()
-        sk.update_batch(keys, counts)
-        return finish(int(batch.column("__part")[0].as_py()), sk)
-
-    def to_partial_blobs(batch: pa.Table) -> pa.Table:
-        """Combiner form: build one PARTIAL sketch per (task, partition) so
-        the wide shuffle carries sketch blobs, not per-key rows — the
-        mergeable-UDAF combiner (ray_guide 'Aggregation at scale')."""
-        keys, counts = key_fn(batch)
-        keys = np.asarray(keys, dtype=np.uint64)
-        if counts is None:
-            counts = np.ones(len(keys), dtype=np.uint64)
-        else:
-            counts = np.asarray(counts, dtype=np.uint64)
-        part = (keys % np.uint64(P)).astype(np.int64)
-        order = np.argsort(part, kind="stable")
-        keys, counts, part = keys[order], counts[order], part[order]
-        bounds = np.searchsorted(part, np.arange(P + 1))
-        parts_out, blobs_out = [], []
-        for p in range(P):
-            lo, hi = bounds[p], bounds[p + 1]
-            if lo == hi or (skip_partitions and p in skip_partitions):
-                continue
-            sk = (partial_factory or factory)()
-            sk.update_batch(keys[lo:hi], counts[lo:hi])
-            parts_out.append(p)
-            blobs_out.append(sk.to_bytes())
-        return pa.table({"__part": pa.array(parts_out, pa.int64()),
-                         "blob": pa.array(blobs_out, pa.binary())})
-
-    def merge_group(batch: pa.Table) -> pa.Table:
-        blobs = batch.column("blob").to_pylist()
-        sk = MergeableSketch.from_bytes(blobs[0])
-        sk.merge_many([MergeableSketch.from_bytes(b) for b in blobs[1:]])
-        return finish(int(batch.column("__part")[0].as_py()), sk)
-
-    if combine:
-        return (ds.map_batches(to_partial_blobs, batch_format="pyarrow",
-                               batch_size=batch_size)
-                .groupby("__part")
-                .map_groups(merge_group, batch_format="pyarrow"))
-
-    skip_fn = None
-    if skip_partitions:
-        skip = np.array(sorted(skip_partitions), dtype=np.int64)
-
-        def skip_fn(batch: pa.Table) -> pa.Table:
-            part = np.asarray(batch.column("__part"), dtype=np.int64)
-            keep = ~np.isin(part, skip)
-            return batch.filter(pa.array(keep))
-
-    kv = ds.map_batches(to_kv, batch_format="pyarrow", batch_size=batch_size)
-    if skip_fn is not None:
-        kv = kv.map_batches(skip_fn, batch_format="pyarrow")
-    # coalesce the many small kv blocks before the sort shuffle — the sort's
-    # task count is O(blocks × reduce partitions), so hundreds of tiny map
-    # outputs would dominate wall time with scheduling overhead
-    kv = kv.repartition(min(P, 64))
-    return kv.groupby("__part").map_groups(build_group, batch_format="pyarrow")
+    return (ds.map_batches(to_runs, batch_format="pyarrow",
+                           batch_size=batch_size)
+            .groupby("__part")
+            .map_groups(build, batch_format="pyarrow"))
 
 
 # ---------------------------------------------------------------------------
