@@ -18,6 +18,8 @@ from __future__ import annotations
 import numpy as np
 import pyarrow as pa
 
+from bqf_ray.plans import plan_log
+
 
 def broadcast_join(ds, small_df, key: str, how: str = "inner",
                    concurrency: int = 2):
@@ -204,6 +206,9 @@ def bloom_semi_join(left_ds, right_ds, left_key: str,
     rk_ds = right_ds.select_columns([right_key]).materialize()
     n = int(expected_keys) if expected_keys is not None \
         else max(int(rk_ds.count()), 1)
+    plan_log("bloom_semi_join",
+             "broadcast" if n <= int(broadcast_budget) else "bloom",
+             n_keys=n, broadcast_budget=int(broadcast_budget))
 
     if n <= int(broadcast_budget):
         # small right side: broadcast the EXACT sorted key set once and

@@ -10,6 +10,7 @@ import pyarrow.compute as pc
 
 from bqf_ray.functions.hashing import xxhash64_array
 from bqf_ray.functions.tokenize import tokenize_column
+from bqf_ray.plans import plan_log
 from bqf_ray.sources.pages import LANG_CORE
 
 
@@ -534,6 +535,7 @@ def collocations(ds, min_count: int = 5, top: int = 50,
                          "lift": pa.array(lift)})
 
     use_broadcast = n_vocab <= broadcast_budget
+    collision = False
     if use_broadcast:
         empty_vocab = pa.table({"token": pa.array([], pa.string()),
                                 "cnt": pa.array([], pa.int64())})
@@ -547,7 +549,11 @@ def collocations(ds, min_count: int = 5, top: int = 50,
         # hash-keyed lookup mis-attach counts — detect it up front and
         # route through the value-joining bucketed plan instead (exact)
         if len(vh_sorted) > 1 and (vh_sorted[1:] == vh_sorted[:-1]).any():
+            collision = True
             use_broadcast = False
+    plan_log("collocations", "broadcast" if use_broadcast else "bucketed",
+             n_vocab=n_vocab, broadcast_budget=int(broadcast_budget),
+             hash_collision=int(collision))
 
     if use_broadcast:
         ref = ray.put((vh_sorted,

@@ -24,6 +24,8 @@ from __future__ import annotations
 import numpy as np
 import pyarrow as pa
 
+from bqf_ray.plans import plan_log
+
 
 def word_frequencies(ds, text_col: str = "text"):
     """Corpus → Dataset[(word: string, count: int64)] — one pre-aggregated
@@ -101,11 +103,15 @@ def bpe_train(ds, num_merges: int = 20, text_col: str = "text",
     import ray
 
     wf = word_frequencies(ds, text_col).materialize()
-    if wf.count() <= int(driver_vocab_budget):
+    n_words = wf.count()
+    local = n_words <= int(driver_vocab_budget)
+    plan_log("bpe_train", "driver" if local else "dataset",
+             n_words=n_words, driver_vocab_budget=int(driver_vocab_budget))
+    if local:
         tbl = pa.concat_tables(
             [b for b in wf.iter_batches(batch_format="pyarrow")]) \
-            if wf.count() else pa.table({"word": pa.array([], pa.string()),
-                                         "count": pa.array([], pa.int64())})
+            if n_words else pa.table({"word": pa.array([], pa.string()),
+                                      "count": pa.array([], pa.int64())})
         return _bpe_local(tbl.column("word").to_pylist(),
                           np.asarray(tbl.column("count"), dtype=np.int64),
                           num_merges, min_pair_count)

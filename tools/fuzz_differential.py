@@ -166,16 +166,8 @@ env.setdefault("PAR_CPUS", "16")
 # round(cos, 8) with the id tie-break on BOTH engines (knn.py
 # _tie_round), so the old ulp-level rank flips at the k boundary are
 # deterministic ties now — fuzz seed 424242 is the regression witness
-# (it caught knn_join before the fix).
-names = None
-if "PAR_ONLY" not in env:
-    import re
-    repo = os.path.dirname(os.path.dirname(os.path.abspath(__file__)))
-    src = open(os.path.join(repo, "__ray_entry__.py")).read()
-    osrc = src[src.index("def oracle_sql"):]
-    names = sorted(set(re.findall(r'^        "([a-z0-9_]+)": ',
-                                  osrc, re.M)))
-    env["PAR_ONLY"] = ",".join(names)
+# (it caught knn_join before the fix).  Without PAR_ONLY,
+# parity_check.py runs every oracle_sql() query.
 r = subprocess.run([sys.executable,
                     os.path.join(os.path.dirname(
                         os.path.abspath(__file__)), "parity_check.py"),

@@ -17,16 +17,7 @@ ray.init(address="local", num_cpus=CPUS, include_dashboard=False)
 
 from bqf_ray.sketches.base import MergeableSketch  # noqa: E402
 from bqf_ray.stages.sketch_stage import tree_merge  # noqa: E402
-
-MIX = np.uint64(0x9E3779B97F4A7C15)
-
-
-def _h(i):
-    x = i.astype(np.uint64) * MIX
-    x ^= x >> np.uint64(33)
-    x *= np.uint64(0xFF51AFD7ED558CCD)
-    x ^= x >> np.uint64(33)
-    return x
+from tools.canary import _h  # noqa: E402
 
 
 ids = np.arange(N, dtype=np.int64)

@@ -5,7 +5,6 @@ pages-derived docs table from stress_jaccard.  Run:
 python tools/stress_curation_ops.py [n_docs]."""
 import os
 import sys
-import time
 
 sys.path.insert(0, os.path.dirname(os.path.dirname(os.path.abspath(__file__))))
 import numpy as np  # noqa: E402
@@ -16,7 +15,7 @@ N = int(sys.argv[1]) if len(sys.argv) > 1 else 400_000
 CPUS = int(os.environ.get("RAY_GRAFT_CPUS", "32"))
 ray.init(address="local", num_cpus=CPUS, include_dashboard=False)
 
-from tools.canary import cold_touch_mb_s  # noqa: E402
+from tools.canary import run  # noqa: E402
 from bqf_ray.functions.hashing import xxhash64_array  # noqa: E402
 from bqf_ray.sources.pages import pages_dataset  # noqa: E402
 
@@ -37,16 +36,6 @@ if not os.path.exists(os.path.join(cache, "_DONE")):
                          "source": host})
     ds.map_batches(to_docs, batch_format="pyarrow").write_parquet(cache)
     open(os.path.join(cache, "_DONE"), "w").write(str(N))
-
-
-def run(name, fn, rows=None):
-    c = cold_touch_mb_s()
-    t0 = time.time()
-    n = fn()
-    dt = time.time() - t0
-    r = rows if rows is not None else N
-    print(f"{name:22s} {dt:8.1f}s  {r/dt:10.0f} rows/s  ({n} out)  "
-          f"[canary {c:.0f} MB/s]", flush=True)
 
 
 docs = ray.data.read_parquet(cache, columns=["doc_id", "text"])
@@ -100,11 +89,11 @@ def want(name):
     return ONLY is None or name in ONLY.split(",")
 
 
-if want("decontaminate"): run("decontaminate", _decon)
-if want("repetition_stats"): run("repetition_stats", _rep)
-if want("pack_sequences"): run("pack_sequences", _pack)
-if want("cap_per_key"): run("cap_per_key", _cap)
-if want("distinctive_terms"): run("distinctive_terms", _terms)
+if want("decontaminate"): run("decontaminate", _decon, N)
+if want("repetition_stats"): run("repetition_stats", _rep, N)
+if want("pack_sequences"): run("pack_sequences", _pack, N)
+if want("cap_per_key"): run("cap_per_key", _cap, N)
+if want("distinctive_terms"): run("distinctive_terms", _terms, N)
 
 def _spans():
     from bqf_ray.pipelines.dedup import dedup_spans
@@ -140,11 +129,11 @@ def _cc():
     return sum(b.num_rows for b in out.iter_batches(batch_size=4096, batch_format="pyarrow"))
 
 
-if want("dedup_spans_w8"): run("dedup_spans_w8", _spans)
-if want("dedup_lines"): run("dedup_lines", _lines)
-if want("chunk_documents"): run("chunk_documents", _chunks)
-if want("rebalance_mixture"): run("rebalance_mixture", _mix)
-if want("minhash+cc_removal"): run("minhash+cc_removal", _cc)
+if want("dedup_spans_w8"): run("dedup_spans_w8", _spans, N)
+if want("dedup_lines"): run("dedup_lines", _lines, N)
+if want("chunk_documents"): run("chunk_documents", _chunks, N)
+if want("rebalance_mixture"): run("rebalance_mixture", _mix, N)
+if want("minhash+cc_removal"): run("minhash+cc_removal", _cc, N)
 
 
 # --------------------------------------------------------------------------
@@ -268,6 +257,6 @@ if want("funnel"): run("funnel", rows=NEV, fn=_funnel)
 if want("retention"): run("retention", rows=NEV, fn=_retention)
 if want("pivot"): run("pivot", rows=NEV, fn=_pivot)
 if want("json_extract"): run("json_extract", rows=NEV, fn=_json)
-if want("profile"): run("profile", _profile)
+if want("profile"): run("profile", _profile, N)
 if want("bloom_anti"): run("bloom_anti", rows=NEV, fn=_bloom_anti)
 ray.shutdown()

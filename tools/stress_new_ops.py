@@ -5,7 +5,6 @@ scale: exact NTILE + histogram (10M rows), edit-distance-1 fuzzy matching
 python tools/stress_new_ops.py [n_docs]."""
 import os
 import sys
-import time
 
 sys.path.insert(0, os.path.dirname(os.path.dirname(os.path.abspath(__file__))))
 import numpy as np  # noqa: E402
@@ -20,16 +19,8 @@ CPUS = int(os.environ.get("RAY_GRAFT_CPUS", "32"))
 ray.init(address="local", num_cpus=CPUS, include_dashboard=False)
 
 
-from tools.canary import cold_touch_mb_s  # noqa: E402
+from tools.canary import print_canary, run  # noqa: E402
 
-
-def run(name, fn, rows):
-    c = cold_touch_mb_s()
-    t0 = time.time()
-    n = fn()
-    dt = time.time() - t0
-    print(f"{name:24s} {dt:8.1f}s  {rows/dt:12.0f} rows/s  ({n} out)  "
-          f"[canary {c:.0f} MB/s]", flush=True)
 
 # ---- events-like table for ntile/histogram ----------------------------
 ev_cache = f"/tmp/bqf_bench/stressev_{N_EVENTS}"
@@ -184,5 +175,5 @@ if CLOSING:
     run(f"bpe_encode {N_DOCS//1000}k", lambda: bpe_encode_token_counts(
         docs, merges).count(), N_DOCS)
 
-canary()
+print_canary()
 ray.shutdown()

@@ -7,7 +7,6 @@ the bucketed plan end-to-end.
 Run: python tools/stress_r5_ops.py [N_edges]."""
 import os
 import sys
-import time
 
 sys.path.insert(0, os.path.dirname(os.path.dirname(os.path.abspath(__file__))))
 import numpy as np  # noqa: E402
@@ -18,17 +17,7 @@ N = int(sys.argv[1]) if len(sys.argv) > 1 else 2_000_000
 CPUS = int(os.environ.get("RAY_GRAFT_CPUS", "32"))
 ray.init(address="local", num_cpus=CPUS, include_dashboard=False)
 
-from tools.canary import cold_touch_mb_s  # noqa: E402
-
-MIX = np.uint64(0x9E3779B97F4A7C15)
-
-
-def _h(i):
-    x = i.astype(np.uint64) * MIX
-    x ^= x >> np.uint64(33)
-    x *= np.uint64(0xFF51AFD7ED558CCD)
-    x ^= x >> np.uint64(33)
-    return x
+from tools.canary import _h, run  # noqa: E402
 
 
 def _edges(m, n_nodes):
@@ -38,15 +27,6 @@ def _edges(m, n_nodes):
         "b": pa.array((_h(ids + 9) % np.uint64(n_nodes))
                       .astype(np.int64)),
     })).repartition(CPUS * 2).materialize()
-
-
-def run(name, fn, rows):
-    c = cold_touch_mb_s()
-    t0 = time.time()
-    n = fn()
-    dt = time.time() - t0
-    print(f"{name:34s} {dt:8.1f}s  {rows/dt:12.0f} rows/s  ({n} out)  "
-          f"[canary {c:.0f} MB/s]", flush=True)
 
 
 from bqf_ray.pipelines.graph import (clustering_coefficients,  # noqa: E402

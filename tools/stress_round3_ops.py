@@ -6,7 +6,6 @@ rows), BFS hops (2M-edge graph).  Deterministic synthetic tables
 cached under /tmp/bqf_bench.  Run: python tools/stress_round3_ops.py."""
 import os
 import sys
-import time
 
 sys.path.insert(0, os.path.dirname(os.path.dirname(os.path.abspath(__file__))))
 import numpy as np  # noqa: E402
@@ -19,7 +18,8 @@ N_EDGES = N // 5
 CPUS = int(os.environ.get("RAY_GRAFT_CPUS", "32"))
 ray.init(address="local", num_cpus=CPUS, include_dashboard=False)
 
-from tools.canary import cold_touch_mb_s  # noqa: E402
+from tools import canary  # noqa: E402
+from tools.canary import _h  # noqa: E402
 
 
 _SECTION = "a"
@@ -27,25 +27,8 @@ _B_ONLY = bool(os.environ.get("STRESS_R3B_ONLY"))
 
 
 def run(name, fn, rows):
-    if _B_ONLY and _SECTION == "a":
-        return
-    c = cold_touch_mb_s()
-    t0 = time.time()
-    n = fn()
-    dt = time.time() - t0
-    print(f"{name:26s} {dt:8.1f}s  {rows/dt:12.0f} rows/s  ({n} out)  "
-          f"[canary {c:.0f} MB/s]", flush=True)
-
-
-MIX = np.uint64(0x9E3779B97F4A7C15)
-
-
-def _h(i: np.ndarray) -> np.ndarray:
-    x = i.astype(np.uint64) * MIX
-    x ^= x >> np.uint64(33)
-    x *= np.uint64(0xFF51AFD7ED558CCD)
-    x ^= x >> np.uint64(33)
-    return x
+    if not (_B_ONLY and _SECTION == "a"):
+        canary.run(name, fn, rows)
 
 
 # ---- 10M-row base table: id, k10k, k100, cat_a, cat_b, value, x, y ----
