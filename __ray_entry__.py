@@ -361,7 +361,7 @@ def w_vocab_contribution(sf_dir):
     co-partitioned join back to doc metadata) — per-source counts of
     first-seen tokens."""
     from bqf_ray.functions.tokenize import tokenize_column
-    from bqf_ray.stages.partition import bucketed_agg, bucketed_sum
+    from bqf_ray.stages.partition import bucketed_agg, bucketed_sum, exchange
     docs = _read(sf_dir, "documents", "doc_id source text")
 
     def pre(batch: pa.Table) -> pa.Table:
@@ -376,23 +376,19 @@ def w_vocab_contribution(sf_dir):
                           ["token"], [("m", "min", "doc_id")],
                           num_buckets=32)
     # attach source in-bucket: co-partition doc metadata (side 0) and
-    # first-token rows (side 1) on doc_id % B, resolve per bucket
-    B = 16
-
+    # first-token rows (side 1) on doc_id, resolve per bucket
     def tag_meta(batch: pa.Table) -> pa.Table:
         d = np.asarray(batch.column("doc_id"), dtype=np.int64)
         return pa.table({
             "doc_id": pa.array(d), "source": batch.column("source"),
-            "w": pa.array(np.zeros(len(d), np.int64)),
-            "__jb": pa.array(d % B)})
+            "w": pa.array(np.zeros(len(d), np.int64))})
 
     def tag_first(batch: pa.Table) -> pa.Table:
         d = np.asarray(batch.column("doc_id"), dtype=np.int64)
         return pa.table({
             "doc_id": pa.array(d),
             "source": pa.array([""] * len(d), pa.string()),
-            "w": pa.array(np.ones(len(d), np.int64)),
-            "__jb": pa.array(d % B)})
+            "w": pa.array(np.ones(len(d), np.int64))})
 
     def resolve(group: pa.Table) -> pa.Table:
         d = np.asarray(group.column("doc_id"), dtype=np.int64)
@@ -411,11 +407,10 @@ def w_vocab_contribution(sf_dir):
         return (t.group_by(["source"]).aggregate([("one", "sum")])
                 .rename_columns(["source", "pn"]))
 
-    flags = (docs.map_batches(tag_meta, batch_format="pyarrow")
-             .union(firsts.map_batches(tag_first,
-                                       batch_format="pyarrow"))
-             .groupby("__jb")
-             .map_groups(resolve, batch_format="pyarrow"))
+    flags = exchange(docs.map_batches(tag_meta, batch_format="pyarrow")
+                     .union(firsts.map_batches(tag_first,
+                                               batch_format="pyarrow")),
+                     resolve, "doc_id", 16)
     return bucketed_sum(flags, ["source"], {"pn": "n_first_tokens"},
                         num_buckets=4)
 
@@ -426,7 +421,7 @@ def w_dedup_ratio_by_source(sf_dir):
     curation-planning statistic; ratio one IEEE division of exact
     counts."""
     from bqf_ray.functions.tokenize import tokenize_column
-    from bqf_ray.stages.partition import bucketed_sum
+    from bqf_ray.stages.partition import bucketed_sum, exchange
     docs = _read(sf_dir, "documents", "doc_id source text")
 
     def key_rows(batch: pa.Table) -> pa.Table:
@@ -447,13 +442,6 @@ def w_dedup_ratio_by_source(sf_dir):
         return pa.table({"pfx": pfx, "doc_id": batch.column("doc_id"),
                          "source": batch.column("source")})
 
-    from bqf_ray.functions.hashing import xxhash64_array
-
-    def add_bucket(batch: pa.Table) -> pa.Table:
-        h = xxhash64_array(batch.column("pfx"))
-        return batch.append_column(
-            "__kb", pa.array((h % np.uint64(32)).astype(np.int64)))
-
     def dup_flags(group: pa.Table) -> pa.Table:
         # the bucket holds EVERY row of each of its pfx keys (buckets
         # partition the key space) — exact in-bucket min + compare,
@@ -472,10 +460,8 @@ def w_dedup_ratio_by_source(sf_dir):
             "one": pa.array(np.ones(len(did), np.int64)),
             "dup": pa.array((did != mins[code]).astype(np.int64))})
 
-    flags = (docs.map_batches(key_rows, batch_format="pyarrow")
-             .map_batches(add_bucket, batch_format="pyarrow")
-             .groupby("__kb")
-             .map_groups(dup_flags, batch_format="pyarrow"))
+    flags = exchange(docs.map_batches(key_rows, batch_format="pyarrow"),
+                     dup_flags, "pfx", 32)
     sums = bucketed_sum(flags, ["source"],
                         {"one": "n_docs", "dup": "n_dupes"},
                         num_buckets=4)

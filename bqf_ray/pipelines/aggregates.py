@@ -15,6 +15,7 @@ import pyarrow as pa
 import pyarrow.compute as pc
 
 from bqf_ray.functions.tokenize import tokenize_column
+from bqf_ray.stages.partition import exchange
 
 
 def _explode_tokens(batch: pa.Table, text_col: str) -> pa.Table:
@@ -137,16 +138,12 @@ def distinct_tokens_check(ds, sketch_factories: dict, text_col: str = "text",
     from bqf_ray.sketches.base import MergeableSketch
 
     names = sorted(sketch_factories)
-    NB = int(num_buckets)
 
     def pre(batch: pa.Table) -> pa.Table:
         toks, _ = tokenize_column(batch.column(text_col))
         uniq = pc.unique(toks)
-        h = xxhash64_array(uniq)
-        return pa.table({
-            "token": uniq,
-            "__h": pa.array(h),
-            "__bucket": pa.array((h % np.uint64(NB)).astype(np.int64))})
+        return pa.table({"token": uniq,
+                         "__h": pa.array(xxhash64_array(uniq))})
 
     def merge_bucket(group: pa.Table) -> pa.Table:
         import pandas as pd
@@ -162,10 +159,9 @@ def distinct_tokens_check(ds, sketch_factories: dict, text_col: str = "text",
             cols[f"__blob_{name}"] = pa.array([sk.to_bytes()], pa.binary())
         return pa.table(cols)
 
-    rows = (ds.map_batches(pre, batch_format="pyarrow")
-            .groupby("__bucket")
-            .map_groups(merge_bucket, batch_format="pyarrow")
-            .take_all())                       # ≤ num_buckets tiny rows
+    rows = exchange(ds.map_batches(pre, batch_format="pyarrow"),
+                    merge_bucket, "token", num_buckets
+                    ).take_all()               # ≤ num_buckets tiny rows
     n_exact = int(sum(r["n_distinct"] for r in rows))
     sketches = {}
     for name in names:
@@ -557,12 +553,9 @@ def pivot_counts(ds, key_col: str, cat_col: str, categories: list[str],
     hash-bucketed ``map_groups`` with the same vectorized scatter (the
     repo's standard many-unique-keys shape — Ray's native per-key
     multi-aggregate measured ~10× slower at 10M rows × 200k keys)."""
-    from bqf_ray.functions.hashing import fmix64
-
     cats = list(categories)
     names = [f"n_{c}" for c in cats] + \
         ([f"n_{other}"] if other is not None else [])
-    NB = 32
 
     def _pivot_tbl(keys, kcodes, nuniq, ccodes, vals):
         ncols = len(cats) + 1
@@ -602,14 +595,7 @@ def pivot_counts(ds, key_col: str, cat_col: str, categories: list[str],
             # an all-null-key batch must keep the key column's real
             # type or blocks disagree at the shuffle
             karr = karr.cast(key_type)
-        t = _pivot_tbl(karr, kcodes, len(kuniq), ccodes, vals)
-        if pa.types.is_integer(karr.type):
-            h = fmix64(np.asarray(kuniq, dtype=np.int64).view(np.uint64))
-        else:
-            from bqf_ray.functions.hashing import xxhash64_array
-            h = xxhash64_array(karr.cast(pa.string()))
-        b = (h % np.uint64(NB)).astype(np.int64)
-        return t.append_column("__bucket", pa.array(b))
+        return _pivot_tbl(karr, kcodes, len(kuniq), ccodes, vals)
 
     def merge_bucket(group: pa.Table) -> pa.Table:
         import pandas as pd
@@ -626,9 +612,8 @@ def pivot_counts(ds, key_col: str, cat_col: str, categories: list[str],
             cols[n] = pa.array(mat[:, j])
         return pa.table(cols)
 
-    return (ds.map_batches(pre, batch_format="pyarrow")
-            .groupby("__bucket")
-            .map_groups(merge_bucket, batch_format="pyarrow"))
+    return exchange(ds.map_batches(pre, batch_format="pyarrow"),
+                    merge_bucket, key_col, 32)
 
 
 def global_top_n(ds, sort_cols: list[str], n: int,
@@ -682,14 +667,9 @@ def grouped_top_n(ds, key_col: str, sort_cols: list[str], n: int,
     NULL/NaN sort value are excluded.  Appends ``rank_col`` = 1..n per
     key unless None.
     """
-    import pyarrow.compute as pc
-
-    from bqf_ray.stages.partition import _col_hash64
-
     desc = ([descending] * len(sort_cols) if isinstance(descending, bool)
             else list(descending))
     assert len(desc) == len(sort_cols)
-    B = int(num_buckets)
     nn = int(n)
 
     def _codes(tbl: pa.Table, c: str) -> np.ndarray:
@@ -735,17 +715,13 @@ def grouped_top_n(ds, key_col: str, sort_cols: list[str], n: int,
         return out
 
     def partial(batch: pa.Table) -> pa.Table:
-        out = _topn(_drop_invalid(batch), rank=False)
-        kb = (_col_hash64(out.column(key_col))
-              % np.uint64(B)).astype(np.int64)
-        return out.append_column("__kb", pa.array(kb))
+        return _topn(_drop_invalid(batch), rank=False)
 
     def final(group: pa.Table) -> pa.Table:
-        return _topn(group.drop_columns(["__kb"]), rank=True)
+        return _topn(group, rank=True)
 
-    return (ds.map_batches(partial, batch_format="pyarrow")
-            .groupby("__kb")
-            .map_groups(final, batch_format="pyarrow"))
+    return exchange(ds.map_batches(partial, batch_format="pyarrow"),
+                    final, key_col, num_buckets)
 
 
 def grouped_exact_quantiles(ds, key_col: str, value_col: str,
@@ -765,30 +741,12 @@ def grouped_exact_quantiles(ds, key_col: str, value_col: str,
     Output ``(key_col, n, q_25, q_50, ... )`` — one column per q, named
     by percentage.  Nulls/NaNs in ``value_col`` are excluded.
     """
-    import pyarrow.compute as pc
-
-    from bqf_ray.functions.hashing import xxhash64_array
-
-    B = int(num_buckets)
     q_arr = np.asarray(qs, dtype=np.float64)
     if len(q_arr) and (q_arr.min() < 0.0 or q_arr.max() > 1.0):
         raise ValueError("q outside [0, 1]")
     q_names = [f"q_{int(round(q * 100))}" for q in qs]
     if len(set(q_names)) != len(q_names):
         raise ValueError(f"qs collide on percent names ({q_names})")
-
-    def bucket(batch: pa.Table) -> pa.Table:
-        col = batch.column(value_col)
-        mask = pc.is_valid(col)
-        if pa.types.is_floating(col.type):
-            mask = pc.and_(mask, pc.invert(pc.is_nan(col)))
-        batch = batch.filter(mask)
-        k = batch.column(key_col)
-        kh = (xxhash64_array(k) if pa.types.is_string(k.type)
-              else np.asarray(k, dtype=np.int64).view(np.uint64))
-        return pa.table({
-            "k": k, "v": pc.cast(batch.column(value_col), pa.float64()),
-            "__bucket": pa.array((kh % np.uint64(B)).astype(np.int64))})
 
     def quantiles_bucket(group: pa.Table) -> pa.Table:
         k = group.column("k")
@@ -820,9 +778,25 @@ def grouped_exact_quantiles(ds, key_col: str, value_col: str,
             cols[name] = pa.array(vs[starts + np.minimum(sel, lens - 1)])
         return pa.table(cols)
 
-    return (ds.map_batches(bucket, batch_format="pyarrow")
-            .groupby("__bucket")
-            .map_groups(quantiles_bucket, batch_format="pyarrow"))
+    return exchange(_valued_rows(ds, key_col, value_col), quantiles_bucket,
+                    "k", num_buckets)
+
+
+def _valued_rows(ds, key_col: str, value_col: str):
+    """``(k, v float64)`` rows with a non-null, non-NaN value — the
+    exact-quantile projection."""
+
+    def prep(batch: pa.Table) -> pa.Table:
+        col = batch.column(value_col)
+        mask = pc.is_valid(col)
+        if pa.types.is_floating(col.type):
+            mask = pc.and_(mask, pc.invert(pc.is_nan(col)))
+        batch = batch.filter(mask)
+        return pa.table({"k": batch.column(key_col),
+                         "v": pc.cast(batch.column(value_col),
+                                      pa.float64())})
+
+    return ds.map_batches(prep, batch_format="pyarrow")
 
 
 def iqr_outliers(ds, key_col: str, value_col: str, id_col: str,
@@ -1016,26 +990,22 @@ def grouped_distinct_hll(ds, key_col: str, text_col: str = "text",
     """
     import pandas as pd
 
-    from bqf_ray.functions.hashing import xxhash64_array
     from bqf_ray.sketches.hll import HyperLogLog
     from bqf_ray.stages.udaf import sketch_agg
     from ray.data.aggregate import Sum
 
-    NB = int(num_buckets)
-
     def pre(batch: pa.Table) -> pa.Table:
         from bqf_ray.pipelines.text_stats import _keyed_token_partials
-        return _keyed_token_partials(batch, key_col, text_col, NB,
+        return _keyed_token_partials(batch, key_col, text_col,
                                      with_counts=False)
 
     def dedupe_bucket(group: pa.Table) -> pa.Table:
         return (group.group_by([key_col, "token"]).aggregate([])
                 .select([key_col, "token"]))
 
-    pairs = (ds.map_batches(pre, batch_format="pyarrow")
-             .groupby("__pb")
-             .map_groups(dedupe_bucket, batch_format="pyarrow")
-             .materialize())
+    pairs = exchange(ds.map_batches(pre, batch_format="pyarrow"),
+                     dedupe_bucket, [key_col, "token"],
+                     num_buckets).materialize()
 
     def count_partial(batch: pa.Table) -> pa.Table:
         t = pa.table({key_col: batch.column(key_col),
@@ -1204,7 +1174,6 @@ def cm_self_join_size(ds, col: str, width: int = 8192, depth: int = 5,
     The exact side is one pre-aggregated count shuffle (key counts,
     then Σ c² on the tiny distinct table) — NOT a join."""
     import pandas as pd
-    from ray.data.aggregate import Sum
 
     from bqf_ray.functions.hashing import fmix64
     from bqf_ray.sketches.countmin import CountMin
@@ -1233,10 +1202,15 @@ def cm_self_join_size(ds, col: str, width: int = 8192, depth: int = 5,
         return pa.table({col: pa.array(u),
                          "partial": pa.array(c.astype(np.int64))})
 
-    per_key = (ds.map_batches(pre, batch_format="pyarrow")
-               .groupby(col).aggregate(Sum("partial", alias_name="cnt"))
-               .to_pandas())
-    exact = int((per_key["cnt"].to_numpy().astype(np.int64) ** 2).sum())
+    def f2_bucket(group: pa.Table) -> pa.Table:
+        # the bucket holds every partial of its keys: Σ c² is exact here
+        c = np.asarray(group.group_by(col).aggregate([("partial", "sum")])
+                       .column("partial_sum"), dtype=np.int64)
+        return pa.table({"f2": pa.array([int((c * c).sum())], pa.int64())})
+
+    exact = sum(r["f2"] for r in exchange(
+        ds.map_batches(pre, batch_format="pyarrow"), f2_bucket, col,
+        32).take_all())
     eps = np.e / width
     return pd.DataFrame({
         "exact_join_rows": np.array([exact], dtype=np.int64),
@@ -1318,9 +1292,7 @@ def grouped_hll_sparse(ds, key_col: str, value_col: str, p: int = 12,
     """
     from bqf_ray.functions.hashing import xxhash64_array, fmix64
     from bqf_ray.sketches.hll import HyperLogLog, _register_updates
-    from bqf_ray.stages.partition import _col_hash64
 
-    B = int(num_buckets)
     P = int(p)
 
     def _hash_values(col) -> np.ndarray:
@@ -1341,8 +1313,7 @@ def grouped_hll_sparse(ds, key_col: str, value_col: str, p: int = 12,
             return pa.table({key_col: pa.array([], batch.schema
                                                .field(key_col).type),
                              "__reg": pa.array([], pa.int32()),
-                             "__rho": pa.array([], pa.int32()),
-                             "__kb": pa.array([], pa.int64())})
+                             "__rho": pa.array([], pa.int32())})
         kcol = batch.column(key_col)
         if isinstance(kcol, pa.ChunkedArray):
             kcol = kcol.combine_chunks()
@@ -1363,12 +1334,10 @@ def grouped_hll_sparse(ds, key_col: str, value_col: str, p: int = 12,
         rho_max = np.maximum.reduceat(rs.astype(np.int32), starts)
         pu = ps[starts]
         out_keys = pa.array(gids).take(pa.array(pu // np.int64(1 << P)))
-        kb = (_col_hash64(out_keys) % np.uint64(B)).astype(np.int64)
         return pa.table({key_col: out_keys,
                          "__reg": pa.array((pu % np.int64(1 << P))
                                            .astype(np.int32)),
-                         "__rho": pa.array(rho_max.astype(np.int32)),
-                         "__kb": pa.array(kb)})
+                         "__rho": pa.array(rho_max.astype(np.int32))})
 
     def bucket_estimate(group: pa.Table) -> pa.Table:
         if group.num_rows == 0:
@@ -1395,9 +1364,8 @@ def grouped_hll_sparse(ds, key_col: str, value_col: str, p: int = 12,
         return pa.table({key_col: pa.array(gids),
                          "n_distinct_est": pa.array(est)})
 
-    return (ds.map_batches(partial, batch_format="pyarrow")
-            .groupby("__kb")
-            .map_groups(bucket_estimate, batch_format="pyarrow"))
+    return exchange(ds.map_batches(partial, batch_format="pyarrow"),
+                    bucket_estimate, key_col, num_buckets)
 
 
 def grouped_dd_quantiles(ds, key_col: str, value_col: str,
@@ -1427,11 +1395,8 @@ def grouped_dd_quantiles(ds, key_col: str, value_col: str,
     excluded; zero and negative values use dedicated lanes (exact zero,
     mirrored negative buckets).
     """
-    from bqf_ray.stages.partition import _col_hash64
-
     gamma = (1.0 + alpha) / (1.0 - alpha)
     log_gamma = np.log(gamma)
-    B = int(num_buckets)
     q_arr = np.asarray(qs, dtype=np.float64)
     q_names = [f"q_{int(round(q * 100))}" for q in qs]
     # order-preserving lane encoding (monotone code ⇔ monotone value):
@@ -1473,8 +1438,7 @@ def grouped_dd_quantiles(ds, key_col: str, value_col: str,
         if batch.num_rows == 0:
             return pa.table({key_col: pa.array([], ktype),
                              "__code": pa.array([], pa.int64()),
-                             "__cnt": pa.array([], pa.int64()),
-                             "__kb": pa.array([], pa.int64())})
+                             "__cnt": pa.array([], pa.int64())})
         kcol = batch.column(key_col)
         if isinstance(kcol, pa.ChunkedArray):
             kcol = kcol.combine_chunks()
@@ -1491,11 +1455,9 @@ def grouped_dd_quantiles(ds, key_col: str, value_col: str,
         starts = np.flatnonzero(first)
         cnt = np.diff(np.append(starts, len(inv_s))).astype(np.int64)
         out_keys = pa.array(gids).take(pa.array(inv_s[starts]))
-        kb = (_col_hash64(out_keys) % np.uint64(B)).astype(np.int64)
         return pa.table({key_col: out_keys,
                          "__code": pa.array(code_s[starts]),
-                         "__cnt": pa.array(cnt),
-                         "__kb": pa.array(kb)})
+                         "__cnt": pa.array(cnt)})
 
     def bucket_quantiles(group: pa.Table) -> pa.Table:
         ktype = group.schema.field(key_col).type
@@ -1543,9 +1505,8 @@ def grouped_dd_quantiles(ds, key_col: str, value_col: str,
                 pos, len(code_u) - 1)]))
         return pa.table(cols)
 
-    return (ds.map_batches(partial, batch_format="pyarrow")
-            .groupby("__kb")
-            .map_groups(bucket_quantiles, batch_format="pyarrow"))
+    return exchange(ds.map_batches(partial, batch_format="pyarrow"),
+                    bucket_quantiles, key_col, num_buckets)
 
 
 def token_f2(ds, text_col: str = "text", depth: int = 8,
@@ -1613,18 +1574,9 @@ def _attach_group_total(ds, key_col: str, sum_col: str, out_col: str,
     """Attach the per-``key_col`` total of ``sum_col`` to every row as
     ``out_col`` — ONE key-hash bucket exchange; in-bucket the total is
     exact because the bucket holds every row of each key.  String and
-    int keys (``stages.partition._col_hash64``)."""
-    from bqf_ray.stages.partition import _col_hash64
-
-    B = int(num_buckets)
-
-    def tag(batch: pa.Table) -> pa.Table:
-        bkt = (_col_hash64(batch.column(key_col))
-               % np.uint64(B)).astype(np.int64)
-        return batch.append_column("__bucket", pa.array(bkt))
+    int keys (``stages.partition.bucket_of``)."""
 
     def attach(g: pa.Table) -> pa.Table:
-        g = g.drop_columns(["__bucket"])
         if not g.num_rows:
             return g.append_column(out_col, pa.array([], pa.int64()))
         idx = pc.sort_indices(g, sort_keys=[(key_col, "ascending")])
@@ -1638,9 +1590,7 @@ def _attach_group_total(ds, key_col: str, sum_col: str, out_col: str,
         return g.append_column(out_col, pa.array(
             np.repeat(totals, lens).astype(np.int64)))
 
-    return (ds.map_batches(tag, batch_format="pyarrow")
-            .groupby("__bucket").map_groups(attach,
-                                            batch_format="pyarrow"))
+    return exchange(ds, attach, key_col, num_buckets)
 
 
 def joint_mi_counts(ds, x_col: str, y_col: str, num_buckets: int = 64):
@@ -1860,17 +1810,9 @@ def skyline(ds, x_col: str, y_col: str,
         out = tbl.take(pa.array(np.sort(sel)))
         return out
 
-    def _merge(g: pa.Table) -> pa.Table:
-        g = g.drop_columns(["__one"])
-        return _local(g)
-
-    def _tag(tbl: pa.Table) -> pa.Table:
-        t = _local(tbl)
-        return t.append_column("__one", pa.array(
-            np.zeros(t.num_rows, dtype=np.int64)))
-
-    return (ds.map_batches(_tag, batch_format="pyarrow")
-            .groupby("__one").map_groups(_merge, batch_format="pyarrow"))
+    # one bucket: every block's local skyline meets in one final pass
+    return exchange(ds.map_batches(_local, batch_format="pyarrow"),
+                    _local, x_col, 1)
 
 
 def grouped_mode(ds, key_col: str, value_col: str,
@@ -2003,28 +1945,12 @@ def grouped_cont_quantiles(ds, key_col: str, value_col: str,
     ``(key_col, n, q_<pct>, ...)``."""
     import pyarrow.compute as pc
 
-    from bqf_ray.functions.hashing import xxhash64_array
-
-    B = int(num_buckets)
     q_arr = np.asarray(qs, dtype=np.float64)
     if len(q_arr) and (q_arr.min() < 0.0 or q_arr.max() > 1.0):
         raise ValueError("q outside [0, 1]")
     q_names = [f"q_{int(round(q * 100))}" for q in qs]
     if len(set(q_names)) != len(q_names):
         raise ValueError(f"qs collide on percent names ({q_names})")
-
-    def bucket(batch: pa.Table) -> pa.Table:
-        col = batch.column(value_col)
-        mask = pc.is_valid(col)
-        if pa.types.is_floating(col.type):
-            mask = pc.and_(mask, pc.invert(pc.is_nan(col)))
-        batch = batch.filter(mask)
-        k = batch.column(key_col)
-        kh = (xxhash64_array(k) if pa.types.is_string(k.type)
-              else np.asarray(k, dtype=np.int64).view(np.uint64))
-        return pa.table({
-            "k": k, "v": pc.cast(batch.column(value_col), pa.float64()),
-            "__bucket": pa.array((kh % np.uint64(B)).astype(np.int64))})
 
     def cont_bucket(group: pa.Table) -> pa.Table:
         k = group.column("k")
@@ -2060,9 +1986,8 @@ def grouped_cont_quantiles(ds, key_col: str, value_col: str,
             cols[name] = pa.array(vlo * (1.0 - frac) + vhi * frac)
         return pa.table(cols)
 
-    return (ds.map_batches(bucket, batch_format="pyarrow")
-            .groupby("__bucket")
-            .map_groups(cont_bucket, batch_format="pyarrow"))
+    return exchange(_valued_rows(ds, key_col, value_col), cont_bucket,
+                    "k", num_buckets)
 
 
 def impute_group_median(ds, key_col: str, value_col: str,
@@ -2116,9 +2041,6 @@ def grouped_weighted_quantiles(ds, key_col: str, value_col: str,
     results are bit-exact.  One key-hash bucketed exchange.  Output:
     ``(key_col, n, tot_w, wq_<pct>, ...)``; null values/weights
     excluded row-wise, negative weights raise."""
-    from bqf_ray.stages.partition import _col_hash64
-
-    B = int(num_buckets)
     q_arr = np.asarray(qs, dtype=np.float64)
     if len(q_arr) and (q_arr.min() < 0.0 or q_arr.max() > 1.0):
         raise ValueError("grouped_weighted_quantiles: q outside [0, 1]")
@@ -2141,12 +2063,10 @@ def grouped_weighted_quantiles(ds, key_col: str, value_col: str,
         if len(wv) and wv.min() < 0:
             raise ValueError("grouped_weighted_quantiles: negative "
                              "weight")
-        bkt = (_col_hash64(batch.column(key_col))
-               % np.uint64(B)).astype(np.int64)
         return pa.table({
             "k": batch.column(key_col),
             "v": pc.cast(batch.column(value_col), pa.int64()),
-            "w": pa.array(wv), "__bucket": pa.array(bkt)})
+            "w": pa.array(wv)})
 
     def wq_bucket(g: pa.Table) -> pa.Table:
         k = g.column("k")
@@ -2190,9 +2110,8 @@ def grouped_weighted_quantiles(ds, key_col: str, value_col: str,
             cols[name] = pa.array(v[first])
         return pa.table(cols)
 
-    return (ds.map_batches(bucket, batch_format="pyarrow")
-            .groupby("__bucket")
-            .map_groups(wq_bucket, batch_format="pyarrow"))
+    return exchange(ds.map_batches(bucket, batch_format="pyarrow"),
+                    wq_bucket, "k", num_buckets)
 
 
 def grouped_string_agg(ds, key_col: str, value_col: str,
@@ -2208,21 +2127,15 @@ def grouped_string_agg(ds, key_col: str, value_col: str,
     should be unique per key for a deterministic result (same
     requirement as the SQL ``ORDER BY``).  Output: ``(key_col, n,
     out_col)``."""
-    from bqf_ray.stages.partition import _col_hash64
-
-    B = int(num_buckets)
 
     def bucket(batch: pa.Table) -> pa.Table:
         keep = pc.and_(pc.is_valid(batch.column(value_col)),
                        pc.is_valid(batch.column(key_col)))
         batch = batch.filter(keep)
-        kh = (_col_hash64(batch.column(key_col))
-              % np.uint64(B)).astype(np.int64)
         cols = {"k": batch.column(key_col),
                 "v": pc.cast(batch.column(value_col), pa.string())}
         for i, c in enumerate(order_cols):
             cols[f"o{i}"] = batch.column(c)
-        cols["__bucket"] = pa.array(kh)
         return pa.table(cols)
 
     def assemble(g: pa.Table) -> pa.Table:
@@ -2255,9 +2168,8 @@ def grouped_string_agg(ds, key_col: str, value_col: str,
                          "n": pa.array(lens.astype(np.int64)),
                          out_col: joined})
 
-    return (ds.map_batches(bucket, batch_format="pyarrow")
-            .groupby("__bucket").map_groups(assemble,
-                                            batch_format="pyarrow"))
+    return exchange(ds.map_batches(bucket, batch_format="pyarrow"),
+                    assemble, "k", num_buckets)
 
 
 def cs_heavy_counts(ds, col: str, m: int = 128, width: int = 8192,
@@ -2419,7 +2331,6 @@ def daily_anomaly(ds, key_col: str, ts_col: str, z_thresh: float = 3.0,
     envelope.  Output ``(key_col, day, cnt, n_days, s, q, z,
     is_anomaly)``.
     """
-    NB = int(num_buckets)
     day_us = np.int64(day_s) * 1_000_000
 
     def pre(batch: pa.Table) -> pa.Table:
@@ -2431,11 +2342,9 @@ def daily_anomaly(ds, key_col: str, ts_col: str, z_thresh: float = 3.0,
              .astype(np.int64) // day_us) * day_us
         part = pa.table({"k": pa.array(k), "d": pa.array(d)}).group_by(
             ["k", "d"]).aggregate([([], "count_all")])
-        kk = np.asarray(part.column("k"), dtype=np.int64)
         return pa.table({
             "k": part.column("k"), "d": part.column("d"),
-            "c": pc.cast(part.column("count_all"), pa.int64()),
-            "__bucket": pa.array((kk % NB).astype(np.int64))})
+            "c": pc.cast(part.column("count_all"), pa.int64())})
 
     def score(group: pa.Table) -> pa.Table:
         k = np.asarray(group.column("k"), dtype=np.int64)
@@ -2490,9 +2399,8 @@ def daily_anomaly(ds, key_col: str, ts_col: str, z_thresh: float = 3.0,
             "z": pa.array(z, pa.float64(), mask=~ok),
             "is_anomaly": pa.array(anom, pa.bool_(), mask=~ok)})
 
-    return (ds.map_batches(pre, batch_format="pyarrow")
-            .groupby("__bucket").map_groups(score,
-                                            batch_format="pyarrow"))
+    return exchange(ds.map_batches(pre, batch_format="pyarrow"), score,
+                    "k", num_buckets)
 
 
 def grouped_spearman(ds, key_col: str, x_col: str, y_col: str,
@@ -2521,9 +2429,6 @@ def grouped_spearman(ds, key_col: str, x_col: str, y_col: str,
     either side is constant within the key.
     """
     from bqf_ray.pipelines.audit import _key_codes
-    from bqf_ray.stages.partition import _col_hash64
-
-    B = int(num_buckets)
 
     def _f64(col) -> np.ndarray:
         arr = np.asarray(col)
@@ -2531,21 +2436,6 @@ def grouped_spearman(ds, key_col: str, x_col: str, y_col: str,
             return arr.astype("datetime64[us]").astype(np.int64) \
                       .astype(np.float64)
         return arr.astype(np.float64)
-
-    def prune(batch: pa.Table) -> pa.Table:
-        sub = batch.select([key_col, x_col, y_col])
-        ok = pc.and_(sub.column(x_col).is_valid(),
-                     sub.column(y_col).is_valid())
-        for c in (x_col, y_col):
-            if pa.types.is_floating(sub.schema.field(c).type):
-                ok = pc.and_(ok, pc.fill_null(
-                    pc.is_finite(sub.column(c)), False))
-        sub = sub.filter(ok)
-        k = sub.column(key_col)
-        if isinstance(k, pa.ChunkedArray):
-            k = k.combine_chunks()
-        bkt = (_col_hash64(k) % np.uint64(B)).astype(np.int64)
-        return sub.append_column("__bucket", pa.array(bkt))
 
     def _centered_doubled_ranks(kc: np.ndarray, v: np.ndarray,
                                 counts_per_el: np.ndarray) -> np.ndarray:
@@ -2618,9 +2508,25 @@ def grouped_spearman(ds, key_col: str, x_col: str, y_col: str,
             "s_xy": pa.array(s_xy),
             "rho": pa.array(rho, pa.float64(), mask=~ok)})
 
-    return (ds.map_batches(prune, batch_format="pyarrow")
-            .groupby("__bucket")
-            .map_groups(fold, batch_format="pyarrow"))
+    return exchange(_finite_pairs(ds, key_col, x_col, y_col), fold,
+                    key_col, num_buckets)
+
+
+def _finite_pairs(ds, key_col: str, x_col: str, y_col: str):
+    """``(key, x, y)`` rows with both values valid and finite — the
+    rank-correlation projection."""
+
+    def prune(batch: pa.Table) -> pa.Table:
+        sub = batch.select([key_col, x_col, y_col])
+        ok = pc.and_(sub.column(x_col).is_valid(),
+                     sub.column(y_col).is_valid())
+        for c in (x_col, y_col):
+            if pa.types.is_floating(sub.schema.field(c).type):
+                ok = pc.and_(ok, pc.fill_null(
+                    pc.is_finite(sub.column(c)), False))
+        return sub.filter(ok)
+
+    return ds.map_batches(prune, batch_format="pyarrow")
 
 
 def grouping_sets(ds, key_cols: list[str],
@@ -2757,30 +2663,12 @@ def grouped_kendall(ds, key_col: str, x_col: str, y_col: str,
     Output ``(key_col, n, s, tau)``.
     """
     from bqf_ray.pipelines.audit import _key_codes
-    from bqf_ray.stages.partition import _col_hash64
-
-    B = int(num_buckets)
 
     def _vals(col) -> np.ndarray:
         arr = np.asarray(col)
         if np.issubdtype(arr.dtype, np.datetime64):
             return arr.astype("datetime64[us]").astype(np.int64)
         return arr.astype(np.float64)
-
-    def prune(batch: pa.Table) -> pa.Table:
-        sub = batch.select([key_col, x_col, y_col])
-        ok = pc.and_(sub.column(x_col).is_valid(),
-                     sub.column(y_col).is_valid())
-        for c in (x_col, y_col):
-            if pa.types.is_floating(sub.schema.field(c).type):
-                ok = pc.and_(ok, pc.fill_null(
-                    pc.is_finite(sub.column(c)), False))
-        sub = sub.filter(ok)
-        k = sub.column(key_col)
-        if isinstance(k, pa.ChunkedArray):
-            k = k.combine_chunks()
-        bkt = (_col_hash64(k) % np.uint64(B)).astype(np.int64)
-        return sub.append_column("__bucket", pa.array(bkt))
 
     def fold(group: pa.Table) -> pa.Table:
         k = group.column(key_col)
@@ -2847,9 +2735,8 @@ def grouped_kendall(ds, key_col: str, x_col: str, y_col: str,
             "s": pa.array(s),
             "tau": pa.array(tau, pa.float64(), mask=~ok)})
 
-    return (ds.map_batches(prune, batch_format="pyarrow")
-            .groupby("__bucket")
-            .map_groups(fold, batch_format="pyarrow"))
+    return exchange(_finite_pairs(ds, key_col, x_col, y_col), fold,
+                    key_col, num_buckets)
 
 
 def grouped_kendall_binned(ds, key_col: str, x_col: str, y_col: str,
@@ -2878,10 +2765,8 @@ def grouped_kendall_binned(ds, key_col: str, x_col: str, y_col: str,
     tau_err_bound)``; tau/bound NULL when n < 2 or a side is constant
     (all pairs tied)."""
     from bqf_ray.pipelines.audit import _key_codes
-    from bqf_ray.stages.partition import _col_hash64
 
     B = int(bins)
-    NB = int(num_buckets)
 
     def _vals(col) -> np.ndarray:
         arr = np.asarray(col)
@@ -2889,21 +2774,6 @@ def grouped_kendall_binned(ds, key_col: str, x_col: str, y_col: str,
             return arr.astype("datetime64[us]").astype(np.int64) \
                 .astype(np.float64)
         return arr.astype(np.float64)
-
-    def prune(batch: pa.Table) -> pa.Table:
-        sub = batch.select([key_col, x_col, y_col])
-        ok = pc.and_(sub.column(x_col).is_valid(),
-                     sub.column(y_col).is_valid())
-        for c in (x_col, y_col):
-            if pa.types.is_floating(sub.schema.field(c).type):
-                ok = pc.and_(ok, pc.fill_null(
-                    pc.is_finite(sub.column(c)), False))
-        sub = sub.filter(ok)
-        k = sub.column(key_col)
-        if isinstance(k, pa.ChunkedArray):
-            k = k.combine_chunks()
-        bkt = (_col_hash64(k) % np.uint64(NB)).astype(np.int64)
-        return sub.append_column("__bucket", pa.array(bkt))
 
     def _bin(v, starts, counts):
         mn = np.minimum.reduceat(v, starts)
@@ -3006,9 +2876,8 @@ def grouped_kendall_binned(ds, key_col: str, x_col: str, y_col: str,
             "tied_y_binned": pa.array(n2),
             "tau_err_bound": pa.array(bound, pa.float64(), mask=~ok)})
 
-    return (ds.map_batches(prune, batch_format="pyarrow")
-            .groupby("__bucket")
-            .map_groups(fold, batch_format="pyarrow"))
+    return exchange(_finite_pairs(ds, key_col, x_col, y_col), fold,
+                    key_col, num_buckets)
 
 
 def grouped_ks(ds_a, ds_b, key_col: str, value_col: str,
@@ -3032,11 +2901,6 @@ def grouped_ks(ds_a, ds_b, key_col: str, value_col: str,
     2^31 rows/key.  Null/NaN values are excluded row-wise.
 
     Output: ``(key_col, n_a, n_b, d_int, ks_stat)``."""
-    import pyarrow.compute as pc
-
-    from bqf_ray.stages.partition import _col_hash64
-
-    NB = np.uint64(int(num_buckets))
     CAP = int(max_rows_per_key)
 
     def tag(side: int):
@@ -3052,10 +2916,7 @@ def grouped_ks(ds_a, ds_b, key_col: str, value_col: str,
                 "k": batch.column(key_col),
                 "v": pc.cast(batch.column(value_col), pa.float64()),
                 "s": pa.array(np.full(batch.num_rows, side,
-                                      dtype=np.int8)),
-                "__bucket": pa.array(
-                    (_col_hash64(batch.column(key_col)) % NB
-                     ).astype(np.int64))})
+                                      dtype=np.int8))})
         return fn
 
     pooled = (ds_a.map_batches(tag(0), batch_format="pyarrow")
@@ -3113,8 +2974,7 @@ def grouped_ks(ds_a, ds_b, key_col: str, value_col: str,
             "d_int": pa.array(d_max), "ks_stat": pa.array(ks)})
         return out.filter(pa.array(keep))
 
-    return (pooled.groupby("__bucket")
-            .map_groups(score_bucket, batch_format="pyarrow"))
+    return exchange(pooled, score_bucket, "k", num_buckets)
 
 
 def bootstrap_mean_ci(ds, key_col: str, value_col: str, id_col: str,
@@ -3229,25 +3089,16 @@ def superspreaders(ds, key_col: str, partner_col: str, k: int = 20,
 
     Ties break by ascending key (the SQL determinism rule).  Returns
     ``(key, n_partners)``, largest first."""
-    from bqf_ray.functions.hashing import fmix64
-    from bqf_ray.stages.partition import _col_hash64, bucketed_sum
-
-    B = int(num_buckets)
+    from bqf_ray.stages.partition import bucketed_sum
 
     def pre(batch: pa.Table) -> pa.Table:
         t = batch.select([key_col, partner_col])
         # SQL COUNT(DISTINCT partner) semantics: null key or partner
         # contributes nothing
-        import pyarrow.compute as pc
         t = t.filter(pc.and_(t.column(key_col).is_valid(),
                              t.column(partner_col).is_valid()))
-        hk = _col_hash64(t.column(key_col))
-        hp = _col_hash64(t.column(partner_col))
-        pb = fmix64(hk ^ (hp * np.uint64(0x9E3779B97F4A7C15)))
-        t = t.append_column("__pb", pa.array(
-            (pb % np.uint64(B)).astype(np.int64)))
         # per-batch dedupe shrinks the exchange
-        return t.group_by([key_col, partner_col, "__pb"]).aggregate([])
+        return t.group_by([key_col, partner_col]).aggregate([])
 
     def count_bucket(group: pa.Table) -> pa.Table:
         g = group.group_by([key_col, partner_col]).aggregate([])
@@ -3256,9 +3107,9 @@ def superspreaders(ds, key_col: str, partner_col: str, k: int = 20,
                 .rename_columns([key_col, "pn"]))
 
     counts = bucketed_sum(
-        (ds.map_batches(pre, batch_format="pyarrow")
-         .groupby("__pb").map_groups(count_bucket, batch_format="pyarrow")),
-        [key_col], {"pn": "n_partners"}, num_buckets=B)
+        exchange(ds.map_batches(pre, batch_format="pyarrow"), count_bucket,
+                 [key_col, partner_col], num_buckets),
+        [key_col], {"pn": "n_partners"}, num_buckets=num_buckets)
     return global_top_n(counts, ["n_partners", key_col], int(k),
                         descending=[True, False])
 

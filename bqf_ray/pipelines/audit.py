@@ -19,6 +19,8 @@ import numpy as np
 import pyarrow as pa
 import pyarrow.compute as pc
 
+from bqf_ray.stages.partition import exchange
+
 _MOD = 1 << 63
 
 
@@ -78,8 +80,6 @@ def table_diff(ds_a, ds_b, cols: list[str], num_buckets: int = 64,
 
     from bqf_ray.functions.hashing import xxhash64_array
 
-    NB = int(num_buckets)
-
     def _encode(batch: pa.Table) -> pa.Array:
         parts = []
         for c in cols:
@@ -99,7 +99,7 @@ def table_diff(ds_a, ds_b, cols: list[str], num_buckets: int = 64,
                 empty = {c: batch.column(c) for c in cols}
                 z = pa.array([], pa.int64())
                 return pa.table({"__h1": z, "__h2": z, **empty,
-                                 "pa_": z, "pb_": z, "__bucket": z})
+                                 "pa_": z, "pb_": z})
             enc = _encode(batch)
             h1 = xxhash64_array(enc, seed=0x517CC1B7)
             h2 = xxhash64_array(enc, seed=0xA76BCF3D)
@@ -118,8 +118,6 @@ def table_diff(ds_a, ds_b, cols: list[str], num_buckets: int = 64,
                 **{c: rep.column(c) for c in cols},
                 "pa_": pa.array(n if side == 0 else zero),
                 "pb_": pa.array(n if side == 1 else zero),
-                "__bucket": pa.array(
-                    (h1s[starts] % np.uint64(NB)).astype(np.int64)),
             })
         return pre
 
@@ -148,8 +146,7 @@ def table_diff(ds_a, ds_b, cols: list[str], num_buckets: int = 64,
 
     both = (ds_a.map_batches(_pre(0), batch_format="pyarrow")
             .union(ds_b.map_batches(_pre(1), batch_format="pyarrow")))
-    return (both.groupby("__bucket")
-            .map_groups(reduce_bucket, batch_format="pyarrow"))
+    return exchange(both, reduce_bucket, "__h1", num_buckets)
 
 
 def extract_fields(ds, pattern: str, fields: dict[str, str],
@@ -240,9 +237,6 @@ def grouped_checksum(ds, key_col: str, cols: list[str],
     import pyarrow.compute as pc
 
     from bqf_ray.functions.hashing import md5_hash64_array
-    from bqf_ray.stages.partition import _col_hash64
-
-    B = int(num_buckets)
 
     def pre(batch: pa.Table) -> pa.Table:
         k = batch.column(key_col)
@@ -251,8 +245,7 @@ def grouped_checksum(ds, key_col: str, cols: list[str],
         if len(batch) == 0:
             return pa.table({key_col: k.slice(0, 0),
                              "pn": pa.array([], pa.int64()),
-                             "psum": pa.array([], pa.int64()),
-                             "__bucket": pa.array([], pa.int64())})
+                             "psum": pa.array([], pa.int64())})
         parts = []
         for c in cols:
             s = pc.cast(batch.column(c), pa.string())
@@ -271,12 +264,9 @@ def grouped_checksum(ds, key_col: str, cols: list[str],
         lens = np.diff(np.append(starts, len(kc_s)))
         sums = np.add.reduceat(h_s, starts)
         psum = np.array([int(x) % _MOD for x in sums], dtype=np.int64)
-        keys = k.take(pa.array(order[starts]))
-        bkt = (_col_hash64(keys) % np.uint64(B)).astype(np.int64)
-        return pa.table({key_col: keys,
+        return pa.table({key_col: k.take(pa.array(order[starts])),
                          "pn": pa.array(lens.astype(np.int64)),
-                         "psum": pa.array(psum),
-                         "__bucket": pa.array(bkt)})
+                         "psum": pa.array(psum)})
 
     def fold(g: pa.Table) -> pa.Table:
         k = g.column(key_col)
@@ -300,9 +290,8 @@ def grouped_checksum(ds, key_col: str, cols: list[str],
                          "n_rows": pa.array(n.astype(np.int64)),
                          "checksum": pa.array(cs)})
 
-    return (ds.map_batches(pre, batch_format="pyarrow")
-            .groupby("__bucket").map_groups(fold,
-                                            batch_format="pyarrow"))
+    return exchange(ds.map_batches(pre, batch_format="pyarrow"), fold,
+                    key_col, num_buckets)
 
 
 def validate_rows(ds, rules, id_cols: list[str]):

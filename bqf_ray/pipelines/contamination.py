@@ -16,7 +16,7 @@ web-text analog of the reference's rolling s-mer register,
   one small sorted array to each worker.
 - ``method="semijoin"``: both sides stay distributed — corpus
   (doc, shingle) rows and benchmark (shingle) rows are bucket
-  co-partitioned on ``shingle % B`` (one groupby shuffle), hits are
+  co-partitioned on ``bucket_of(shingle)`` (one groupby shuffle), hits are
   counted per doc in-bucket, then one tiny groupby(doc) sum.  The shape
   for benchmark sets too large to broadcast.
 - ``method="bloom"``: a blocked Bloom filter over the benchmark shingles
@@ -153,7 +153,8 @@ def decontaminate(ds, bench_ds, n: int = 3, text_col: str = "text",
 
     if method == "semijoin":
         from ray.data.aggregate import Sum
-        B = int(num_buckets)
+
+        from bqf_ray.stages.partition import exchange
 
         def corpus_rows(batch: pa.Table) -> pa.Table:
             did, sh = _doc_distinct_shingles(batch, text_col, id_col, n, seed)
@@ -161,7 +162,6 @@ def decontaminate(ds, bench_ds, n: int = 3, text_col: str = "text",
             return pa.table({
                 id_col: pa.array(did),
                 "__sh": pa.array(s),
-                "__bucket": pa.array(s % np.int64(B)),
                 "__side": pa.array(np.zeros(len(did), dtype=np.int8)),
             })
 
@@ -172,7 +172,6 @@ def decontaminate(ds, bench_ds, n: int = 3, text_col: str = "text",
             return pa.table({
                 id_col: pa.array(np.zeros(len(s), dtype=np.int64)),
                 "__sh": pa.array(s),
-                "__bucket": pa.array(s % np.int64(B)),
                 "__side": pa.array(np.ones(len(s), dtype=np.int8)),
             })
 
@@ -192,12 +191,10 @@ def decontaminate(ds, bench_ds, n: int = 3, text_col: str = "text",
             return pa.table({id_col: pa.array(u.astype(np.int64)),
                              "n": pa.array(cnt)})
 
-        hits = (ds.map_batches(corpus_rows, batch_format="pyarrow")
-                .union(bench_ds.map_batches(bench_rows,
-                                            batch_format="pyarrow"))
-                .repartition(16)
-                .groupby("__bucket")
-                .map_groups(count_hits, batch_format="pyarrow"))
+        hits = exchange(ds.map_batches(corpus_rows, batch_format="pyarrow")
+                        .union(bench_ds.map_batches(bench_rows,
+                                                    batch_format="pyarrow"))
+                        .repartition(16), count_hits, "__sh", num_buckets)
         # a doc's shingles span buckets — one tiny groupby(doc) sum
         return (hits.groupby(id_col)
                 .aggregate(Sum("n", alias_name="n_contaminated")))

@@ -37,6 +37,7 @@ import pyarrow.compute as pc
 
 from bqf_ray.functions.hashing import fmix64, xxhash64_array
 from bqf_ray.functions.tokenize import shingle_hashes, token_hashes
+from bqf_ray.stages.partition import exchange
 
 
 # ---------------------------------------------------------------------------
@@ -68,13 +69,12 @@ def exact_dedup(ds, text_col: str = "text", id_col: str = "doc_id",
     """Keep one row (minimum id) per distinct content key.
 
     Plan: append the content key, local keep-min-per-key inside each batch
-    (combiner), hash-bucket rows by ``key % B``, ONE groupby shuffle, then
+    (combiner), exchange rows on the key (``stages.partition.exchange``), then
     a vectorized keep-min-id-per-key inside each bucket.  The survivor set
     never touches the driver (r1 verdict fix: at 10^12 docs the distinct
     key set ≈ the doc count, so the old collect-and-broadcast plan cannot
     scale).  Hashed keys are uniform, so buckets are balanced without
     salting."""
-    B = int(num_buckets)
 
     def _keep_min(tbl: pa.Table) -> pa.Table:
         k = np.asarray(tbl.column("__ckey"))
@@ -83,17 +83,14 @@ def exact_dedup(ds, text_col: str = "text", id_col: str = "doc_id",
         first = np.concatenate([[True], k[order][1:] != k[order][:-1]])
         return tbl.take(pa.array(np.sort(order[first])))
 
-    def keyed_bucket(batch: pa.Table) -> pa.Table:
-        b = _keep_min(add_content_key(batch, text_col, prefix_tokens))
-        k = np.asarray(b.column("__ckey"))
-        return b.append_column("__bucket", pa.array(k % np.int64(B)))
+    def keyed(batch: pa.Table) -> pa.Table:
+        return _keep_min(add_content_key(batch, text_col, prefix_tokens))
 
     def keep_min_per_key(group: pa.Table) -> pa.Table:
-        return _keep_min(group).drop_columns(["__ckey", "__bucket"])
+        return _keep_min(group).drop_columns(["__ckey"])
 
-    return (ds.map_batches(keyed_bucket, batch_format="pyarrow")
-            .groupby("__bucket")
-            .map_groups(keep_min_per_key, batch_format="pyarrow"))
+    return exchange(ds.map_batches(keyed, batch_format="pyarrow"),
+                    keep_min_per_key, "__ckey", num_buckets)
 
 
 # ---------------------------------------------------------------------------
@@ -341,7 +338,7 @@ def _verify_copartition(cand_ds, sets_ds, threshold: float,
 
     1. Expand each (doc_a, doc_b) candidate into two membership rows and
        co-partition them with the (doc_id, shingle, set_size) rows on
-       ``doc_id % B``; inside each bucket, attach the member doc's shingles
+       ``bucket_of(doc_id)``; inside each bucket, attach the member doc's shingles
        to its pair (vectorized gather) — a distributed join on doc_id.
     2. Re-bucket the tagged (pair, role, shingle, size) rows on a pair
        hash; inside each bucket, sort by (pair, shingle) and count
@@ -351,8 +348,6 @@ def _verify_copartition(cand_ds, sets_ds, threshold: float,
     Data volume is candidate-proportional (Σ |Sa|+|Sb| over pairs), never
     corpus-proportional.  Replaces r1's full-corpus ``to_pandas()``
     broadcast verify (r1 verdict items 1-2)."""
-    B = int(num_buckets)
-    GOLD = np.uint64(0x9E3779B97F4A7C15)
 
     def expand_members(batch: pa.Table) -> pa.Table:
         a = np.asarray(batch.column("doc_a"), dtype=np.int64)
@@ -366,15 +361,12 @@ def _verify_copartition(cand_ds, sets_ds, threshold: float,
             id_col: pa.array(doc),
             "__pa": pa.array(p_a), "__pb": pa.array(p_b),
             "__role": pa.array(role),
-            "__bucket": pa.array(doc % np.int64(B)),
             "__side": pa.array(np.ones(len(doc), dtype=np.int8)),
         })
 
     def tag_sets(batch: pa.Table) -> pa.Table:
-        d = np.asarray(batch.column(id_col), dtype=np.int64)
-        return (batch.append_column("__bucket", pa.array(d % np.int64(B)))
-                .append_column("__side", pa.array(
-                    np.zeros(len(batch), dtype=np.int8))))
+        return batch.append_column("__side", pa.array(
+            np.zeros(len(batch), dtype=np.int8)))
 
     def attach_shingles(group: pa.Table) -> pa.Table:
         """Member rows leave with their doc's whole (sorted) shingle set
@@ -385,8 +377,7 @@ def _verify_copartition(cand_ds, sets_ds, threshold: float,
                           "__pb": pa.array([], pa.int64()),
                           "__role": pa.array([], pa.int8()),
                           "shingles": pa.array([], pa.list_(pa.int64())),
-                          "set_size": pa.array([], pa.int64()),
-                          "__pbucket": pa.array([], pa.int64())})
+                          "set_size": pa.array([], pa.int64())})
         s_mask, m_mask = side == 0, side == 1
         if not s_mask.any() or not m_mask.any():
             return empty
@@ -423,8 +414,6 @@ def _verify_copartition(cand_ds, sets_ds, threshold: float,
         offs = np.concatenate([[0], np.cumsum(cnt)])
         within = np.arange(tot) - np.repeat(offs[:-1], cnt)
         src = np.repeat(lo, cnt) + within
-        pbucket = ((mpa.astype(np.uint64) * GOLD
-                    + mpb.astype(np.uint64)) % np.uint64(B)).astype(np.int64)
         sets = pa.ListArray.from_arrays(pa.array(offs.astype(np.int32)),
                                         pa.array(ssh[src].astype(np.int64)))
         size = np.zeros(len(md), dtype=np.int64)
@@ -432,8 +421,7 @@ def _verify_copartition(cand_ds, sets_ds, threshold: float,
         return pa.table({"__pa": pa.array(mpa), "__pb": pa.array(mpb),
                          "__role": pa.array(mrole),
                          "shingles": sets,
-                         "set_size": pa.array(size),
-                         "__pbucket": pa.array(pbucket)})
+                         "set_size": pa.array(size)})
 
     def score_bucket(group: pa.Table) -> pa.Table:
         a = np.asarray(group.column("__pa"))
@@ -499,13 +487,10 @@ def _verify_copartition(cand_ds, sets_ds, threshold: float,
     # sf0.1 from this repartition alone
     members = (cand_ds.repartition(8)
                .map_batches(expand_members, batch_format="pyarrow"))
-    tagged = (sets_ds.map_batches(tag_sets, batch_format="pyarrow")
-              .union(members)
-              .repartition(16)
-              .groupby("__bucket")
-              .map_groups(attach_shingles, batch_format="pyarrow"))
-    return (tagged.groupby("__pbucket")
-            .map_groups(score_bucket, batch_format="pyarrow"))
+    tagged = exchange(sets_ds.map_batches(tag_sets, batch_format="pyarrow")
+                      .union(members).repartition(16),
+                      attach_shingles, id_col, num_buckets)
+    return exchange(tagged, score_bucket, ["__pa", "__pb"], num_buckets)
 
 
 def jaccard_dup_pairs(ds, threshold: float = 0.5, s: int = 3,
@@ -585,12 +570,10 @@ def jaccard_dup_pairs(ds, threshold: float = 0.5, s: int = 3,
                 keep2 &= df <= max_df
             docs, sh, sizes, pos = (docs[keep2], sh[keep2], sizes[keep2],
                                     pos[keep2])
-            bucket = np.abs(sh % np.int64(B))
             return pa.table({"doc_id": pa.array(docs.astype(np.int64)),
                              "shingle": pa.array(sh.astype(np.int64)),
                              "set_size": pa.array(sizes.astype(np.int64)),
-                             "pos": pa.array(pos.astype(np.int64)),
-                             "bucket": pa.array(bucket.astype(np.int64))})
+                             "pos": pa.array(pos.astype(np.int64))})
 
     postings = sets.map_batches(PrefixPostings, batch_format="pyarrow",
                                 batch_size=None, concurrency=(1, 8),
@@ -660,8 +643,7 @@ def jaccard_dup_pairs(ds, threshold: float = 0.5, s: int = 3,
     #    dedupes its (much smaller) survivor set.  The postings actor
     #    pool already emits ≤16 blocks, so no pre-shuffle coalesce is
     #    needed before the sort.
-    cand = (postings.groupby("bucket")
-            .map_groups(pairs_of_bucket, batch_format="pyarrow"))
+    cand = exchange(postings, pairs_of_bucket, "shingle", B)
 
     # 5. exact verification — co-partitioned joins, candidate-proportional
     return verify_pairs(cand, sets, threshold, num_buckets=B)
@@ -762,19 +744,8 @@ def minhash_lsh_pairs(ds, threshold: float = 0.5, s: int = 3,
         return pa.table({"doc_a": pa.array(np.concatenate(out_a)),
                          "doc_b": pa.array(np.concatenate(out_b))})
 
-    NB = 64
-
-    def tag_bucket(batch: pa.Table) -> pa.Table:
-        bh = np.asarray(batch.column("bh"))
-        return batch.append_column(
-            "__bucket", pa.array(np.abs(bh % np.int64(NB))))
-
-    cand = (ds.map_batches(band_rows, batch_format="pyarrow")
-            .map_batches(tag_bucket, batch_format="pyarrow")
-            .repartition(16)
-            .groupby("__bucket")
-            .map_groups(lambda g: emit_pairs_bucket(
-                g.drop_columns(["__bucket"])), batch_format="pyarrow"))
+    cand = exchange(ds.map_batches(band_rows, batch_format="pyarrow")
+                    .repartition(16), emit_pairs_bucket, "bh", 64)
     if not verify:
         # advertised output is distinct pairs — dedupe across bands here
         from bqf_ray.stages.partition import bucketed_agg
@@ -953,8 +924,8 @@ def dedup_lines(ds, min_count: int = 2, sep: str = "\n",
       needs a colliding non-dup segment, ~n·m/2⁶⁴).
     - ``semijoin`` — when the dup set outgrows ``broadcast_budget``:
       explode (doc, idx, segment) rows, co-partition BOTH sides by
-      ``hash(segment) % num_buckets``, filter by exact string match in
-      the bucket, then one shuffle by ``hash(doc) % num_buckets`` to
+      ``bucket_of(segment)``, filter by exact string match in
+      the bucket, then one shuffle by ``bucket_of(doc)`` to
       reassemble documents ordered by idx — no driver materialization.
     - ``auto`` — count the dup set (tiny aggregate) and pick.
 
@@ -981,8 +952,6 @@ def dedup_lines(ds, min_count: int = 2, sep: str = "\n",
             np.repeat(np.arange(len(grp), dtype=np.int64), lens)))
         return pc.binary_join_element_wise(rep, flat, "\x1f")
 
-    NB_CNT = int(num_buckets)
-
     def seg_counts(batch: pa.Table) -> pa.Table:
         texts = batch.column(text_col)
         if isinstance(texts, pa.ChunkedArray):
@@ -993,17 +962,8 @@ def dedup_lines(ds, min_count: int = 2, sep: str = "\n",
                           dtype=np.int64)
         t = pa.table({"seg": _keyed(batch, flat, lens),
                       "n": np.ones(len(flat), dtype=np.int64)})
-        t = (t.group_by(["seg"]).aggregate([("n", "sum")])
-             .rename_columns(["seg", "partial"]))
-        # route by an int hash bucket — a string-keyed distributed
-        # sort over all distinct segments costs several × more than a
-        # 1-int exchange; counting stays exact (in-bucket group_by is
-        # by the segment STRING, collisions only co-locate)
-        sb = (xxhash64_array(t.column("seg").combine_chunks()
-                             if isinstance(t.column("seg"), pa.ChunkedArray)
-                             else t.column("seg"))
-              % np.uint64(NB_CNT)).astype(np.int64)
-        return t.append_column("__sb", pa.array(sb))
+        return (t.group_by(["seg"]).aggregate([("n", "sum")])
+                .rename_columns(["seg", "partial"]))
 
     mc = int(min_count)
 
@@ -1012,9 +972,8 @@ def dedup_lines(ds, min_count: int = 2, sep: str = "\n",
         keep = pc.greater_equal(g.column("partial_sum"), mc)
         return g.filter(keep).select(["seg"])
 
-    dups = (ds.map_batches(seg_counts, batch_format="pyarrow")
-            .groupby("__sb")
-            .map_groups(count_bucket, batch_format="pyarrow"))
+    dups = exchange(ds.map_batches(seg_counts, batch_format="pyarrow"),
+                    count_bucket, "seg", num_buckets)
 
     if mode == "auto":
         dups = dups.materialize()      # counted then re-read: execute once
@@ -1075,30 +1034,27 @@ def dedup_lines(ds, min_count: int = 2, sep: str = "\n",
     if mode != "semijoin":
         raise ValueError(f"unknown mode {mode!r}")
 
-    NB = int(num_buckets)
-
     def explode(batch: pa.Table) -> pa.Table:
         """One corpus pass emits BOTH row kinds: segment rows (side 0,
-        routed by segment hash) and one per-doc length row (side 2,
-        routed by doc id) — the length rows pass through filter_bucket
-        untouched, so no separate doc_lens pass re-splits the corpus."""
+        routed by segment key) and one per-doc length row (side 2,
+        routed by its doc id as the key) — the length rows pass through
+        filter_bucket untouched, so no separate doc_lens pass re-splits
+        the corpus."""
         flat, lens, offs = _split(batch)
         keyed = _keyed(batch, flat, lens)
         ids = np.asarray(batch.column(id_col), dtype=np.int64)
         did = np.repeat(ids, lens)
         idx = np.arange(len(flat), dtype=np.int64) - np.repeat(offs[:-1], lens)
-        b = (xxhash64_array(keyed) % np.uint64(NB)).astype(np.int64)
         seg_rows = pa.table({
             id_col: pa.array(did), "__idx": pa.array(idx),
-            "seg": flat, "__key": keyed, "__bucket": pa.array(b),
+            "seg": flat, "__key": keyed,
             "__side": pa.array(np.zeros(len(flat), dtype=np.int8)),
             "__nl": pa.array(np.full(len(flat), np.nan), pa.float64())})
         len_rows = pa.table({
             id_col: pa.array(ids),
             "__idx": pa.array(np.full(len(ids), -1, dtype=np.int64)),
             "seg": pa.array([""] * len(ids), pa.string()),
-            "__key": pa.array([""] * len(ids), pa.string()),
-            "__bucket": pa.array((ids % NB).astype(np.int64)),
+            "__key": pc.cast(pa.array(ids), pa.string()),
             "__side": pa.array(np.full(len(ids), 2, dtype=np.int8)),
             "__nl": pa.array(lens.astype(np.float64))})
         return pa.concat_tables([seg_rows, len_rows])
@@ -1107,12 +1063,11 @@ def dedup_lines(ds, min_count: int = 2, sep: str = "\n",
         segs = batch.column("seg")
         if isinstance(segs, pa.ChunkedArray):
             segs = segs.combine_chunks()
-        b = (xxhash64_array(segs) % np.uint64(NB)).astype(np.int64)
         n = len(segs)
         return pa.table({id_col: pa.array(np.zeros(n, dtype=np.int64)),
                          "__idx": pa.array(np.zeros(n, dtype=np.int64)),
                          "seg": pa.array([""] * n, pa.string()),
-                         "__key": segs, "__bucket": pa.array(b),
+                         "__key": segs,
                          "__side": pa.array(np.ones(n, dtype=np.int8)),
                          "__nl": pa.array(np.full(n, np.nan), pa.float64())})
 
@@ -1128,16 +1083,12 @@ def dedup_lines(ds, min_count: int = 2, sep: str = "\n",
             id_col: kept.column(id_col),
             "__idx": kept.column("__idx"),
             "seg": kept.column("seg"),
-            "__nl": kept.column("__nl"),
-            "__dbucket": pa.array(
-                (np.asarray(kept.column(id_col), dtype=np.int64)
-                 % NB).astype(np.int64))})
+            "__nl": kept.column("__nl")})
 
     exploded = ds.map_batches(explode, batch_format="pyarrow")
     tagged = dups.map_batches(tag_dups, batch_format="pyarrow")
-    survivors = (exploded.union(tagged)
-                 .groupby("__bucket")
-                 .map_groups(filter_bucket, batch_format="pyarrow"))
+    survivors = exchange(exploded.union(tagged), filter_bucket, "__key",
+                         num_buckets)
 
     def assemble(group: pa.Table) -> pa.Table:
         nl = (np.asarray(group.column("__nl"), dtype=np.float64)
@@ -1169,8 +1120,7 @@ def dedup_lines(ds, min_count: int = 2, sep: str = "\n",
             "n_lines": pa.array(doc_nl),
             "n_removed": pa.array(doc_nl - kept_per_doc, pa.int64())})
 
-    return (survivors.groupby("__dbucket")
-            .map_groups(assemble, batch_format="pyarrow"))
+    return exchange(survivors, assemble, id_col, num_buckets)
 
 
 # ---------------------------------------------------------------------------
@@ -1515,20 +1465,16 @@ def dedup_spans(ds, window: int = 50, min_count: int = 2,
                                num_buckets=NB).select_columns([id_col, "__s"])
 
     def tag_starts(batch: pa.Table) -> pa.Table:
-        ids = np.asarray(batch.column(id_col), dtype=np.int64)
         return pa.table({
             id_col: batch.column(id_col),
             "__s": batch.column("__s"),
-            text_col: pa.array([None] * len(batch), pa.string()),
-            "__dbucket": pa.array(ids % np.int64(NB))})
+            text_col: pa.array([None] * len(batch), pa.string())})
 
     def tag_docs(batch: pa.Table) -> pa.Table:
-        ids = np.asarray(batch.column(id_col), dtype=np.int64)
         return pa.table({
             id_col: batch.column(id_col),
             "__s": pa.array(np.full(len(batch), -1, dtype=np.int64)),
-            text_col: batch.column(text_col),
-            "__dbucket": pa.array(ids % np.int64(NB))})
+            text_col: batch.column(text_col)})
 
     def rebuild_bucket(group: pa.Table) -> pa.Table:
         s = np.asarray(group.column("__s"), dtype=np.int64)
@@ -1547,8 +1493,7 @@ def dedup_spans(ds, window: int = 50, min_count: int = 2,
 
     both = (dup_starts.map_batches(tag_starts, batch_format="pyarrow")
             .union(ds.map_batches(tag_docs, batch_format="pyarrow")))
-    return (both.groupby("__dbucket")
-            .map_groups(rebuild_bucket, batch_format="pyarrow"))
+    return exchange(both, rebuild_bucket, id_col, NB)
 
 
 # ---------------------------------------------------------------------------
@@ -1695,22 +1640,16 @@ def containment_pairs(ds, threshold: float = 0.7, s: int = 3,
     Output ``(doc_a, doc_b, inter, n_a, containment)`` where
     ``containment = inter / n_a`` (IEEE division of exact ints).
     """
-    B = int(num_buckets)
 
     def shingles(batch: pa.Table) -> pa.Table:
-        t = _doc_shingles(batch, text_col, id_col, s, seed=seed)
-        sh = np.asarray(t.column("shingle"), dtype=np.int64)
-        return t.append_column(
-            "__bucket", pa.array((sh.view(np.uint64)
-                                  % np.uint64(B)).astype(np.int64)))
+        return _doc_shingles(batch, text_col, id_col, s, seed=seed)
 
     def pair_bucket(group: pa.Table) -> pa.Table:
         empty = pa.table({"lo": pa.array([], pa.int64()),
                           "hi": pa.array([], pa.int64()),
                           "n_lo": pa.array([], pa.int64()),
                           "n_hi": pa.array([], pa.int64()),
-                          "partial": pa.array([], pa.int64()),
-                          "__pb": pa.array([], pa.int64())})
+                          "partial": pa.array([], pa.int64())})
         sh = np.asarray(group.column("shingle"), dtype=np.int64)
         did = np.asarray(group.column("doc_id"), dtype=np.int64)
         # set_size always rides from the explode as the FULL uncapped |A|
@@ -1755,19 +1694,9 @@ def containment_pairs(ds, threshold: float = 0.7, s: int = 3,
                       "n_lo": pa.array(np.concatenate(out_nlo)),
                       "n_hi": pa.array(np.concatenate(out_nhi)),
                       "n": pa.array(np.ones(len(lo_a), dtype=np.int64))})
-        t = (t.group_by(["lo", "hi", "n_lo", "n_hi"])
-             .aggregate([("n", "sum")])
-             .rename_columns(["lo", "hi", "n_lo", "n_hi", "partial"]))
-        # route by a SINGLE small-int pair bucket — a distributed
-        # multi-column sort key over the pair partials is far more
-        # expensive than a 1-int exchange + exact in-bucket group_by
-        lo_u = np.asarray(t.column("lo")).view(np.uint64)
-        hi_u = np.asarray(t.column("hi")).view(np.uint64)
-        mix = (lo_u * np.uint64(0x9E3779B97F4A7C15)
-               ^ hi_u * np.uint64(0xC2B2AE3D27D4EB4F))
-        return t.append_column(
-            "__pb", pa.array(((mix >> np.uint64(32))
-                              % np.uint64(B)).astype(np.int64)))
+        return (t.group_by(["lo", "hi", "n_lo", "n_hi"])
+                .aggregate([("n", "sum")])
+                .rename_columns(["lo", "hi", "n_lo", "n_hi", "partial"]))
 
     thr = float(threshold)
 
@@ -1793,11 +1722,9 @@ def containment_pairs(ds, threshold: float = 0.7, s: int = 3,
             "containment": pa.array(np.concatenate([c_fwd[kf], c_rev[kr]])),
         })
 
-    return (ds.map_batches(shingles, batch_format="pyarrow")
-            .groupby("__bucket")
-            .map_groups(pair_bucket, batch_format="pyarrow")
-            .groupby("__pb")
-            .map_groups(sum_finish, batch_format="pyarrow"))
+    partials = exchange(ds.map_batches(shingles, batch_format="pyarrow"),
+                        pair_bucket, "shingle", num_buckets)
+    return exchange(partials, sum_finish, ["lo", "hi"], num_buckets)
 
 
 # sentinel for "sketch IS the set": max uint64 (sketch/tau order is the
@@ -1906,7 +1833,7 @@ def containment_pairs_kmv(ds, threshold: float = 0.7, s: int = 3,
         """doc sketch rows → exploded (doc_id, h) candidate rows."""
         if batch.num_rows == 0:
             z = pa.array([], pa.int64())
-            return pa.table({"doc_id": z, "h": z, "__bucket": z})
+            return pa.table({"doc_id": z, "h": z, "n": z})
         lens = np.asarray(pc.list_value_length(batch.column("sk")),
                           dtype=np.int64)
         did = np.repeat(np.asarray(batch.column("doc_id"),
@@ -1916,10 +1843,7 @@ def containment_pairs_kmv(ds, threshold: float = 0.7, s: int = 3,
         h = np.asarray(pc.list_flatten(batch.column("sk")),
                        dtype=np.int64)
         return pa.table({"doc_id": pa.array(did), "h": pa.array(h),
-                         "n": pa.array(nn),
-                         "__bucket": pa.array(
-                             (h.view(np.uint64) % np.uint64(B))
-                             .astype(np.int64))})
+                         "n": pa.array(nn)})
 
     sketches = docs_tbl.map_batches(flatten, batch_format="pyarrow")
 
@@ -1950,13 +1874,7 @@ def containment_pairs_kmv(ds, threshold: float = 0.7, s: int = 3,
             z = pa.array([], pa.int64())
             t = pa.table({"lo": z, "hi": z, "n_lo": z, "n_hi": z,
                           "c": z})
-        pb = (fmix64(np.asarray(t.column("lo"), dtype=np.int64)
-                     .view(np.uint64)
-                     ^ fmix64(np.asarray(t.column("hi"),
-                                         dtype=np.int64)
-                             .view(np.uint64)))
-              % np.uint64(B)).astype(np.int64)
-        return t.append_column("__pb", pa.array(pb))
+        return t
 
     thr = float(threshold)
     MM = int(min_m)
@@ -1975,10 +1893,8 @@ def containment_pairs_kmv(ds, threshold: float = 0.7, s: int = 3,
                                       dtype=np.int64)))).astype(np.int64)
         return t.filter(pa.array(c >= floor)).select(["lo", "hi", "c"])
 
-    pairs = (sketches.groupby("__bucket")
-             .map_groups(pair_bucket, batch_format="pyarrow")
-             .groupby("__pb")
-             .map_groups(pair_sum, batch_format="pyarrow")).materialize()
+    pairs = exchange(exchange(sketches, pair_bucket, "h", B), pair_sum,
+                     ["lo", "hi"], B).materialize()
     if pairs.count() == 0:
         import ray.data
         z = pa.array([], pa.int64())
@@ -1988,30 +1904,23 @@ def containment_pairs_kmv(ds, threshold: float = 0.7, s: int = 3,
             "m": z, "is_exact": pa.array([], pa.bool_())}))
 
     def _attach_side(pair_ds, key: str, suffix: str):
-        def tag_p(batch: pa.Table) -> pa.Table:
-            kv = np.asarray(batch.column(key), dtype=np.int64)
-            return batch.append_column("__ab", pa.array(
-                (fmix64(kv.view(np.uint64)) % np.uint64(B))
-                .astype(np.int64)))
+        """Doc rows carry their doc id in the pair side's ``key`` column,
+        so both sides route by ``key``."""
 
         def tag_d(batch: pa.Table) -> pa.Table:
-            kv = np.asarray(batch.column("doc_id"), dtype=np.int64)
             return pa.table({
                 f"sk_{suffix}": batch.column("sk"),
                 f"n_{suffix}": batch.column("n"),
                 f"tau_{suffix}": batch.column("tau"),
-                "__docid": batch.column("doc_id"),
-                "__ab": pa.array((fmix64(kv.view(np.uint64))
-                                  % np.uint64(B)).astype(np.int64))})
+                "__docid": batch.column("doc_id")})
 
         def join_bucket(g: pa.Table) -> pa.Table:
-            is_doc = np.zeros(g.num_rows, dtype=bool)
             dd = g.column("__docid")
             is_doc = ~np.asarray(pc.is_null(dd))
             docs = g.filter(pa.array(is_doc))
             prs = g.filter(pa.array(~is_doc))
             if prs.num_rows == 0:
-                return prs.drop_columns(["__ab", "__docid"])
+                return prs.drop_columns(["__docid"])
             dnode = np.asarray(docs.column("__docid"), dtype=np.int64)
             order = np.argsort(dnode)
             dnode = dnode[order]
@@ -2021,7 +1930,7 @@ def containment_pairs_kmv(ds, threshold: float = 0.7, s: int = 3,
             assert len(dnode) and (pos < len(dnode)).all() \
                 and (dnode[pos] == pk).all(), "sketch attach miss"
             prs = prs.drop_columns(
-                ["__ab", "__docid", f"sk_{suffix}", f"n_{suffix}",
+                ["__docid", f"sk_{suffix}", f"n_{suffix}",
                  f"tau_{suffix}"])
             taken = docs.take(pa.array(pos))
             for c in (f"sk_{suffix}", f"n_{suffix}", f"tau_{suffix}"):
@@ -2031,7 +1940,7 @@ def containment_pairs_kmv(ds, threshold: float = 0.7, s: int = 3,
         def widen_p(batch: pa.Table) -> pa.Table:
             nulls_sk = pa.nulls(batch.num_rows, pa.list_(pa.int64()))
             nulls_i = pa.nulls(batch.num_rows, pa.int64())
-            return (tag_p(batch)
+            return (batch
                     .append_column(f"sk_{suffix}", nulls_sk)
                     .append_column(f"n_{suffix}", nulls_i)
                     .append_column(f"tau_{suffix}", nulls_i)
@@ -2040,8 +1949,9 @@ def containment_pairs_kmv(ds, threshold: float = 0.7, s: int = 3,
         def widen_d(batch: pa.Table) -> pa.Table:
             t = tag_d(batch)
             for c in pair_cols:
-                t = t.append_column(c, pa.nulls(batch.num_rows,
-                                                pair_types[c]))
+                t = t.append_column(c, batch.column("doc_id").cast(
+                    pair_types[c]) if c == key else pa.nulls(
+                    batch.num_rows, pair_types[c]))
             return t.select(col_order)
 
         probe = pair_ds.map_batches(widen_p, batch_format="pyarrow")
@@ -2049,12 +1959,11 @@ def containment_pairs_kmv(ds, threshold: float = 0.7, s: int = 3,
         col_order = sch.names
         pair_cols = [c for c in col_order
                      if c not in (f"sk_{suffix}", f"n_{suffix}",
-                                  f"tau_{suffix}", "__docid", "__ab")]
+                                  f"tau_{suffix}", "__docid")]
         pair_types = {c: sch.types[sch.names.index(c)]
                       for c in pair_cols}
         build = docs_tbl.map_batches(widen_d, batch_format="pyarrow")
-        return (probe.union(build).groupby("__ab")
-                .map_groups(join_bucket, batch_format="pyarrow"))
+        return exchange(probe.union(build), join_bucket, key, B)
 
     attached = _attach_side(_attach_side(pairs, "lo", "lo"),
                             "hi", "hi")
@@ -2158,12 +2067,10 @@ def cosine_tf_pairs(ds, threshold: float = 0.8, text_col: str = "text",
 
     frac = Fraction(str(threshold))
     TN, TD = frac.numerator, frac.denominator
-    B = int(num_buckets)
 
     def tf_rows(batch: pa.Table) -> pa.Table:
         z = pa.array([], pa.int64())
-        empty = pa.table({"doc_id": z, "token": z, "tf": z, "n2": z,
-                          "__bucket": z})
+        empty = pa.table({"doc_id": z, "token": z, "tf": z, "n2": z})
         th, offs = token_hashes(batch.column(text_col), seed=seed)
         if s > 1:
             th, offs = shingle_hashes(th, offs, s)
@@ -2192,14 +2099,12 @@ def cosine_tf_pairs(ds, threshold: float = 0.8, text_col: str = "text",
             "token": pa.array(tok),
             "tf": pa.array(tf),
             "n2": pa.array(n2),
-            "__bucket": pa.array((tok.view(np.uint64)
-                                  % np.uint64(B)).astype(np.int64)),
         })
 
     def pair_bucket(group: pa.Table) -> pa.Table:
         z = pa.array([], pa.int64())
         empty = pa.table({"lo": z, "hi": z, "n2_lo": z, "n2_hi": z,
-                          "partial": z, "__pb": z})
+                          "partial": z})
         tok = np.asarray(group.column("token"), dtype=np.int64)
         did = np.asarray(group.column("doc_id"), dtype=np.int64)
         tf = np.asarray(group.column("tf"), dtype=np.int64)
@@ -2234,16 +2139,9 @@ def cosine_tf_pairs(ds, threshold: float = 0.8, text_col: str = "text",
                       "n2_lo": pa.array(np.concatenate(out_nlo)),
                       "n2_hi": pa.array(np.concatenate(out_nhi)),
                       "partial": pa.array(np.concatenate(out_p))})
-        t = (t.group_by(["lo", "hi", "n2_lo", "n2_hi"])
-             .aggregate([("partial", "sum")])
-             .rename_columns(["lo", "hi", "n2_lo", "n2_hi", "partial"]))
-        lo_u = np.asarray(t.column("lo")).view(np.uint64)
-        hi_u = np.asarray(t.column("hi")).view(np.uint64)
-        mix = (lo_u * np.uint64(0x9E3779B97F4A7C15)
-               ^ hi_u * np.uint64(0xC2B2AE3D27D4EB4F))
-        return t.append_column(
-            "__pb", pa.array(((mix >> np.uint64(32))
-                              % np.uint64(B)).astype(np.int64)))
+        return (t.group_by(["lo", "hi", "n2_lo", "n2_hi"])
+                .aggregate([("partial", "sum")])
+                .rename_columns(["lo", "hi", "n2_lo", "n2_hi", "partial"]))
 
     def sum_finish(group: pa.Table) -> pa.Table:
         g = (group.group_by(["lo", "hi", "n2_lo", "n2_hi"])
@@ -2274,11 +2172,9 @@ def cosine_tf_pairs(ds, threshold: float = 0.8, text_col: str = "text",
                          "n2_b": g.column("n2_hi"),
                          "cosine": pa.array(cos)})
 
-    return (ds.map_batches(tf_rows, batch_format="pyarrow")
-            .groupby("__bucket")
-            .map_groups(pair_bucket, batch_format="pyarrow")
-            .groupby("__pb")
-            .map_groups(sum_finish, batch_format="pyarrow"))
+    partials = exchange(ds.map_batches(tf_rows, batch_format="pyarrow"),
+                        pair_bucket, "token", num_buckets)
+    return exchange(partials, sum_finish, ["lo", "hi"], num_buckets)
 
 
 def soft_dedup_weights(ds, pairs, id_col: str = "doc_id",
@@ -2386,15 +2282,6 @@ def near_dup_keep_best(ds, pairs, quality_col: str,
         # losers = members that are NOT the per-cluster best
         return pa.table({id_col: pa.array(did_s[~first])})
 
-    def add_cb(batch: pa.Table) -> pa.Table:
-        from bqf_ray.functions.hashing import fmix64
-        cid = np.asarray(batch.column("cluster_id"), dtype=np.int64)
-        return batch.append_column(
-            "__cb", pa.array((fmix64(cid.view(np.uint64))
-                              % np.uint64(num_buckets)).astype(np.int64)))
-
-    losers = (memb.map_batches(add_cb, batch_format="pyarrow")
-              .groupby("__cb")
-              .map_groups(pick, batch_format="pyarrow"))
+    losers = exchange(memb, pick, "cluster_id", num_buckets)
     return semi_join(proj, losers, left_key=id_col, right_key=id_col,
                      num_buckets=num_buckets, anti=True)

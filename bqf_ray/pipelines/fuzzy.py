@@ -12,7 +12,7 @@ exact verification, fully distributed:
    IS a variant of the longer).  Neighborhood keys travel as xxh64
    hashes, not strings — collisions only merge candidate buckets and the
    verifier keeps the result exact;
-3. one ``groupby(key % num_buckets)`` shuffle co-locates candidates
+3. one ``exchange`` on ``key`` co-locates candidates
    into a BOUNDED number of buckets (a per-variant-key groupby would
    mean one Python group call per distinct variant — hundreds of
    thousands of tiny groups); inside each bucket, key runs are found by
@@ -43,7 +43,8 @@ import numpy as np
 import pyarrow as pa
 import pyarrow.compute as pc
 
-from bqf_ray.functions.hashing import _pad_rows, _xxh64_padded, xxhash64_array
+from bqf_ray.functions.hashing import _pad_rows, _xxh64_padded
+from bqf_ray.stages.partition import exchange
 
 
 def _bytes_matrix(values: pa.Array) -> tuple[np.ndarray, np.ndarray]:
@@ -140,8 +141,6 @@ def edit1_pairs(ds, col: str, max_len: int = 64, num_buckets: int = 128):
     distance exactly 1.  See module docstring for the plan."""
     from ray.data.aggregate import Count
 
-    B = int(num_buckets)
-
     def uniq(batch: pa.Table) -> pa.Table:
         v = batch.column(col)
         if isinstance(v, pa.ChunkedArray):
@@ -169,14 +168,11 @@ def edit1_pairs(ds, col: str, max_len: int = 64, num_buckets: int = 128):
                                 | (rows[1:] != rows[:-1])])
         rows, keys = rows[first], keys[first]
         return pa.table({"val": v.take(pa.array(rows)),
-                         "key": pa.array(keys.view(np.int64)),
-                         "__bucket": pa.array(
-                             (keys % np.uint64(B)).astype(np.int64))})
+                         "key": pa.array(keys.view(np.int64))})
 
     def verify_bucket(group: pa.Table) -> pa.Table:
         empty = pa.table({"val_a": pa.array([], pa.string()),
-                          "val_b": pa.array([], pa.string()),
-                          "__db": pa.array([], pa.int64())})
+                          "val_b": pa.array([], pa.string())})
         keys = np.asarray(group.column("key"), dtype=np.int64)
         vals = group.column("val")
         if isinstance(vals, pa.ChunkedArray):
@@ -214,18 +210,9 @@ def edit1_pairs(ds, col: str, max_len: int = 64, num_buckets: int = 128):
         if not outs:
             return empty
         # in-bucket pre-dedupe shrinks the final exchange
-        t = (pa.concat_tables(outs)
-             .group_by(["val_a", "val_b"]).aggregate([])
-             .select(["val_a", "val_b"]))
-        a = t.column("val_a")
-        if isinstance(a, pa.ChunkedArray):
-            a = a.combine_chunks()
-        b = t.column("val_b")
-        if isinstance(b, pa.ChunkedArray):
-            b = b.combine_chunks()
-        pk = xxhash64_array(pc.binary_join_element_wise(a, b, "\x1f"))
-        return t.append_column(
-            "__db", pa.array((pk % np.uint64(B)).astype(np.int64)))
+        return (pa.concat_tables(outs)
+                .group_by(["val_a", "val_b"]).aggregate([])
+                .select(["val_a", "val_b"]))
 
     def dedupe_bucket(group: pa.Table) -> pa.Table:
         return (group.group_by(["val_a", "val_b"]).aggregate([])
@@ -238,8 +225,6 @@ def edit1_pairs(ds, col: str, max_len: int = 64, num_buckets: int = 128):
     # 1-int pair-hash exchange + in-bucket group_by, NOT a 27M-row
     # two-string-column distributed sort (the dominant cost at the
     # 1M-name stress scale).
-    return (distinct.map_batches(explode, batch_format="pyarrow")
-            .groupby("__bucket")
-            .map_groups(verify_bucket, batch_format="pyarrow")
-            .groupby("__db")
-            .map_groups(dedupe_bucket, batch_format="pyarrow"))
+    cand = exchange(distinct.map_batches(explode, batch_format="pyarrow"),
+                    verify_bucket, "key", num_buckets)
+    return exchange(cand, dedupe_bucket, ["val_a", "val_b"], num_buckets)

@@ -25,6 +25,7 @@ import numpy as np
 import pyarrow as pa
 
 from bqf_ray.plans import plan_log
+from bqf_ray.stages.partition import exchange
 
 
 def _uf_components(a: np.ndarray, b: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
@@ -94,8 +95,6 @@ def connected_components(pairs, a_col: str = "doc_a", b_col: str = "doc_b",
     if mode != "dist":
         raise ValueError(f"unknown mode {mode!r}")
 
-    NB = int(num_buckets)
-
     def sym(batch: pa.Table) -> pa.Table:
         a = np.asarray(batch.column(a_col), dtype=np.int64)
         b = np.asarray(batch.column(b_col), dtype=np.int64)
@@ -124,7 +123,6 @@ def connected_components(pairs, a_col: str = "doc_a", b_col: str = "doc_b",
         return pa.table({
             "__key": batch.column("src"), "__dst": batch.column("dst"),
             "__label": pa.array(np.full(len(src), -1, dtype=np.int64)),
-            "__bucket": pa.array(src % np.int64(NB)),
             "__side": pa.array(np.zeros(len(src), dtype=np.int8))})
 
     def tag_labels(batch: pa.Table) -> pa.Table:
@@ -133,7 +131,6 @@ def connected_components(pairs, a_col: str = "doc_a", b_col: str = "doc_b",
         label_rows = pa.table({
             "__key": batch.column("node"), "__dst": batch.column("node"),
             "__label": batch.column("label"),
-            "__bucket": pa.array(node % np.int64(NB)),
             "__side": pa.array(np.ones(len(node), dtype=np.int8))})
         # pointer-jumping edges (label(v) → v): v also learns
         # label(label(v)) this round, so convergence is O(log diameter)
@@ -144,7 +141,6 @@ def connected_components(pairs, a_col: str = "doc_a", b_col: str = "doc_b",
         jump_rows = pa.table({
             "__key": pa.array(jl), "__dst": pa.array(jn),
             "__label": pa.array(np.full(len(jl), -1, dtype=np.int64)),
-            "__bucket": pa.array(jl % np.int64(NB)),
             "__side": pa.array(np.zeros(len(jl), dtype=np.int8))})
         return pa.concat_tables([label_rows, jump_rows])
 
@@ -172,8 +168,7 @@ def connected_components(pairs, a_col: str = "doc_a", b_col: str = "doc_b",
         both = (edges.map_batches(tag_edges, batch_format="pyarrow")
                 .union(labels.map_batches(tag_labels,
                                           batch_format="pyarrow")))
-        labels = (both.groupby("__bucket")
-                  .map_groups(propagate, batch_format="pyarrow")
+        labels = (exchange(both, propagate, "__key", num_buckets)
                   .groupby("node").aggregate(Min("label",
                                                  alias_name="label"))
                   .materialize())
@@ -983,18 +978,13 @@ def cooccurrence_edges(ds, group_col: str, item_col: str,
     the vectorized :func:`_segment_pairs`.  Emits duplicates when a
     pair co-occurs in several groups — feed :func:`triangle_count` (or
     any consumer that dedups) downstream."""
-    from bqf_ray.functions.hashing import fmix64
-
-    B = int(num_buckets)
 
     def tag(batch: pa.Table) -> pa.Table:
-        g = np.asarray(batch.column(group_col), dtype=np.int64)
         return pa.table({
-            "g": pa.array(g),
-            "i": pa.array(np.asarray(batch.column(item_col),
+            "g": pa.array(np.asarray(batch.column(group_col),
                                      dtype=np.int64)),
-            "__bucket": pa.array((fmix64(g.view(np.uint64))
-                                  % np.uint64(B)).astype(np.int64))})
+            "i": pa.array(np.asarray(batch.column(item_col),
+                                     dtype=np.int64))})
 
     def gen(grp: pa.Table) -> pa.Table:
         g = np.asarray(grp.column("g"), dtype=np.int64)
@@ -1010,15 +1000,21 @@ def cooccurrence_edges(ds, group_col: str, item_col: str,
         return pa.table({"a": pa.array(np.minimum(x, y)),
                          "b": pa.array(np.maximum(x, y))})
 
-    return (ds.map_batches(tag, batch_format="pyarrow")
-            .groupby("__bucket").map_groups(gen, batch_format="pyarrow"))
+    return exchange(ds.map_batches(tag, batch_format="pyarrow"), gen, "g",
+                    num_buckets)
 
 
-def _pair_hash64(a: np.ndarray, b: np.ndarray) -> np.ndarray:
-    from bqf_ray.functions.hashing import fmix64
-    GOLD = np.uint64(0x9E3779B97F4A7C15)
-    return fmix64(a.astype(np.int64).view(np.uint64) * GOLD
-                  ^ fmix64(b.astype(np.int64).view(np.uint64)))
+def _orient(batch: pa.Table) -> pa.Table:
+    """Degree-orient each degree-attached edge: ``u`` is the endpoint of
+    lower (degree, id), so every wedge is generated at exactly one
+    center."""
+    a = np.asarray(batch.column("a"), dtype=np.int64)
+    b = np.asarray(batch.column("b"), dtype=np.int64)
+    da = np.asarray(batch.column("deg_a"), dtype=np.int64)
+    db = np.asarray(batch.column("deg_b"), dtype=np.int64)
+    a_first = (da < db) | ((da == db) & (a < b))
+    return pa.table({"u": pa.array(np.where(a_first, a, b)),
+                     "v": pa.array(np.where(a_first, b, a))})
 
 
 def canonical_edges(edges_ds, a_col: str = "a", b_col: str = "b",
@@ -1027,7 +1023,6 @@ def canonical_edges(edges_ds, a_col: str = "a", b_col: str = "b",
     pairs: per-block pre-dedupe, ONE pair-hash bucket exchange, exact
     in-bucket dedupe.  Self-loops dropped.  Returns a MATERIALIZED
     (a, b) dataset (downstream graph ops consume it several times)."""
-    B = int(num_buckets)
 
     def canon(batch: pa.Table) -> pa.Table:
         x = np.asarray(batch.column(a_col), dtype=np.int64)
@@ -1040,11 +1035,7 @@ def canonical_edges(edges_ds, a_col: str = "a", b_col: str = "b",
         a, b = a[order], b[order]
         uniq = np.concatenate([[True], (a[1:] != a[:-1]) | (b[1:] != b[:-1])]) \
             if len(a) else np.empty(0, dtype=bool)
-        a, b = a[uniq], b[uniq]
-        return pa.table({"a": pa.array(a), "b": pa.array(b),
-                         "__bucket": pa.array(
-                             (_pair_hash64(a, b) % np.uint64(B))
-                             .astype(np.int64))})
+        return pa.table({"a": pa.array(a[uniq]), "b": pa.array(b[uniq])})
 
     def dedup_bucket(g: pa.Table) -> pa.Table:
         a = np.asarray(g.column("a"), dtype=np.int64)
@@ -1055,10 +1046,8 @@ def canonical_edges(edges_ds, a_col: str = "a", b_col: str = "b",
             if len(a) else np.empty(0, dtype=bool)
         return pa.table({"a": pa.array(a[uniq]), "b": pa.array(b[uniq])})
 
-    return (edges_ds.map_batches(canon, batch_format="pyarrow")
-            .groupby("__bucket")
-            .map_groups(dedup_bucket, batch_format="pyarrow")
-            .materialize())
+    return exchange(edges_ds.map_batches(canon, batch_format="pyarrow"),
+                    dedup_bucket, ["a", "b"], num_buckets).materialize()
 
 
 def attach_degrees(edges, num_buckets: int = 64, mode: str = "auto",
@@ -1085,7 +1074,6 @@ def attach_degrees(edges, num_buckets: int = 64, mode: str = "auto",
     """
     import ray
 
-    from bqf_ray.functions.hashing import fmix64
     from bqf_ray.stages.partition import bucketed_sum
 
     B = int(num_buckets)
@@ -1133,51 +1121,9 @@ def attach_degrees(edges, num_buckets: int = 64, mode: str = "auto",
 
         return edges.map_batches(lookup, batch_format="pyarrow")
 
-    def _attach(es, key: str, out: str):
-        cols = list(es.schema().names)
-
-        def tag_e(batch: pa.Table) -> pa.Table:
-            k = np.asarray(batch.column(key), dtype=np.int64)
-            bkt = (fmix64(k.view(np.uint64)) % np.uint64(B)).astype(np.int64)
-            t = batch.append_column("__bucket", pa.array(bkt))
-            t = t.append_column("__deg", pa.array(
-                np.zeros(len(batch), dtype=np.int64)))
-            return t.append_column("__side", pa.array(
-                np.zeros(len(batch), dtype=np.int8)))
-
-        def tag_d(batch: pa.Table) -> pa.Table:
-            v = np.asarray(batch.column("v"), dtype=np.int64)
-            bkt = (fmix64(v.view(np.uint64)) % np.uint64(B)).astype(np.int64)
-            cols_d = {c: pa.array(np.zeros(len(v), dtype=np.int64))
-                      for c in cols if c != key}
-            cols_d[key] = pa.array(v)
-            cols_d["__bucket"] = pa.array(bkt)
-            cols_d["__deg"] = batch.column("deg")
-            cols_d["__side"] = pa.array(np.ones(len(v), dtype=np.int8))
-            return pa.table(cols_d).select([*cols, "__bucket", "__deg",
-                                            "__side"])
-
-        def join_bucket(g: pa.Table) -> pa.Table:
-            side = np.asarray(g.column("__side"))
-            k = np.asarray(g.column(key), dtype=np.int64)
-            dv = k[side == 1]
-            dd = np.asarray(g.column("__deg"))[side == 1]
-            order = np.argsort(dv)
-            dv, dd = dv[order], dd[order]
-            emask = side == 0
-            ek = k[emask]
-            pos = np.searchsorted(dv, ek)
-            # every edge endpoint has a degree row by construction
-            got = dd[pos]
-            out_t = g.filter(pa.array(emask)).select(cols)
-            return out_t.append_column(out, pa.array(got.astype(np.int64)))
-
-        return (es.map_batches(tag_e, batch_format="pyarrow")
-                .union(deg.map_batches(tag_d, batch_format="pyarrow"))
-                .groupby("__bucket")
-                .map_groups(join_bucket, batch_format="pyarrow"))
-
-    return _attach(_attach(edges, "a", "deg_a"), "b", "deg_b")
+    lookup = deg.rename_columns({"deg": "val"})
+    return _attach_value(_attach_value(edges, lookup, "a", "deg_a", B),
+                         lookup, "b", "deg_b", B)
 
 
 def _triangle_count_broadcast(edges, n_edges: int, num_buckets: int):
@@ -1191,7 +1137,7 @@ def _triangle_count_broadcast(edges, n_edges: int, num_buckets: int):
     import ray
     import ray.data
 
-    from bqf_ray.functions.hashing import fmix64
+    from bqf_ray.stages.partition import bucket_of
 
     B = int(num_buckets)
     blocks = [t for t in ray.get(edges.to_arrow_refs()) if t.num_rows]
@@ -1207,7 +1153,7 @@ def _triangle_count_broadcast(edges, n_edges: int, num_buckets: int):
     a_first = (da < db) | ((da == db) & (a < b))
     u = np.where(a_first, a, b)
     v = np.where(a_first, b, a)
-    ubkt = (fmix64(u.view(np.uint64)) % np.uint64(B)).astype(np.int64)
+    ubkt = bucket_of(u, num_buckets=B)
     ps = _packed_pair_set(a, b)
     ref = ray.put((u, v, ubkt, ps))
 
@@ -1279,10 +1225,7 @@ def triangle_count(edges_ds, a_col: str = "a", b_col: str = "b",
     post-canonicalization exchanges.  Past the budget (or with
     ``mode="bucketed"``) the fully-distributed plan below runs — no
     stage of it ever holds more than one bucket."""
-    from bqf_ray.functions.hashing import fmix64
-
     B = int(num_buckets)
-    _pair_hash = _pair_hash64
 
     edges = canonical_edges(edges_ds, a_col, b_col, num_buckets=B)
     n_edges = edges.count()
@@ -1297,19 +1240,6 @@ def triangle_count(edges_ds, a_col: str = "a", b_col: str = "b",
     attached = attach_degrees(edges, num_buckets=B, mode="bucketed")
 
     # -- 3 + 4. orient, bucket by source, vectorized wedge gen -------
-    def orient(batch: pa.Table) -> pa.Table:
-        a = np.asarray(batch.column("a"), dtype=np.int64)
-        b = np.asarray(batch.column("b"), dtype=np.int64)
-        da = np.asarray(batch.column("deg_a"), dtype=np.int64)
-        db = np.asarray(batch.column("deg_b"), dtype=np.int64)
-        a_first = (da < db) | ((da == db) & (a < b))
-        u = np.where(a_first, a, b)
-        v = np.where(a_first, b, a)
-        return pa.table({"u": pa.array(u), "v": pa.array(v),
-                         "__bucket": pa.array(
-                             (fmix64(u.view(np.uint64)) % np.uint64(B))
-                             .astype(np.int64))})
-
     def wedges_bucket(g: pa.Table) -> pa.Table:
         u = np.asarray(g.column("u"), dtype=np.int64)
         v = np.asarray(g.column("v"), dtype=np.int64)
@@ -1330,31 +1260,20 @@ def triangle_count(edges_ds, a_col: str = "a", b_col: str = "b",
         return pa.table({"a": pa.array(wa), "b": pa.array(wb),
                          "wcnt": pa.array(cnt.astype(np.int64))})
 
-    wedges = (attached.map_batches(orient, batch_format="pyarrow")
-              .groupby("__bucket")
-              .map_groups(wedges_bucket, batch_format="pyarrow"))
+    wedges = exchange(attached.map_batches(_orient, batch_format="pyarrow"),
+                      wedges_bucket, "u", B)
 
     # -- 5. close against the edge set -------------------------------
     def tag_w(batch: pa.Table) -> pa.Table:
-        a = np.asarray(batch.column("a"), dtype=np.int64)
-        b = np.asarray(batch.column("b"), dtype=np.int64)
         return pa.table({"a": batch.column("a"), "b": batch.column("b"),
                          "wcnt": batch.column("wcnt"),
-                         "__bucket": pa.array(
-                             (_pair_hash(a, b) % np.uint64(B))
-                             .astype(np.int64)),
                          "__side": pa.array(
                              np.zeros(len(batch), dtype=np.int8))})
 
     def tag_edge(batch: pa.Table) -> pa.Table:
-        a = np.asarray(batch.column("a"), dtype=np.int64)
-        b = np.asarray(batch.column("b"), dtype=np.int64)
         return pa.table({"a": batch.column("a"), "b": batch.column("b"),
                          "wcnt": pa.array(np.zeros(len(batch),
                                                    dtype=np.int64)),
-                         "__bucket": pa.array(
-                             (_pair_hash(a, b) % np.uint64(B))
-                             .astype(np.int64)),
                          "__side": pa.array(
                              np.ones(len(batch), dtype=np.int8))})
 
@@ -1370,11 +1289,10 @@ def triangle_count(edges_ds, a_col: str = "a", b_col: str = "b",
             "tri": pa.array([int(w[wm][hit].sum())], type=pa.int64()),
             "wed": pa.array([int(w[wm].sum())], type=pa.int64())})
 
-    closed = (wedges.map_batches(tag_w, batch_format="pyarrow")
-              .union(edges.map_batches(tag_edge, batch_format="pyarrow"))
-              .groupby("__bucket")
-              .map_groups(close_bucket, batch_format="pyarrow")
-              .materialize())
+    closed = exchange(
+        wedges.map_batches(tag_w, batch_format="pyarrow")
+        .union(edges.map_batches(tag_edge, batch_format="pyarrow")),
+        close_bucket, ["a", "b"], B).materialize()
     n_tri = int(closed.sum("tri") or 0)
     n_wed = int(closed.sum("wed") or 0)
     return pa.table({"n_edges": pa.array([int(n_edges)], type=pa.int64()),
@@ -1470,31 +1388,22 @@ def _attach_value(es, lookup, key: str, out: str, num_buckets: int = 64):
     The distributed-side generalization of ``attach_degrees``'s
     bucketed plan; use a ``ray.put`` broadcast instead when the lookup
     fits the budget."""
-    from bqf_ray.functions.hashing import fmix64
-
-    B = int(num_buckets)
     cols = list(es.schema().names)
 
     def tag_e(batch: pa.Table) -> pa.Table:
-        k = np.asarray(batch.column(key), dtype=np.int64)
-        bkt = (fmix64(k.view(np.uint64)) % np.uint64(B)).astype(np.int64)
-        t = batch.append_column("__bucket", pa.array(bkt))
-        t = t.append_column("__val", pa.array(
+        t = batch.append_column("__val", pa.array(
             np.zeros(len(batch), dtype=np.int64)))
         return t.append_column("__side", pa.array(
             np.zeros(len(batch), dtype=np.int8)))
 
     def tag_l(batch: pa.Table) -> pa.Table:
         v = np.asarray(batch.column("v"), dtype=np.int64)
-        bkt = (fmix64(v.view(np.uint64)) % np.uint64(B)).astype(np.int64)
         cols_d = {c: pa.array(np.zeros(len(v), dtype=np.int64))
                   for c in cols if c != key}
         cols_d[key] = pa.array(v)
-        cols_d["__bucket"] = pa.array(bkt)
         cols_d["__val"] = batch.column("val")
         cols_d["__side"] = pa.array(np.ones(len(v), dtype=np.int8))
-        return pa.table(cols_d).select([*cols, "__bucket", "__val",
-                                        "__side"])
+        return pa.table(cols_d).select([*cols, "__val", "__side"])
 
     def join_bucket(g: pa.Table) -> pa.Table:
         side = np.asarray(g.column("__side"))
@@ -1510,10 +1419,9 @@ def _attach_value(es, lookup, key: str, out: str, num_buckets: int = 64):
         out_t = g.filter(pa.array(emask)).select(cols)
         return out_t.append_column(out, pa.array(got.astype(np.int64)))
 
-    return (es.map_batches(tag_e, batch_format="pyarrow")
-            .union(lookup.map_batches(tag_l, batch_format="pyarrow"))
-            .groupby("__bucket")
-            .map_groups(join_bucket, batch_format="pyarrow"))
+    return exchange(es.map_batches(tag_e, batch_format="pyarrow")
+                    .union(lookup.map_batches(tag_l, batch_format="pyarrow")),
+                    join_bucket, key, num_buckets)
 
 
 def frequent_itemsets(ds, group_col: str, item_col: str,
@@ -1542,7 +1450,6 @@ def frequent_itemsets(ds, group_col: str, item_col: str,
     dedupe)."""
     import ray
 
-    from bqf_ray.functions.hashing import fmix64
     from bqf_ray.stages.partition import bucketed_agg, bucketed_sum
 
     B = int(num_buckets)
@@ -1566,13 +1473,11 @@ def frequent_itemsets(ds, group_col: str, item_col: str,
 
     # --- item supports: distinct groups per item ---------------------
     def tag_g(batch: pa.Table) -> pa.Table:
-        g = np.asarray(batch.column(group_col), dtype=np.int64)
         return pa.table({
-            "g": pa.array(g),
-            "i": pa.array(np.asarray(batch.column(item_col),
+            "g": pa.array(np.asarray(batch.column(group_col),
                                      dtype=np.int64)),
-            "__bucket": pa.array((fmix64(g.view(np.uint64))
-                                  % np.uint64(B)).astype(np.int64))})
+            "i": pa.array(np.asarray(batch.column(item_col),
+                                     dtype=np.int64))})
 
     def support_bucket(grp: pa.Table) -> pa.Table:
         g = np.asarray(grp.column("g"), dtype=np.int64)
@@ -1589,9 +1494,8 @@ def frequent_itemsets(ds, group_col: str, item_col: str,
     # per-g-bucket partials are per-item PARTIAL counts (an item spans
     # many g-buckets) — combine with one tiny item-keyed bucketed sum
     support = bucketed_sum(
-        (ds.map_batches(tag_g, batch_format="pyarrow")
-         .groupby("__bucket")
-         .map_groups(support_bucket, batch_format="pyarrow")),
+        exchange(ds.map_batches(tag_g, batch_format="pyarrow"),
+                 support_bucket, "g", B),
         ["v"], {"val": "val"}, num_buckets=B).materialize()
 
     # --- n_groups: exact distinct count of g -------------------------
@@ -1870,7 +1774,6 @@ def _edge_support_bucketed(edges, n_edges: int, B: int):
     materialized; every exchange key is a single int hash bucket."""
     import ray.data
 
-    from bqf_ray.functions.hashing import fmix64
     from bqf_ray.stages.partition import bucketed_sum
 
     if n_edges == 0:
@@ -1879,42 +1782,22 @@ def _edge_support_bucketed(edges, n_edges: int, B: int):
             pa.table({"a": z, "b": z, "support": z}))
     attached = attach_degrees(edges, num_buckets=B, mode="bucketed")
 
-    def orient(batch: pa.Table) -> pa.Table:
-        a = np.asarray(batch.column("a"), dtype=np.int64)
-        b = np.asarray(batch.column("b"), dtype=np.int64)
-        da = np.asarray(batch.column("deg_a"), dtype=np.int64)
-        db = np.asarray(batch.column("deg_b"), dtype=np.int64)
-        a_first = (da < db) | ((da == db) & (a < b))
-        u = np.where(a_first, a, b)
-        v = np.where(a_first, b, a)
-        return pa.table({"u": pa.array(u), "v": pa.array(v),
-                         "__bucket": pa.array(
-                             (fmix64(u.view(np.uint64)) % np.uint64(B))
-                             .astype(np.int64))})
-
     def wedges_bucket(g: pa.Table) -> pa.Table:
         u = np.asarray(g.column("u"), dtype=np.int64)
         v = np.asarray(g.column("v"), dtype=np.int64)
         x, y, c = _segment_pairs_keyed(u, v)
-        wa, wb = np.minimum(x, y), np.maximum(x, y)
-        return pa.table({"a": pa.array(wa), "b": pa.array(wb),
+        return pa.table({"a": pa.array(np.minimum(x, y)),
+                         "b": pa.array(np.maximum(x, y)),
                          "c": pa.array(c),
-                         "__bucket": pa.array(
-                             (_pair_hash64(wa, wb) % np.uint64(B))
-                             .astype(np.int64)),
                          "__side": pa.array(
-                             np.zeros(len(wa), dtype=np.int8))})
+                             np.zeros(len(x), dtype=np.int8))})
 
     def tag_edge(batch: pa.Table) -> pa.Table:
-        a = np.asarray(batch.column("a"), dtype=np.int64)
-        b = np.asarray(batch.column("b"), dtype=np.int64)
         return pa.table({"a": batch.column("a"), "b": batch.column("b"),
-                         "c": pa.array(np.zeros(len(a), dtype=np.int64)),
-                         "__bucket": pa.array(
-                             (_pair_hash64(a, b) % np.uint64(B))
-                             .astype(np.int64)),
+                         "c": pa.array(np.zeros(batch.num_rows,
+                                                dtype=np.int64)),
                          "__side": pa.array(
-                             np.ones(len(a), dtype=np.int8))})
+                             np.ones(batch.num_rows, dtype=np.int8))})
 
     def close_bucket(g: pa.Table) -> pa.Table:
         side = np.asarray(g.column("__side"))
@@ -1940,14 +1823,11 @@ def _edge_support_bucketed(edges, n_edges: int, B: int):
                          "b": pa.array(upair[:, 1]),
                          "s": pa.array(cnt.astype(np.int64))})
 
-    wedges = (attached.map_batches(orient, batch_format="pyarrow")
-              .groupby("__bucket")
-              .map_groups(wedges_bucket, batch_format="pyarrow"))
-    partials = (wedges
-                .union(edges.map_batches(tag_edge,
-                                         batch_format="pyarrow"))
-                .groupby("__bucket")
-                .map_groups(close_bucket, batch_format="pyarrow"))
+    wedges = exchange(attached.map_batches(_orient, batch_format="pyarrow"),
+                      wedges_bucket, "u", B)
+    partials = exchange(
+        wedges.union(edges.map_batches(tag_edge, batch_format="pyarrow")),
+        close_bucket, ["a", "b"], B)
     zeros = edges.map_batches(
         lambda t: pa.table({"a": t.column("a"), "b": t.column("b"),
                             "s": pa.array(np.zeros(t.num_rows,
@@ -1964,8 +1844,7 @@ def _edge_support_broadcast(edges, n_edges: int, B: int):
     import ray
     import ray.data
 
-    from bqf_ray.functions.hashing import fmix64
-    from bqf_ray.stages.partition import bucketed_sum
+    from bqf_ray.stages.partition import bucket_of, bucketed_sum
 
     blocks = [t for t in ray.get(edges.to_arrow_refs()) if t.num_rows]
     a = (np.concatenate([np.asarray(t.column("a"), dtype=np.int64)
@@ -1980,7 +1859,7 @@ def _edge_support_broadcast(edges, n_edges: int, B: int):
     a_first = (da < db) | ((da == db) & (a < b))
     u = np.where(a_first, a, b)
     v = np.where(a_first, b, a)
-    ubkt = (fmix64(u.view(np.uint64)) % np.uint64(B)).astype(np.int64)
+    ubkt = bucket_of(u, num_buckets=B)
     ps = _packed_pair_set(a, b)
     ref = ray.put((u, v, ubkt, ps))
 
@@ -2089,25 +1968,17 @@ def path_ngram_counts(ds, n: int = 3, key_col: str = "user_id",
     (rows between are equal too — the sort is key-major), per-bucket
     pre-aggregation, then a label-tuple-sized final exchange.
     """
-    import pyarrow.compute as pc
-
+    from bqf_ray.pipelines.windowed import _keyed_rows
     from bqf_ray.stages.partition import bucketed_agg
 
     N = int(n)
     assert N >= 2, "path n-grams need n >= 2"
-    NB = int(num_buckets)
     cols = out_cols or [f"step_{j}" for j in range(N)]
     assert len(cols) == N
 
     def bucket(batch: pa.Table) -> pa.Table:
-        uid = np.asarray(batch.column(key_col), dtype=np.int64)
-        ts = np.asarray(batch.column(ts_col)).astype("datetime64[us]"
-                                                     ).astype(np.int64)
-        return pa.table({
-            "u": pa.array(uid), "t": pa.array(ts),
-            "i": pc.cast(batch.column(id_col), pa.int64()),
-            "l": batch.column(label_col),
-            "__bucket": pa.array((uid % NB).astype(np.int64))})
+        return _keyed_rows(key_col, ts_col, id_col)(batch).append_column(
+            "l", batch.column(label_col))
 
     def windows_bucket(group: pa.Table) -> pa.Table:
         empty = pa.table({**{c: pa.array([], pa.string()) for c in cols},
@@ -2133,9 +2004,8 @@ def path_ngram_counts(ds, n: int = 3, key_col: str = "user_id",
                 .rename_columns(cols + ["partial"]))
 
     return bucketed_agg(
-        ds.map_batches(bucket, batch_format="pyarrow")
-        .groupby("__bucket")
-        .map_groups(windows_bucket, batch_format="pyarrow"),
+        exchange(ds.map_batches(bucket, batch_format="pyarrow"),
+                 windows_bucket, "u", num_buckets),
         cols, [("partial", "sum", "n")])
 
 
@@ -2709,10 +2579,6 @@ def link_prediction(edges_ds, a_col: str = "a", b_col: str = "b",
     Reference scope: the reference engine has no graph surface — this
     is part of the training-data/graph suite (SURVEY.md §2 additions).
     """
-    import ray  # noqa: F401  (dataset ops only)
-
-    from bqf_ray.functions.hashing import fmix64
-
     B = int(num_buckets)
     if min_cn < 1:
         raise ValueError("min_cn must be >= 1")
@@ -2721,11 +2587,8 @@ def link_prediction(edges_ds, a_col: str = "a", b_col: str = "b",
     def wedges(batch: pa.Table) -> pa.Table:
         a = np.asarray(batch.column("a"), dtype=np.int64)
         b = np.asarray(batch.column("b"), dtype=np.int64)
-        ctr = np.concatenate([a, b])
-        nbr = np.concatenate([b, a])
-        bkt = (fmix64(ctr.view(np.uint64)) % np.uint64(B)).astype(np.int64)
-        return pa.table({"c": pa.array(ctr), "n": pa.array(nbr),
-                         "__bucket": pa.array(bkt)})
+        return pa.table({"c": pa.array(np.concatenate([a, b])),
+                         "n": pa.array(np.concatenate([b, a]))})
 
     def gen_pairs(grp: pa.Table) -> pa.Table:
         c = np.asarray(grp.column("c"), dtype=np.int64)
@@ -2753,21 +2616,16 @@ def link_prediction(edges_ds, a_col: str = "a", b_col: str = "b",
         idx = np.flatnonzero(new)
         cnt = np.diff(np.append(idx, len(wa))).astype(np.int64)
         wa, wb = wa[idx], wb[idx]
-        bkt = (_pair_hash64(wa, wb) % np.uint64(B)).astype(np.int64)
         return pa.table({
             "a": pa.array(wa), "b": pa.array(wb), "cn": pa.array(cnt),
-            "__side": pa.array(np.zeros(len(wa), dtype=np.int8)),
-            "__bucket": pa.array(bkt)})
+            "__side": pa.array(np.zeros(len(wa), dtype=np.int8))})
 
     def tag_edges(batch: pa.Table) -> pa.Table:
         a = np.asarray(batch.column("a"), dtype=np.int64)
-        b = np.asarray(batch.column("b"), dtype=np.int64)
-        bkt = (_pair_hash64(a, b) % np.uint64(B)).astype(np.int64)
         return pa.table({
-            "a": pa.array(a), "b": pa.array(b),
+            "a": pa.array(a), "b": batch.column("b"),
             "cn": pa.array(np.zeros(len(a), dtype=np.int64)),
-            "__side": pa.array(np.ones(len(a), dtype=np.int8)),
-            "__bucket": pa.array(bkt)})
+            "__side": pa.array(np.ones(len(a), dtype=np.int8))})
 
     thresh = np.int64(min_cn)
 
@@ -2798,12 +2656,11 @@ def link_prediction(edges_ds, a_col: str = "a", b_col: str = "b",
         return pa.table({"a": pa.array(ua[keep]), "b": pa.array(ub[keep]),
                          "cn": pa.array(tot[keep])})
 
-    pairs = (edges.map_batches(wedges, batch_format="pyarrow")
-             .groupby("__bucket")
-             .map_groups(gen_pairs, batch_format="pyarrow")
-             .union(edges.map_batches(tag_edges, batch_format="pyarrow"))
-             .groupby("__bucket")
-             .map_groups(fold_bucket, batch_format="pyarrow"))
+    cand = exchange(edges.map_batches(wedges, batch_format="pyarrow"),
+                    gen_pairs, "c", B)
+    pairs = exchange(
+        cand.union(edges.map_batches(tag_edges, batch_format="pyarrow")),
+        fold_bucket, ["a", "b"], B)
 
     scored = attach_degrees(pairs, num_buckets=B, mode=mode,
                             broadcast_budget_bytes=broadcast_budget_bytes,

@@ -162,7 +162,9 @@ class MediaFeatures:
 
 class SampleFrames:
     """Video frame sampling: every ``stride``-th frame (up to max_frames)
-    exploded to one row per frame — flat_map semantics done batch-wise."""
+    exploded to one row per frame — flat_map semantics done batch-wise.
+    Null payloads, undecodable headers and containers whose claimed
+    frames overrun the blob emit no rows."""
 
     def __init__(self, stride: int = 2, max_frames: int = 4,
                  payload_col: str = "payload", id_col: str = "media_id"):
@@ -176,13 +178,15 @@ class SampleFrames:
         mids = batch.column(self.id_col).to_pylist()
         for mid, blob in zip(mids,
                              _binary_views(batch.column(self.payload_col))):
+            if blob is None:
+                continue
             try:
                 kind, w, h, f, off = decode_header(blob)
-            except NotImplementedError:
-                continue
-            if kind != 2:
+            except _DECODE_ERRORS:
                 continue
             fsize = w * h
+            if kind != 2 or off + f * fsize > len(blob):
+                continue
             for j, fi in enumerate(range(0, f, self.stride)):
                 if j >= self.max_frames:
                     break

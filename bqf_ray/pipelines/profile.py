@@ -7,7 +7,7 @@ over the same exchange.
 
 Plan shape:
 - melt: one pass over the input emits per-batch-DISTINCT
-  ``(column, value)`` pairs bucketed by ``xxh64(value) % NB`` (side 0)
+  ``(column, value)`` pairs exchanged on that pair (side 0)
   plus one tiny per-column stat partial per batch (side 1: n, n_null,
   min/max as strings).  Values are string-cast — lossless/injective for
   ints and strings, and shortest-repr doubles round-trip, so distinct
@@ -18,7 +18,7 @@ Plan shape:
   registers (register max is associative/commutative/idempotent).
   Each bucket emits one partial row per column it saw: packed sparse
   registers ``(idx << 8) | rho`` as a list<int64>.
-- assemble: a second, TINY groupby on column name (≤ NB + batches rows
+- assemble: a second, TINY groupby on column name (≤ buckets + batches rows
   per column) sums exact parts, max-merges sparse registers,
   min/max-folds the stat partials (parsed back through the column's
   real type so "10" < "9" string order never corrupts numeric bounds),
@@ -37,6 +37,7 @@ import pyarrow.compute as pc
 
 from bqf_ray.functions.hashing import xxhash64_array
 from bqf_ray.sketches.hll import HyperLogLog, _register_updates
+from bqf_ray.stages.partition import exchange
 
 
 _DIGEST_LEN = 64
@@ -93,7 +94,6 @@ def profile_table(ds, columns: list[str] | None = None, hll_p: int = 12,
     missing = [c for c in cols if c not in types]
     if missing:
         raise ValueError(f"unknown columns: {missing}")
-    NB = int(num_buckets)
     P = int(hll_p)
 
     out_schema = pa.schema([
@@ -103,7 +103,7 @@ def profile_table(ds, columns: list[str] | None = None, hll_p: int = 12,
         ("hll_ok", pa.bool_())])
 
     # union schema for both row kinds crossing the first exchange
-    def _rows(col, value, bucket, side, n=None, nnull=None, lo=None, hi=None):
+    def _rows(col, value, side, n=None, nnull=None, lo=None, hi=None):
         k = len(col)
 
         def fill(v, typ):
@@ -111,7 +111,6 @@ def profile_table(ds, columns: list[str] | None = None, hll_p: int = 12,
         return pa.table({
             "col": pa.array(col, pa.string()),
             "value": fill(value, pa.string()),
-            "__bucket": pa.array(bucket, pa.int64()),
             "side": pa.array(side, pa.int8()),
             "pn": fill(n, pa.int64()), "pnull": fill(nnull, pa.int64()),
             "plo": fill(lo, pa.string()), "phi": fill(hi, pa.string())})
@@ -133,12 +132,9 @@ def profile_table(ds, columns: list[str] | None = None, hll_p: int = 12,
             if len(vals) == 0:
                 continue
             vals = _digest_long(vals)
-            b = (xxhash64_array(vals) % np.uint64(NB)).astype(np.int64)
-            parts.append(_rows([c] * len(vals), vals, b,
+            parts.append(_rows([c] * len(vals), vals,
                                np.zeros(len(vals), dtype=np.int8)))
-        sb = (xxhash64_array(pa.array(stat_c, pa.string()))
-              % np.uint64(NB)).astype(np.int64)
-        parts.append(_rows(stat_c, None, sb,
+        parts.append(_rows(stat_c, None,
                            np.ones(len(stat_c), dtype=np.int8),
                            n=stat_n, nnull=stat_nn, lo=stat_lo, hi=stat_hi))
         return pa.concat_tables(parts)
@@ -243,8 +239,7 @@ def profile_table(ds, columns: list[str] | None = None, hll_p: int = 12,
             "max_v": pa.array([hi], pa.string()),
             "hll_ok": pa.array([ok], pa.bool_())})
 
-    return (ds.map_batches(melt, batch_format="pyarrow")
-            .groupby("__bucket")
-            .map_groups(bucket_merge, batch_format="pyarrow")
+    return (exchange(ds.map_batches(melt, batch_format="pyarrow"),
+                     bucket_merge, ["col", "value"], num_buckets)
             .groupby("col")
             .map_groups(assemble, batch_format="pyarrow"))

@@ -33,6 +33,8 @@ from __future__ import annotations
 import numpy as np
 import pyarrow as pa
 
+from bqf_ray.stages.partition import exchange
+
 
 def value_histogram(ds, value_col: str, lo: float, hi: float, bins: int):
     """Exact equi-width histogram over ``[lo, hi]``.
@@ -234,11 +236,6 @@ def grouped_relative_ranks(ds, key_col: str, value_col: str,
     percent_rank, cume_dist)``."""
     import pyarrow.compute as pc
 
-    from bqf_ray.functions.hashing import xxhash64_array
-    from bqf_ray.stages.partition import _col_hash64
-
-    NB = int(num_buckets)
-
     def bucket(batch: pa.Table) -> pa.Table:
         v = batch.column(value_col)
         keep = pc.is_valid(v)
@@ -247,13 +244,10 @@ def grouped_relative_ranks(ds, key_col: str, value_col: str,
                 v, 0.0))))
         batch = batch.filter(pc.and_(keep, pc.is_valid(
             batch.column(key_col))))
-        kh = (_col_hash64(batch.column(key_col))
-              % np.uint64(NB)).astype(np.int64)
         return pa.table({
             "k": batch.column(key_col),
             "v": pc.cast(batch.column(value_col), pa.float64()),
-            "i": pc.cast(batch.column(id_col), pa.int64()),
-            "__bucket": pa.array(kh)})
+            "i": pc.cast(batch.column(id_col), pa.int64())})
 
     def ranks(group: pa.Table) -> pa.Table:
         if not group.num_rows:
@@ -289,9 +283,8 @@ def grouped_relative_ranks(ds, key_col: str, value_col: str,
                          "percent_rank": pa.array(pr),
                          "cume_dist": pa.array(cd.astype(np.float64))})
 
-    return (ds.map_batches(bucket, batch_format="pyarrow")
-            .groupby("__bucket").map_groups(ranks,
-                                            batch_format="pyarrow"))
+    return exchange(ds.map_batches(bucket, batch_format="pyarrow"), ranks,
+                    "k", num_buckets)
 
 
 def grouped_value_histogram(ds, group_col: str, value_col: str,
@@ -467,21 +460,11 @@ def grouped_ntile(ds, key_col: str, ts_col: str, id_col: str, n: int,
     across buckets, tiles come from one lexsort + integer arithmetic on
     the 0-based in-key position (no per-key loop).  Output
     ``(id_col, tile)``."""
-    import pyarrow.compute as pc
+    from bqf_ray.pipelines.windowed import _keyed_rows
 
-    NB = int(num_buckets)
     K = int(n)
     if K < 1:
         raise ValueError("ntile n must be >= 1")
-
-    def bucket(batch: pa.Table) -> pa.Table:
-        uid = np.asarray(batch.column(key_col), dtype=np.int64)
-        ts = np.asarray(batch.column(ts_col)).astype("datetime64[us]"
-                                                     ).astype(np.int64)
-        return pa.table({
-            "u": pa.array(uid), "t": pa.array(ts),
-            "i": pc.cast(batch.column(id_col), pa.int64()),
-            "__bucket": pa.array((uid % NB).astype(np.int64))})
 
     def tile_bucket(group: pa.Table) -> pa.Table:
         u = np.asarray(group.column("u"), dtype=np.int64)
@@ -507,6 +490,6 @@ def grouped_ntile(ds, key_col: str, ts_col: str, id_col: str, n: int,
         return pa.table({id_col: pa.array(i[order]),
                          "tile": pa.array(tile.astype(np.int64))})
 
-    return (ds.map_batches(bucket, batch_format="pyarrow")
-            .groupby("__bucket")
-            .map_groups(tile_bucket, batch_format="pyarrow"))
+    prep = _keyed_rows(key_col, ts_col, id_col)
+    return exchange(ds.map_batches(prep, batch_format="pyarrow"),
+                    tile_bucket, "u", num_buckets)

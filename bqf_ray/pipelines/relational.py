@@ -7,7 +7,7 @@ them for dimension enrichment and fact-fact matching:
   ``ray.put``; each batch does a vectorized searchsorted/take lookup.  No
   shuffle.
 - :func:`partitioned_hash_join` — both sides large: tag rows with
-  ``bucket = key % B``, union the two tagged datasets, one
+  ``bucket = bucket_of(key)``, union the two tagged datasets, one
   ``groupby(bucket)`` shuffle, and join matching buckets pairwise inside
   ``map_groups`` with pandas merge.  Salt hot keys upstream if a bucket
   overflows (documented; hashed integer keys are uniform here).
@@ -19,6 +19,7 @@ import numpy as np
 import pyarrow as pa
 
 from bqf_ray.plans import plan_log
+from bqf_ray.stages.partition import exchange
 
 
 def broadcast_join(ds, small_df, key: str, how: str = "inner",
@@ -66,10 +67,20 @@ def broadcast_join(ds, small_df, key: str, how: str = "inner",
                           concurrency=concurrency, num_cpus=0.5)
 
 
-def _arrow_field_types(ds) -> dict:
-    """{column: pa.DataType} from a Dataset's schema (arrow- or
+def _tagged(ds, side: int):
+    """``ds`` with an int8 ``__side`` column: the side tag every
+    co-partitioned join below unions, then exchanges on its key."""
+
+    def tag(batch: pa.Table) -> pa.Table:
+        return batch.append_column("__side", pa.array(
+            np.full(len(batch), side, dtype=np.int8)))
+
+    return ds.map_batches(tag, batch_format="pyarrow")
+
+
+def _arrow_field_types(sch) -> dict:
+    """{column: pa.DataType} from a Dataset schema (arrow- or
     numpy-backed blocks)."""
-    sch = ds.schema()
     base = getattr(sch, "base_schema", None)
     if isinstance(base, pa.Schema):
         return {f.name: f.type for f in base}
@@ -114,24 +125,20 @@ def semi_join(left_ds, right_ds, left_key: str, right_key: str | None = None,
               num_buckets: int = 32, anti: bool = False):
     """Distributed semi-join: left rows whose integer ``left_key`` appears
     in ``right_ds[right_key]`` (``anti=True`` inverts).  Both sides are
-    bucket-co-partitioned on ``key % B`` — ONE groupby shuffle, no driver
+    bucket-co-partitioned on ``bucket_of(key)`` — ONE groupby shuffle, no driver
     materialization of either side (r1 verdict: replaces the
     collect-keys-then-broadcast pattern for large right sides).  The right
     side ships only its key column."""
-    import pyarrow.compute as pc
-
-    B = int(num_buckets)
     right_key = right_key or left_key
     sch = left_ds.schema()
     if sch is None:        # fully-empty left: nothing to (anti-)join
         return left_ds
     left_cols = list(sch.names)
-    ltypes = _arrow_field_types(left_ds)
+    ltypes = _arrow_field_types(sch)
 
     def tag_left(batch: pa.Table) -> pa.Table:
         k = np.asarray(batch.column(left_key), dtype=np.int64)
         return (batch.append_column("__jk", pa.array(k))
-                .append_column("__bucket", pa.array(k % np.int64(B)))
                 .append_column("__side", pa.array(
                     np.zeros(len(batch), dtype=np.int8))))
 
@@ -139,7 +146,6 @@ def semi_join(left_ds, right_ds, left_key: str, right_key: str | None = None,
         k = np.unique(np.asarray(batch.column(right_key), dtype=np.int64))
         return pa.table({
             "__jk": pa.array(k),
-            "__bucket": pa.array(k % np.int64(B)),
             "__side": pa.array(np.ones(len(k), dtype=np.int8)),
         })
 
@@ -157,9 +163,8 @@ def semi_join(left_ds, right_ds, left_key: str, right_key: str | None = None,
 
     left_tagged = left_ds.map_batches(tag_left, batch_format="pyarrow")
     right_tagged = right_ds.map_batches(tag_right, batch_format="pyarrow")
-    return (left_tagged.union(right_tagged)
-            .groupby("__bucket")
-            .map_groups(filter_bucket, batch_format="pyarrow"))
+    return exchange(left_tagged.union(right_tagged), filter_bucket, "__jk",
+                    num_buckets)
 
 
 def bloom_semi_join(left_ds, right_ds, left_key: str,
@@ -281,31 +286,22 @@ def asof_join(left_ds, right_ds, on: str, by: str, num_buckets: int = 32,
     sharing ``by`` — DuckDB's ``ASOF JOIN ... ON l.by = r.by AND
     l.on >= r.on`` semantics.
 
-    Plan: bucket-co-partition both sides on ``by % B`` (one groupby
+    Plan: bucket-co-partition both sides on ``bucket_of(by)`` (one groupby
     shuffle), then a vectorized merge per bucket: lexsort the combined
     rows by (by, on, side) with right rows first at ties, take a running
     maximum of right-row positions, and validate the match is same-key.
     Right-side ties on (by, on) resolve to the highest original row order
     (deterministic; dedupe the right side first if that matters).
     ``how="left"`` keeps unmatched left rows with null right columns."""
-    B = int(num_buckets)
-    left_cols = list(left_ds.schema().names)
-    right_cols = [c for c in right_ds.schema().names if c != by]
+    lsch, rsch = left_ds.schema(), right_ds.schema()
+    left_cols = list(lsch.names)
+    right_cols = [c for c in rsch.names if c != by]
 
     def to_i64(col) -> np.ndarray:
         arr = np.asarray(col)
         if np.issubdtype(arr.dtype, np.datetime64):
             return arr.astype("datetime64[us]").astype(np.int64)
         return arr.astype(np.int64)
-
-    def tag(side: int):
-        def fn(batch: pa.Table) -> pa.Table:
-            k = np.asarray(batch.column(by), dtype=np.int64)
-            return (batch.append_column("__bucket",
-                                        pa.array(k % np.int64(B)))
-                    .append_column("__side", pa.array(
-                        np.full(len(batch), side, dtype=np.int8))))
-        return fn
 
     def rename_right(batch: pa.Table) -> pa.Table:
         names = [c + suffix if c in right_cols else c
@@ -314,8 +310,8 @@ def asof_join(left_ds, right_ds, on: str, by: str, num_buckets: int = 32,
 
     right_cols_final = [c + suffix for c in right_cols]
 
-    ltypes = _arrow_field_types(left_ds)
-    rt0 = _arrow_field_types(right_ds)
+    ltypes = _arrow_field_types(lsch)
+    rt0 = _arrow_field_types(rsch)
     rtypes = {by: rt0[by], **{c + suffix: rt0[c] for c in right_cols}}
 
     def merge_bucket(group: pa.Table) -> pa.Table:
@@ -356,12 +352,10 @@ def asof_join(left_ds, right_ds, on: str, by: str, num_buckets: int = 32,
             out = out.append_column(c, r_tbl.column(c).take(idx))
         return out
 
-    left_tagged = left_ds.map_batches(tag(0), batch_format="pyarrow")
-    right_tagged = (right_ds.map_batches(tag(1), batch_format="pyarrow")
-                    .map_batches(rename_right, batch_format="pyarrow"))
-    return (left_tagged.union(right_tagged)
-            .groupby("__bucket")
-            .map_groups(merge_bucket, batch_format="pyarrow"))
+    right_tagged = _tagged(right_ds, 1).map_batches(rename_right,
+                                                    batch_format="pyarrow")
+    return exchange(_tagged(left_ds, 0).union(right_tagged), merge_bucket,
+                    by, num_buckets)
 
 
 def interval_join(left_ds, intervals_df, val: str, lo: str, hi: str,
@@ -430,58 +424,32 @@ def partitioned_hash_join(left_ds, right_ds, key: str, num_buckets: int = 32,
     bucket, so unmatched rows are detected without any global pass."""
     if how not in ("inner", "left", "full"):
         raise ValueError(f"unsupported how={how!r}")
-    B = int(num_buckets)
-
-    def tag(side: int):
-        def fn(batch: pa.Table) -> pa.Table:
-            k = np.asarray(batch.column(key), dtype=np.int64)
-            bucket = np.abs(k) % B
-            return (batch.append_column("__bucket", pa.array(bucket))
-                    .append_column("__side",
-                                   pa.array(np.full(len(batch), side,
-                                                    dtype=np.int8))))
-        return fn
+    left_ds, lsch = _with_schema(left_ds)
+    right_ds, rsch = _with_schema(right_ds)
 
     # schemas differ → carry each side's columns; union aligns by name with
-    # nulls, so rename right columns (except key/bucket/side) upfront
-    right_cols = [c for c in right_ds.schema().names if c != key]
+    # nulls, so rename right columns (except key/side) upfront
+    right_cols = [c for c in rsch.names if c != key]
 
     def rename_right(batch: pa.Table) -> pa.Table:
         names = [c + suffix if c in right_cols else c
                  for c in batch.column_names]
         return batch.rename_columns(names)
 
-    left_tagged = left_ds.map_batches(tag(0), batch_format="pyarrow")
-    right_tagged = (right_ds.map_batches(tag(1), batch_format="pyarrow")
-                    .map_batches(rename_right, batch_format="pyarrow"))
+    right_tagged = _tagged(right_ds, 1).map_batches(rename_right,
+                                                    batch_format="pyarrow")
 
     # select each side's columns from the schemas captured at tag time —
     # inferring sides via dropna would silently drop a genuinely all-null
     # column on one side within a bucket
-    left_cols = list(left_ds.schema().names)
+    left_cols = list(lsch.names)
     right_cols_final = [key] + [c + suffix for c in right_cols]
 
     # explicit output schema: pandas promotes int columns with unmatched
     # rows to float64 (NaN), which would give outer-join buckets
     # divergent block schemas — emit Arrow with the declared types
     # (nulls for unmatched) instead
-    def _arrow_types(ds) -> dict:
-        sch = ds.schema()
-        base = getattr(sch, "base_schema", None)
-        if isinstance(base, pa.Schema):
-            return {f.name: f.type for f in base}
-        # pandas-block datasets report numpy dtypes
-        out = {}
-        for n, t in zip(sch.names, sch.types):
-            if isinstance(t, pa.DataType):
-                out[n] = t
-            else:
-                dt = np.dtype(t)
-                out[n] = pa.string() if dt == object \
-                    else pa.from_numpy_dtype(dt)
-        return out
-
-    ltypes, rtypes = _arrow_types(left_ds), _arrow_types(right_ds)
+    ltypes, rtypes = _arrow_field_types(lsch), _arrow_field_types(rsch)
     fields = {n: ltypes[n] for n in left_cols}
     for c in right_cols:
         fields[c + suffix] = rtypes[c]
@@ -495,22 +463,10 @@ def partitioned_hash_join(left_ds, right_ds, key: str, num_buckets: int = 32,
     jt = {"inner": "inner", "left": "left outer",
           "full": "full outer"}[how]
 
-    def _side(group: pa.Table, mask: np.ndarray, cols: list,
-              types: dict) -> pa.Table:
-        sub = group.filter(pa.array(mask))
-        # a bucket whose blocks all came from ONE side can lack the
-        # other side's columns entirely (union schema alignment is
-        # per-block): degrade to a TYPED empty table, never a KeyError
-        if any(c not in sub.schema.names for c in cols):
-            return pa.table({c: pa.array([], types[c]) for c in cols})
-        return sub.select(cols)
-
     def join_bucket(group: pa.Table) -> pa.Table:
         side = np.asarray(group.column("__side"))
-        lt = _side(group, side == 0, left_cols,
-                   {n: fields[n] for n in left_cols})
-        rt = _side(group, side == 1, right_cols_final,
-                   {n: fields[n] for n in right_cols_final})
+        lt = _side_select(group, side == 0, left_cols, fields)
+        rt = _side_select(group, side == 1, right_cols_final, fields)
         if how == "inner" and (lt.num_rows == 0 or rt.num_rows == 0):
             return pa.table({n: pa.array([], fields[n])
                              for n in out_names})
@@ -520,9 +476,20 @@ def partitioned_hash_join(left_ds, right_ds, key: str, num_buckets: int = 32,
         return pa.table({n: out.column(n).cast(fields[n])
                          for n in out_names})
 
-    return (left_tagged.union(right_tagged)
-            .groupby("__bucket")
-            .map_groups(join_bucket, batch_format="pyarrow"))
+    return exchange(_tagged(left_ds, 0).union(right_tagged), join_bucket,
+                    key, num_buckets)
+
+
+def _with_schema(ds):
+    """``(ds, schema)`` without a throwaway partial execution: the schema
+    when Ray knows it for free (a read, a materialized dataset), else
+    ``ds`` materialized once — the caller then joins the materialized
+    side, so each side executes exactly once."""
+    sch = ds.schema(fetch_if_missing=False)
+    if sch is None:
+        ds = ds.materialize()
+        sch = ds.schema()
+    return ds, sch
 
 
 def time_band_join(left_ds, right_ds, on: str, by: str, band_us: int,
@@ -533,7 +500,7 @@ def time_band_join(left_ds, right_ds, on: str, by: str, band_us: int,
     the "purchases within ±5 min of a click" shape that an as-of join
     (nearest one) and an interval join (static ranges) don't cover.
 
-    One ``by % B`` co-partitioning shuffle; per bucket both sides sort
+    One ``bucket_of(by)`` co-partitioning shuffle; per bucket both sides sort
     once and every left row finds its right-range via TWO merge-rank
     passes (searchsorted on the concatenated (key, ts) order — no
     per-key loop), then pairs materialize with repeat/arange gathers.
@@ -547,21 +514,18 @@ def time_band_join(left_ds, right_ds, on: str, by: str, band_us: int,
     found exactly once, in the left row's cell.  A key holding 25% of
     the stream then splits across ~span/band cells instead of one
     group (the north-rule skew requirement, applied to joins)."""
-    NB = int(num_buckets)
     W = np.int64(band_us)
     S = max(W, np.int64(1))              # slice width >= band
 
     def tag(side: int, id_col: str):
         def fn(batch: pa.Table) -> pa.Table:
             import pyarrow.compute as pc
-            from bqf_ray.functions.hashing import fmix64
             u = np.asarray(batch.column(by), dtype=np.int64)
             t = np.asarray(batch.column(on)).astype("datetime64[us]"
                                                     ).astype(np.int64)
             i = np.asarray(pc.cast(batch.column(id_col), pa.int64()))
             if not time_sliced:
                 c = np.zeros(len(u), dtype=np.int64)
-                bucket = (u % NB).astype(np.int64)
             else:
                 home = t // S
                 if side == 1:            # right fans to 3 cells
@@ -573,15 +537,10 @@ def time_band_join(left_ds, right_ds, on: str, by: str, band_us: int,
                                    len(home)))
                 else:
                     c = home
-                bucket = (fmix64((u.astype(np.uint64)
-                                  * np.uint64(0x9E3779B97F4A7C15))
-                                 ^ c.astype(np.uint64))
-                          % np.uint64(NB)).astype(np.int64)
             return pa.table({
                 "u": pa.array(u), "t": pa.array(t), "c": pa.array(c),
                 "i": pa.array(i),
-                "__side": pa.array(np.full(len(u), side, dtype=np.int8)),
-                "__bucket": pa.array(bucket)})
+                "__side": pa.array(np.full(len(u), side, dtype=np.int8))})
         return fn
 
     def _rank(uq, tq, uk, tk, side_of_query_after: bool):
@@ -647,8 +606,8 @@ def time_band_join(left_ds, right_ds, on: str, by: str, band_us: int,
     both = (left_ds.map_batches(tag(0, left_id), batch_format="pyarrow")
             .union(right_ds.map_batches(tag(1, right_id),
                                         batch_format="pyarrow")))
-    return (both.groupby("__bucket")
-            .map_groups(join_bucket, batch_format="pyarrow"))
+    # (u, c) is the match key: c is 0 unless time_sliced
+    return exchange(both, join_bucket, ["u", "c"], num_buckets)
 
 
 def merge_changes(base_ds, changes_ds, key: str, seq_col: str, op_col: str,
@@ -673,17 +632,7 @@ def merge_changes(base_ds, changes_ds, key: str, seq_col: str, op_col: str,
     """
     import pyarrow.compute as pc
 
-    from bqf_ray.functions.hashing import xxhash64_array
-
-    B = int(num_buckets)
     out_cols = [key, *payload_cols]
-
-    def _bucket_of(col) -> np.ndarray:
-        if pa.types.is_string(col.type) or pa.types.is_large_string(col.type):
-            kh = xxhash64_array(col)
-        else:
-            kh = np.asarray(col, dtype=np.int64).view(np.uint64)
-        return (kh % np.uint64(B)).astype(np.int64)
 
     def tag_base(batch: pa.Table) -> pa.Table:
         col = batch.column(key)
@@ -694,9 +643,8 @@ def merge_changes(base_ds, changes_ds, key: str, seq_col: str, op_col: str,
             np.zeros(len(batch), dtype=np.int64)))
         t = t.append_column("__del", pa.array(
             np.zeros(len(batch), dtype=np.bool_)))
-        t = t.append_column("__side", pa.array(
+        return t.append_column("__side", pa.array(
             np.zeros(len(batch), dtype=np.int8)))
-        return t.append_column("__bucket", pa.array(_bucket_of(col)))
 
     def tag_change(batch: pa.Table) -> pa.Table:
         col = batch.column(key)
@@ -707,9 +655,8 @@ def merge_changes(base_ds, changes_ds, key: str, seq_col: str, op_col: str,
                                              pa.int64()))
         t = t.append_column("__del", pc.equal(batch.column(op_col),
                                               pa.scalar(delete_op)))
-        t = t.append_column("__side", pa.array(
+        return t.append_column("__side", pa.array(
             np.ones(len(batch), dtype=np.int8)))
-        return t.append_column("__bucket", pa.array(_bucket_of(col)))
 
     def resolve(g: pa.Table) -> pa.Table:
         side = np.asarray(g.column("__side"))
@@ -745,8 +692,7 @@ def merge_changes(base_ds, changes_ds, key: str, seq_col: str, op_col: str,
     both = (base_ds.map_batches(tag_base, batch_format="pyarrow")
             .union(changes_ds.map_batches(tag_change,
                                           batch_format="pyarrow")))
-    return (both.groupby("__bucket")
-            .map_groups(resolve, batch_format="pyarrow"))
+    return exchange(both, resolve, key, num_buckets)
 
 
 def interval_self_join(ds, start_col: str, end_col: str, tie_col: str,
@@ -906,9 +852,6 @@ def survivorship(ds, key_col: str, order_col: str, cols: list[str],
     """
     import pyarrow.compute as pc
 
-    from bqf_ray.stages.partition import _col_hash64
-
-    NB = int(num_buckets)
     MISS = np.iinfo(np.int64).min
 
     def _ord_int(col) -> np.ndarray:
@@ -957,28 +900,23 @@ def survivorship(ds, key_col: str, order_col: str, cols: list[str],
             for c in cols:
                 t = t.append_column(c, batch.column(c))
                 t = t.append_column(f"__o_{c}", pa.array([], pa.int64()))
-            return t.append_column("__bucket", pa.array([], pa.int64()))
+            return t
         base = _ord_int(batch.column(order_col))
         stamps = {}
         for c in cols:
             valid = np.asarray(batch.column(c).is_valid())
             stamps[c] = np.where(valid, base, MISS)
-        t = _reduce(batch, stamps, keep_stamps=True)
-        h = _col_hash64(t.column(key_col))
-        return t.append_column(
-            "__bucket", pa.array((h % np.uint64(NB)).astype(np.int64)))
+        return _reduce(batch, stamps, keep_stamps=True)
 
     def finish(group: pa.Table) -> pa.Table:
         if group.num_rows == 0:
-            return group.drop_columns(
-                ["__bucket"] + [f"__o_{c}" for c in cols])
+            return group.drop_columns([f"__o_{c}" for c in cols])
         stamps = {c: np.asarray(group.column(f"__o_{c}"), dtype=np.int64)
                   for c in cols}
         return _reduce(group, stamps, keep_stamps=False)
 
-    return (ds.map_batches(partial, batch_format="pyarrow")
-            .groupby("__bucket")
-            .map_groups(finish, batch_format="pyarrow"))
+    return exchange(ds.map_batches(partial, batch_format="pyarrow"), finish,
+                    key_col, num_buckets)
 
 
 def snapshot_delta(old_ds, new_ds, key: str, payload_cols: list[str],
@@ -1001,32 +939,14 @@ def snapshot_delta(old_ds, new_ds, key: str, payload_cols: list[str],
     """
     import pyarrow.compute as pc
 
-    from bqf_ray.functions.hashing import xxhash64_array
     from bqf_ray.pipelines.audit import _key_codes
 
-    B = int(num_buckets)
     cols = [key, *payload_cols]
 
-    def _bucket_of(col) -> np.ndarray:
-        if pa.types.is_string(col.type) or \
-                pa.types.is_large_string(col.type):
-            kh = xxhash64_array(col)
-        else:
-            kh = np.asarray(col, dtype=np.int64).view(np.uint64)
-        return (kh % np.uint64(B)).astype(np.int64)
-
-    def tag(side: int):
-        def fn(batch: pa.Table) -> pa.Table:
-            col = batch.column(key)
-            if col.null_count:
-                raise ValueError("snapshot_delta: null keys")
-            if isinstance(col, pa.ChunkedArray):
-                col = col.combine_chunks()
-            t = batch.select(cols)
-            t = t.append_column("__side", pa.array(
-                np.full(len(batch), side, dtype=np.int8)))
-            return t.append_column("__bucket", pa.array(_bucket_of(col)))
-        return fn
+    def keyed(batch: pa.Table) -> pa.Table:
+        if batch.column(key).null_count:
+            raise ValueError("snapshot_delta: null keys")
+        return batch.select(cols)
 
     def _distinct(a: pa.Array, b: pa.Array) -> np.ndarray:
         """Null-safe IS DISTINCT FROM, vectorized."""
@@ -1103,10 +1023,9 @@ def snapshot_delta(old_ds, new_ds, key: str, payload_cols: list[str],
             data[c] = col
         return pa.table(data)
 
-    both = (old_ds.map_batches(tag(0), batch_format="pyarrow")
-            .union(new_ds.map_batches(tag(1), batch_format="pyarrow")))
-    return (both.groupby("__bucket")
-            .map_groups(resolve, batch_format="pyarrow"))
+    both = _tagged(old_ds.map_batches(keyed, batch_format="pyarrow"), 0) \
+        .union(_tagged(new_ds.map_batches(keyed, batch_format="pyarrow"), 1))
+    return exchange(both, resolve, key, num_buckets)
 
 
 def pit_join(left_ds, dim_ds, by: str, ts_col: str,
@@ -1124,7 +1043,7 @@ def pit_join(left_ds, dim_ds, by: str, ts_col: str,
     ``how="left"`` keeps unmatched/expired facts with null dimension
     columns; ``"inner"`` drops them.
 
-    Plan: ONE ``by % B`` bucket co-partition of both sides (the
+    Plan: ONE ``bucket_of(by)`` bucket co-partition of both sides (the
     :func:`asof_join` exchange shape), then a vectorized in-bucket
     merge: lexsort combined rows by (key, t, tie, side) with left
     rows last at exact ties (``valid_from <= ts`` is inclusive), one
@@ -1133,9 +1052,9 @@ def pit_join(left_ds, dim_ds, by: str, ts_col: str,
     """
     if how not in ("left", "inner"):
         raise ValueError(f"unsupported how={how!r}")
-    B = int(num_buckets)
-    left_cols = list(left_ds.schema().names)
-    dim_names = dim_ds.schema().names
+    lsch, dsch = left_ds.schema(), dim_ds.schema()
+    left_cols = list(lsch.names)
+    dim_names = dsch.names
     attr_cols = [c for c in dim_names
                  if c not in (by, valid_from, valid_to, tie_col)]
     out_attrs = [c + suffix for c in attr_cols]
@@ -1147,23 +1066,12 @@ def pit_join(left_ds, dim_ds, by: str, ts_col: str,
             return arr.astype("datetime64[us]").astype(np.int64)
         return arr.astype(np.int64)
 
-    def tag_left(batch: pa.Table) -> pa.Table:
-        k = np.asarray(batch.column(by), dtype=np.int64)
-        return (batch.append_column("__bucket", pa.array(k % np.int64(B)))
-                .append_column("__side", pa.array(
-                    np.ones(len(batch), dtype=np.int8))))
+    def rename_dim(batch: pa.Table) -> pa.Table:
+        return batch.rename_columns([c + suffix if c in attr_cols else c
+                                     for c in batch.column_names])
 
-    def tag_dim(batch: pa.Table) -> pa.Table:
-        k = np.asarray(batch.column(by), dtype=np.int64)
-        names = [c + suffix if c in attr_cols else c
-                 for c in batch.column_names]
-        batch = batch.rename_columns(names)
-        return (batch.append_column("__bucket", pa.array(k % np.int64(B)))
-                .append_column("__side", pa.array(
-                    np.zeros(len(batch), dtype=np.int8))))
-
-    ltypes = _arrow_field_types(left_ds)
-    dt0 = _arrow_field_types(dim_ds)
+    ltypes = _arrow_field_types(lsch)
+    dt0 = _arrow_field_types(dsch)
     dtypes = {(c + suffix if c in attr_cols else c): dt0[c]
               for c in dim_names}
 
@@ -1229,10 +1137,9 @@ def pit_join(left_ds, dim_ds, by: str, ts_col: str,
                             dtype=np.int64)
         return arr.astype(np.int64)
 
-    return (left_ds.map_batches(tag_left, batch_format="pyarrow")
-            .union(dim_ds.map_batches(tag_dim, batch_format="pyarrow"))
-            .groupby("__bucket")
-            .map_groups(merge_bucket, batch_format="pyarrow"))
+    dims = _tagged(dim_ds.map_batches(rename_dim, batch_format="pyarrow"), 0)
+    return exchange(_tagged(left_ds, 1).union(dims), merge_bucket, by,
+                    num_buckets)
 
 
 def nearest_join(left_ds, right_ds, on: str, by: str,
@@ -1245,7 +1152,7 @@ def nearest_join(left_ds, right_ds, on: str, by: str,
     :func:`asof_join` (sensor alignment, nearest-quote matching).
 
     Same plan as :func:`asof_join`: bucket-co-partition both sides on
-    ``by % B`` (one groupby shuffle), one merged lexsort per bucket
+    ``bucket_of(by)`` (one groupby shuffle), one merged lexsort per bucket
     with rights before lefts at equal ``on``, then TWO linear sweeps —
     a running maximum (last right at-or-before) and a reversed running
     minimum (first right strictly after) — pick the closer, validate
@@ -1254,24 +1161,15 @@ def nearest_join(left_ds, right_ds, on: str, by: str,
     make the winner partitioning-dependent, same caveat asof_join
     documents).  ``how="left"`` keeps unmatched left rows with null
     right columns."""
-    B = int(num_buckets)
-    left_cols = list(left_ds.schema().names)
-    right_cols = [c for c in right_ds.schema().names if c != by]
+    lsch, rsch = left_ds.schema(), right_ds.schema()
+    left_cols = list(lsch.names)
+    right_cols = [c for c in rsch.names if c != by]
 
     def to_i64(col) -> np.ndarray:
         arr = np.asarray(col)
         if np.issubdtype(arr.dtype, np.datetime64):
             return arr.astype("datetime64[us]").astype(np.int64)
         return arr.astype(np.int64)
-
-    def tag(side: int):
-        def fn(batch: pa.Table) -> pa.Table:
-            k = np.asarray(batch.column(by), dtype=np.int64)
-            return (batch.append_column("__bucket",
-                                        pa.array(k % np.int64(B)))
-                    .append_column("__side", pa.array(
-                        np.full(len(batch), side, dtype=np.int8))))
-        return fn
 
     def rename_right(batch: pa.Table) -> pa.Table:
         names = [c + suffix if c in right_cols else c
@@ -1280,8 +1178,8 @@ def nearest_join(left_ds, right_ds, on: str, by: str,
 
     right_cols_final = [c + suffix for c in right_cols]
 
-    ltypes = _arrow_field_types(left_ds)
-    rt0 = _arrow_field_types(right_ds)
+    ltypes = _arrow_field_types(lsch)
+    rt0 = _arrow_field_types(rsch)
     rtypes = {by: rt0[by], **{c + suffix: rt0[c] for c in right_cols}}
 
     def merge_bucket(group: pa.Table) -> pa.Table:
@@ -1331,12 +1229,10 @@ def nearest_join(left_ds, right_ds, on: str, by: str,
             out = out.append_column(c, r_tbl.column(c).take(idx))
         return out
 
-    left_tagged = left_ds.map_batches(tag(0), batch_format="pyarrow")
-    right_tagged = (right_ds.map_batches(tag(1), batch_format="pyarrow")
-                    .map_batches(rename_right, batch_format="pyarrow"))
-    return (left_tagged.union(right_tagged)
-            .groupby("__bucket")
-            .map_groups(merge_bucket, batch_format="pyarrow"))
+    right_tagged = _tagged(right_ds, 1).map_batches(rename_right,
+                                                    batch_format="pyarrow")
+    return exchange(_tagged(left_ds, 0).union(right_tagged), merge_bucket,
+                    by, num_buckets)
 
 
 def cuckoo_revocation_check(universe_ds, revoked_ds, key_col: str,

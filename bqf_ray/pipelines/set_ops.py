@@ -25,6 +25,7 @@ import pyarrow.compute as pc
 from bqf_ray.functions.hashing import xxhash64_array
 from bqf_ray.functions.tokenize import tokenize_column
 from bqf_ray.sketches.sample import BottomK
+from bqf_ray.stages.partition import exchange
 
 
 def token_set_overlap(ds_a, ds_b, text_col: str = "text", k: int = 1024,
@@ -33,10 +34,6 @@ def token_set_overlap(ds_a, ds_b, text_col: str = "text", k: int = 1024,
     """Exact + KMV |A|, |B|, |A∩B|, |A∪B| over the distinct-token sets
     of two corpora.  One tokenize pass per side, ONE bucketed shuffle
     total, tiny final merge."""
-    import ray
-
-    NB = int(num_buckets)
-
     def melt(side: int):
         def fn(batch: pa.Table) -> pa.Table:
             toks, _ = tokenize_column(batch.column(text_col))
@@ -47,8 +44,7 @@ def token_set_overlap(ds_a, ds_b, text_col: str = "text", k: int = 1024,
                 "h": pa.array(h.view(np.int64)),
                 "in_a": pa.array(
                     np.full(n, 1 - side, dtype=np.int8)),
-                "in_b": pa.array(np.full(n, side, dtype=np.int8)),
-                "__bucket": pa.array((h % np.uint64(NB)).astype(np.int64))})
+                "in_b": pa.array(np.full(n, side, dtype=np.int8))})
         return fn
 
     def merge_bucket(group: pa.Table) -> pa.Table:
@@ -81,9 +77,8 @@ def token_set_overlap(ds_a, ds_b, text_col: str = "text", k: int = 1024,
 
     both = (ds_a.map_batches(melt(0), batch_format="pyarrow")
             .union(ds_b.map_batches(melt(1), batch_format="pyarrow")))
-    rows = (both.groupby("__bucket")
-            .map_groups(merge_bucket, batch_format="pyarrow")
-            .take_all())                      # ≤ NB tiny rows
+    rows = exchange(both, merge_bucket, "h",
+                    num_buckets).take_all()   # ≤ num_buckets tiny rows
 
     n_a = sum(r["n_a"] for r in rows)
     n_b = sum(r["n_b"] for r in rows)

@@ -12,6 +12,7 @@ from bqf_ray.functions.hashing import xxhash64_array
 from bqf_ray.functions.tokenize import tokenize_column
 from bqf_ray.plans import plan_log
 from bqf_ray.sources.pages import LANG_CORE
+from bqf_ray.stages.partition import exchange
 
 
 def doc_stats(ds, text_col: str = "text", id_col: str = "doc_id"):
@@ -190,16 +191,14 @@ def distinctive_terms(ds, top: int = 3, text_col: str = "text",
     Plan (two corpus-token-proportional shuffles, exact global df):
 
     1. per-batch (doc_id, token, tf) rows, DISTINCT per doc, bucketed by
-       ``token_hash % B`` — every occurrence of a token lands in one
+       ``bucket_of(token)`` — every occurrence of a token lands in one
        bucket, so df(token) = the bucket-local row count (rows are
        per-doc-distinct).  df attaches in-bucket: no separate df pass.
-    2. re-bucket by ``doc_id % B``; per doc a vectorized lexsort ranks
+    2. re-bucket by ``bucket_of(doc_id)``; per doc a vectorized lexsort ranks
        terms and keeps the top ``top``.
 
     Output (doc_id, token, tf, df, rnk)."""
     from bqf_ray.functions.tokenize import tokenize_column
-
-    B = int(num_buckets)
 
     def tf_rows(batch: pa.Table) -> pa.Table:
         toks, offs = tokenize_column(batch.column(text_col))
@@ -210,8 +209,7 @@ def distinctive_terms(ds, top: int = 3, text_col: str = "text",
         if len(th) == 0:
             return pa.table({id_col: pa.array([], pa.int64()),
                              "token": pa.array([], pa.string()),
-                             "tf": pa.array([], pa.int64()),
-                             "__bucket": pa.array([], pa.int64())})
+                             "tf": pa.array([], pa.int64())})
         order = np.lexsort((th, did))
         d, h = did[order], th[order]
         new = np.concatenate([[True], (d[1:] != d[:-1]) | (h[1:] != h[:-1])])
@@ -222,17 +220,12 @@ def distinctive_terms(ds, top: int = 3, text_col: str = "text",
             id_col: pa.array(d[starts].astype(np.int64)),
             "token": toks.take(rep),
             "tf": pa.array(tf.astype(np.int64)),
-            "__bucket": pa.array(
-                (h[starts] % np.uint64(B)).astype(np.int64)),
         })
 
     def attach_df(group: pa.Table) -> pa.Table:
         h = xxhash64_array(group.column("token"))
         u, inv, cnt = np.unique(h, return_inverse=True, return_counts=True)
-        out = group.drop_columns(["__bucket"])
-        out = out.append_column("df", pa.array(cnt[inv].astype(np.int64)))
-        d = np.asarray(group.column(id_col), dtype=np.int64)
-        return out.append_column("__dbucket", pa.array(d % np.int64(B)))
+        return group.append_column("df", pa.array(cnt[inv].astype(np.int64)))
 
     def rank_bucket(group: pa.Table) -> pa.Table:
         d = np.asarray(group.column(id_col), dtype=np.int64)
@@ -262,12 +255,9 @@ def distinctive_terms(ds, top: int = 3, text_col: str = "text",
             "rnk": pa.array(rnk[keep].astype(np.int64)),
         })
 
-    return (ds.map_batches(tf_rows, batch_format="pyarrow")
-            .groupby("__bucket")
-            .map_groups(attach_df, batch_format="pyarrow")
-            .groupby("__dbucket")
-            .map_groups(lambda g: rank_bucket(g.drop_columns(["__dbucket"])),
-                        batch_format="pyarrow"))
+    with_df = exchange(ds.map_batches(tf_rows, batch_format="pyarrow"),
+                       attach_df, "token", num_buckets)
+    return exchange(with_df, rank_bucket, id_col, num_buckets)
 
 
 # PII patterns (RE2 syntax — pyarrow.compute and DuckDB both run RE2, so
@@ -313,7 +303,6 @@ def cap_per_key(ds, key_col: str = "source", id_col: str = "doc_id",
     ``id_col`` values.  One hash-bucket shuffle (every occurrence of a
     key lands in one bucket), vectorized rank-per-run inside the bucket —
     no global sort.  Hot keys cost only their in-bucket run length."""
-    B = int(num_buckets)
 
     def _local_cap(tbl: pa.Table) -> pa.Table:
         kcol = tbl.column(key_col)
@@ -334,21 +323,11 @@ def cap_per_key(ds, key_col: str = "source", id_col: str = "doc_id",
         rank = np.arange(len(ks)) - np.repeat(starts, lens)
         return tbl.take(pa.array(np.sort(order[rank < max_rows])))
 
-    def bucketed(batch: pa.Table) -> pa.Table:
-        # COMBINER: cap locally first, so a hot key ships at most
-        # max_rows rows per input batch instead of its full run —
-        # bounds the skew any single bucket can receive
-        batch = _local_cap(batch)
-        h = xxhash64_array(batch.column(key_col))
-        return batch.append_column(
-            "__bucket", pa.array((h % np.uint64(B)).astype(np.int64)))
-
-    def cap(group: pa.Table) -> pa.Table:
-        return _local_cap(group).drop_columns(["__bucket"])
-
-    return (ds.map_batches(bucketed, batch_format="pyarrow")
-            .groupby("__bucket")
-            .map_groups(cap, batch_format="pyarrow"))
+    # COMBINER: cap locally first, so a hot key ships at most max_rows
+    # rows per input batch instead of its full run — bounds the skew any
+    # single bucket can receive
+    return exchange(ds.map_batches(_local_cap, batch_format="pyarrow"),
+                    _local_cap, key_col, num_buckets)
 
 
 def content_fingerprints(ds, text_col: str = "text", id_col: str = "doc_id"):
@@ -411,10 +390,7 @@ def postings(ds, text_col: str = "text", id_col: str = "doc_id",
     """
     import pyarrow.compute as pc
 
-    from bqf_ray.functions.hashing import xxhash64_array
     from bqf_ray.functions.tokenize import tokenize_column
-
-    B = int(num_buckets)
 
     def pairs(batch: pa.Table) -> pa.Table:
         toks, offs = tokenize_column(batch.column(text_col))
@@ -424,8 +400,7 @@ def postings(ds, text_col: str = "text", id_col: str = "doc_id",
                         n_tok)
         if len(th) == 0:
             return pa.table({"token": pa.array([], pa.string()),
-                             id_col: pa.array([], pa.int64()),
-                             "__bucket": pa.array([], pa.int64())})
+                             id_col: pa.array([], pa.int64())})
         order = np.lexsort((th, did))
         d, h = did[order], th[order]
         first = np.concatenate([[True],
@@ -434,7 +409,6 @@ def postings(ds, text_col: str = "text", id_col: str = "doc_id",
         return pa.table({
             "token": toks.take(pa.array(keep)),
             id_col: pa.array(d[first]),
-            "__bucket": pa.array((h[first] % np.uint64(B)).astype(np.int64)),
         })
 
     def assemble(group: pa.Table) -> pa.Table:
@@ -463,9 +437,8 @@ def postings(ds, text_col: str = "text", id_col: str = "doc_id",
                          "df": pa.array((ends - starts).astype(np.int64)),
                          "postings": joined})
 
-    return (ds.map_batches(pairs, batch_format="pyarrow")
-            .groupby("__bucket")
-            .map_groups(assemble, batch_format="pyarrow"))
+    return exchange(ds.map_batches(pairs, batch_format="pyarrow"),
+                    assemble, "token", num_buckets)
 
 
 def collocations(ds, min_count: int = 5, top: int = 50,
@@ -604,24 +577,18 @@ def _attach_counts_bucketed(bigrams, uni, lift_cols, num_buckets: int):
     exchanges; in-bucket attach joins on token VALUES (hash is only the
     routing key, so collisions cannot mis-attach).  The in-bucket join
     is Arrow-native (Acero) — no pandas object boxing in the hot path."""
-    from bqf_ray.functions.hashing import xxhash64_array
 
-    B = int(num_buckets)
-
-    def route(col_name, side):
+    def route(side):
         def fn(batch: pa.Table) -> pa.Table:
-            h = xxhash64_array(batch.column(col_name))
-            return (batch.append_column(
-                "__bucket", pa.array((h % np.uint64(B)).astype(np.int64)))
-                .append_column("__side", pa.array(
-                    np.full(len(batch), side, dtype=np.int8))))
+            return batch.append_column("__side", pa.array(
+                np.full(len(batch), side, dtype=np.int8)))
         return fn
 
     def attach(which_col, out_name):
         def fn(group: pa.Table) -> pa.Table:
             side = np.asarray(group.column("__side"))
             left = (group.filter(pa.array(side == 0))
-                    .drop_columns(["__bucket", "__side", "token", "cnt"]))
+                    .drop_columns(["__side", "token", "cnt"]))
             right = (group.filter(pa.array(side == 1))
                     .select(["token", "cnt"])
                     .rename_columns([which_col, out_name]))
@@ -631,23 +598,20 @@ def _attach_counts_bucketed(bigrams, uni, lift_cols, num_buckets: int):
     bg = bigrams.map_batches(
         lambda b: b.append_column("token", pa.nulls(len(b), pa.string()))
         .append_column("cnt", pa.nulls(len(b), pa.int64())),
-        batch_format="pyarrow").map_batches(route("token_a", 0),
-                                            batch_format="pyarrow")
+        batch_format="pyarrow").map_batches(route(0), batch_format="pyarrow")
     un = uni.map_batches(
         lambda b: pa.table({
             "token_a": b.column("token"), "token_b": pa.nulls(len(b), pa.string()),
             "c_ab": pa.nulls(len(b), pa.int64()),
             "token": b.column("token"), "cnt": b.column("cnt")}),
-        batch_format="pyarrow").map_batches(route("token_a", 1),
-                                            batch_format="pyarrow")
-    step1 = (bg.union(un).groupby("__bucket")
-             .map_groups(attach("token_a", "c_a"), batch_format="pyarrow"))
+        batch_format="pyarrow").map_batches(route(1), batch_format="pyarrow")
+    step1 = exchange(bg.union(un), attach("token_a", "c_a"), "token_a",
+                     num_buckets)
 
     bg2 = step1.map_batches(
         lambda b: b.append_column("token", pa.nulls(len(b), pa.string()))
         .append_column("cnt", pa.nulls(len(b), pa.int64())),
-        batch_format="pyarrow").map_batches(route("token_b", 0),
-                                            batch_format="pyarrow")
+        batch_format="pyarrow").map_batches(route(0), batch_format="pyarrow")
     un2 = uni.map_batches(
         lambda b: pa.table({
             "token_a": pa.nulls(len(b), pa.string()),
@@ -655,10 +619,9 @@ def _attach_counts_bucketed(bigrams, uni, lift_cols, num_buckets: int):
             "c_ab": pa.nulls(len(b), pa.int64()),
             "c_a": pa.nulls(len(b), pa.int64()),
             "token": b.column("token"), "cnt": b.column("cnt")}),
-        batch_format="pyarrow").map_batches(route("token_b", 1),
-                                            batch_format="pyarrow")
-    joined = (bg2.union(un2).groupby("__bucket")
-              .map_groups(attach("token_b", "c_b"), batch_format="pyarrow"))
+        batch_format="pyarrow").map_batches(route(1), batch_format="pyarrow")
+    joined = exchange(bg2.union(un2), attach("token_b", "c_b"), "token_b",
+                      num_buckets)
 
     def finish(batch: pa.Table) -> pa.Table:
         c_a = np.asarray(batch.column("c_a"), dtype=np.int64)
@@ -669,14 +632,11 @@ def _attach_counts_bucketed(bigrams, uni, lift_cols, num_buckets: int):
 
 
 def _keyed_token_partials(batch: pa.Table, key_col: str, text_col: str,
-                          num_buckets: int, with_counts: bool) -> pa.Table:
+                          with_counts: bool) -> pa.Table:
     """Per-batch (key, token[, pn]) partials, deduplicated/counted by
     integer CODE pairs — never by joined key⊕token strings, so keys may
     contain any byte.  Rows with a NULL key are EXCLUDED (SQL GROUP BY
-    would keep a null group; fill or filter upstream when needed).
-    Adds ``__pb`` = pair-hash bucket over ``num_buckets``."""
-    from bqf_ray.functions.hashing import fmix64
-
+    would keep a null group; fill or filter upstream when needed)."""
     toks, offs = tokenize_column(batch.column(text_col))
     keys = pc.cast(batch.column(key_col), pa.string())
     if isinstance(keys, pa.ChunkedArray):
@@ -685,7 +645,6 @@ def _keyed_token_partials(batch: pa.Table, key_col: str, text_col: str,
             "token": pa.array([], pa.string())}
     if with_counts:
         cols["pn"] = pa.array([], pa.int64())
-    cols["__pb"] = pa.array([], pa.int64())
     empty = pa.table(cols)
 
     valid = np.asarray(keys.is_valid())
@@ -711,13 +670,9 @@ def _keyed_token_partials(batch: pa.Table, key_col: str, text_col: str,
     t_idx = up % len(t_uniq)
     key_arr = pa.array(k_uniq[k_idx].tolist(), pa.string())
     tok_arr = pa.array(t_uniq[t_idx].tolist(), pa.string())
-    PHI = np.uint64(0x9E3779B97F4A7C15)
-    h = fmix64(fmix64(xxhash64_array(key_arr)) * PHI
-               + xxhash64_array(tok_arr))
     out = {key_col: key_arr, "token": tok_arr}
     if with_counts:
         out["pn"] = pa.array(counts.astype(np.int64))
-    out["__pb"] = pa.array((h % np.uint64(num_buckets)).astype(np.int64))
     return pa.table(out)
 
 
@@ -754,7 +709,7 @@ def grouped_top_terms(ds, key_col: str = "source", k: int = 10,
     token-ascending) — the trending-terms / per-site vocabulary shape.
 
     Plan: per-batch weighted (key, token) partials → ONE exchange keyed
-    by ``hash(key⊕token) % num_buckets`` (buckets partition the PAIR
+    by ``bucket_of(key, token)`` (buckets partition the PAIR
     space, so in-bucket Arrow group_by sums are globally exact) →
     per-bucket per-key top-k (any global top-k pair is also top-k
     within its own bucket, so partials lose nothing) → a key-bucketed
@@ -765,35 +720,28 @@ def grouped_top_terms(ds, key_col: str = "source", k: int = 10,
     contain any byte (pairing is by integer codes, not joined strings);
     rows with a NULL key are excluded.
     """
-    B = int(num_buckets)
     kk = int(k)
 
     def partial(batch: pa.Table) -> pa.Table:
-        return _keyed_token_partials(batch, key_col, text_col, B,
+        return _keyed_token_partials(batch, key_col, text_col,
                                      with_counts=True)
 
     def bucket_topk(group: pa.Table) -> pa.Table:
         g = (group.group_by([key_col, "token"])
              .aggregate([("pn", "sum")])
              .rename_columns([key_col, "token", "cnt"]))
-        g = _topk_per_key(g, key_col, kk)
-        keys = g.column(key_col)
-        if isinstance(keys, pa.ChunkedArray):
-            keys = keys.combine_chunks()
-        kb = (xxhash64_array(keys) % np.uint64(B)).astype(np.int64)
-        return g.append_column("__kb", pa.array(kb))
+        return _topk_per_key(g, key_col, kk)
 
     def final_topk(group: pa.Table) -> pa.Table:
-        # pair space is partitioned across __pb buckets, so rows here
-        # are already exact and distinct — pure selection remains
+        # the pair space is partitioned across the first exchange's
+        # buckets, so rows here are already exact and distinct — pure
+        # selection remains
         return _topk_per_key(group.select([key_col, "token", "cnt"]),
                              key_col, kk, with_rank=True)
 
-    return (ds.map_batches(partial, batch_format="pyarrow")
-            .groupby("__pb")
-            .map_groups(bucket_topk, batch_format="pyarrow")
-            .groupby("__kb")
-            .map_groups(final_topk, batch_format="pyarrow"))
+    pair_topk = exchange(ds.map_batches(partial, batch_format="pyarrow"),
+                         bucket_topk, [key_col, "token"], num_buckets)
+    return exchange(pair_topk, final_topk, key_col, num_buckets)
 
 
 def bm25_components(ds, query_terms: list[str], id_col: str = "doc_id",

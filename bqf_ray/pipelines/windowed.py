@@ -5,7 +5,7 @@ events table is treated as a partitioned log (ray_guide
 'Streaming-shaped workloads').  Tumbling windows are a pure groupby on the
 window start; sliding windows fan each event out to the windows containing
 it inside ``map_batches`` (vectorized) before the same groupby; session
-windows shuffle once on ``user % B`` and gap-split vectorized per bucket.
+windows shuffle once on ``bucket_of(user)`` and gap-split vectorized per bucket.
 Wide finalizers are NATIVE ``aggregate(Sum)`` reducers plus a vectorized
 post-map — no python-per-group work anywhere on the exact paths.
 """
@@ -14,6 +14,35 @@ from __future__ import annotations
 
 import numpy as np
 import pyarrow as pa
+import pyarrow.compute as pc
+
+from bqf_ray.stages.partition import exchange
+
+
+def _us(col) -> np.ndarray:
+    """A timestamp column as int64 epoch microseconds."""
+    return np.asarray(col).astype("datetime64[us]").astype(np.int64)
+
+
+def _keyed_rows(key_col: str, ts_col: str, id_col: str,
+                value_col: str | None = None):
+    """The per-key ordered-window projection every ``(key, ts, id)``
+    operator below shuffles: int64 ``u`` (key), ``t`` (µs), ``i`` (id)
+    and, with ``value_col``, ``v`` (int64; timestamps as µs).  Folds
+    order a bucket with ``np.lexsort((i, t, u))``."""
+
+    def prep(batch: pa.Table) -> pa.Table:
+        cols = {"u": pa.array(np.asarray(batch.column(key_col),
+                                         dtype=np.int64)),
+                "t": pa.array(_us(batch.column(ts_col))),
+                "i": pc.cast(batch.column(id_col), pa.int64())}
+        if value_col is not None:
+            v = batch.column(value_col)
+            cols["v"] = pa.array(_us(v)) if pa.types.is_timestamp(v.type) \
+                else pc.cast(v, pa.int64())
+        return pa.table(cols)
+
+    return prep
 
 
 def _window_start_us(ts_us: np.ndarray, size_s: int) -> np.ndarray:
@@ -146,11 +175,10 @@ def windowed_distinct(ds, size_s: int = 3600, ts_col: str = "ts",
             distinct.map_batches(count_ids, batch_format="pyarrow"),
             ["window_start", key_col], [("n", "sum", "n_distinct")])
     else:
-        from bqf_ray.functions.hashing import fmix64, xxhash64_array
+        from bqf_ray.functions.hashing import fmix64
         from bqf_ray.sketches.hll import HyperLogLog
 
         m_regs = 1 << hll_p
-        NB = 16                # merge buckets
 
         def partials(batch: pa.Table) -> pa.Table:
             import pandas as pd
@@ -182,22 +210,12 @@ def windowed_distinct(ds, size_s: int = 3600, ts_col: str = "ts",
                 | rho_u.astype(np.int32)
             offs = np.r_[np.int32(0), np.cumsum(
                 np.bincount(grp, minlength=len(ug)), dtype=np.int32)]
-            wvals = wuniq[ug // len(kuniq)]
-            # bucket on VALUES (window µs, key-string hash) — a local
-            # factorize code would scatter the same group across buckets.
-            # fmix64 AFTER combining: window starts are size_us-aligned so
-            # their low bits are all zero — a plain multiply-xor-mod keeps
-            # that alignment and collapses the buckets to one per key
-            bucket = (fmix64(wvals.astype(np.uint64)
-                             ^ xxhash64_array(kuniq.astype("U"))
-                             [ug % len(kuniq)])
-                      % np.uint64(NB)).astype(np.int64)
             return pa.table({
-                "window_start": pa.array(wvals, pa.int64()),
+                "window_start": pa.array(wuniq[ug // len(kuniq)],
+                                         pa.int64()),
                 key_col: pa.array(kuniq[ug % len(kuniq)], pa.string()),
                 "regs": pa.ListArray.from_arrays(
-                    pa.array(offs), pa.array(entries)),
-                "__bucket": pa.array(bucket)})
+                    pa.array(offs), pa.array(entries))})
 
         def merge_bucket(group: pa.Table) -> pa.Table:
             """All partials of a (window, key) share this bucket: one
@@ -232,9 +250,8 @@ def windowed_distinct(ds, size_s: int = 3600, ts_col: str = "ts",
                 key_col: pa.array(kuniq[ug % len(kuniq)], pa.string()),
                 "n_distinct_est": pa.array(est, pa.float64())})
 
-        out = (ds.map_batches(partials, batch_format="pyarrow")
-               .groupby("__bucket")
-               .map_groups(merge_bucket, batch_format="pyarrow"))
+        out = exchange(ds.map_batches(partials, batch_format="pyarrow"),
+                       merge_bucket, ["window_start", key_col], 16)
 
     def to_ts(batch: pa.Table) -> pa.Table:
         ws = np.asarray(batch.column("window_start"), dtype=np.int64)
@@ -262,11 +279,10 @@ def windowed_distinct_check(ds, size_s: int = 3600, ts_col: str = "ts",
     indifferent to how updates are batched; property-tested).
     """
     import pandas as pd
-    from bqf_ray.functions.hashing import fmix64, xxhash64_array
+    from bqf_ray.functions.hashing import fmix64
     from bqf_ray.sketches.hll import HyperLogLog, _register_updates
 
     m_regs = 1 << hll_p
-    NB = 16
 
     def pre(batch: pa.Table) -> pa.Table:
         ts = np.asarray(batch.column(ts_col)).astype(
@@ -280,16 +296,10 @@ def windowed_distinct_check(ds, size_s: int = 3600, ts_col: str = "ts",
         trip = np.stack([ws, kcodes.astype(np.int64), ids], axis=1)
         trip = np.unique(trip, axis=0)
         ws_u, kc_u, id_u = trip[:, 0], trip[:, 1], trip[:, 2]
-        # fmix64 AFTER xor: window starts are size_us-aligned (low bits
-        # zero), so unmixed mod-NB would collapse to one bucket per key
-        khash = xxhash64_array(kuniq.astype("U"))[kc_u]
-        bucket = (fmix64(ws_u.astype(np.uint64) ^ khash)
-                  % np.uint64(NB)).astype(np.int64)
         return pa.table({
             "window_start": pa.array(ws_u, pa.int64()),
             key_col: pa.array(kuniq[kc_u], pa.string()),
-            id_col: pa.array(id_u, pa.int64()),
-            "__bucket": pa.array(bucket)})
+            id_col: pa.array(id_u, pa.int64())})
 
     def merge_bucket(group: pa.Table) -> pa.Table:
         ws = np.asarray(group.column("window_start"), dtype=np.int64)
@@ -320,16 +330,15 @@ def windowed_distinct_check(ds, size_s: int = 3600, ts_col: str = "ts",
             "n_distinct": pa.array(n_exact),
             "n_distinct_est": pa.array(est, pa.float64())})
 
-    return (ds.map_batches(pre, batch_format="pyarrow")
-            .groupby("__bucket")
-            .map_groups(merge_bucket, batch_format="pyarrow"))
+    return exchange(ds.map_batches(pre, batch_format="pyarrow"),
+                    merge_bucket, ["window_start", key_col], 16)
 
 
 def session_windows(ds, gap_s: int = 1800, ts_col: str = "ts",
                     user_col: str = "user_id", value_col: str = "value",
                     num_buckets: int = 32):
     """Per-user session windows (gap-based): ONE shuffle on
-    ``user_id % B``, then a fully vectorized per-bucket pass — sort by
+    ``bucket_of(user_id)``, then a fully vectorized per-bucket pass — sort by
     (user, ts), gap/user-change breaks, cumsum session ids, run-length
     aggregation.  No python-per-group work (r1: pandas per-user groups).
 
@@ -337,12 +346,7 @@ def session_windows(ds, gap_s: int = 1800, ts_col: str = "ts",
     (``floor(v*1e6 + 0.5)``) so the result is bit-identical to the SQL
     oracle regardless of summation order.  Output: (user_id,
     session_start, session_end, n_events, sum_value)."""
-    B = int(num_buckets)
     gap_us = np.int64(gap_s) * 1_000_000
-
-    def bucket(batch: pa.Table) -> pa.Table:
-        u = np.asarray(batch.column(user_col), dtype=np.int64)
-        return batch.append_column("__bucket", pa.array(u % np.int64(B)))
 
     def sessions_of_bucket(group: pa.Table) -> pa.Table:
         u = np.asarray(group.column(user_col), dtype=np.int64)
@@ -368,9 +372,7 @@ def session_windows(ds, gap_s: int = 1800, ts_col: str = "ts",
             "sum_value": pa.array(sums / 1_000_000.0, pa.float64()),
         })
 
-    return (ds.map_batches(bucket, batch_format="pyarrow")
-            .groupby("__bucket")
-            .map_groups(sessions_of_bucket, batch_format="pyarrow"))
+    return exchange(ds, sessions_of_bucket, user_col, num_buckets)
 
 
 # ---------------------------------------------------------------------------
@@ -386,7 +388,7 @@ def funnel(ds, steps: list[str], within_s: int, ts_col: str = "ts",
     qualifying step-0 timestamp per user (ANY-chain semantics, i.e. the
     SQL ``EXISTS`` pair/chain query).
 
-    Plan: filter to funnel events, bucket users (``user % B``), ONE
+    Plan: filter to funnel events, bucket users (``bucket_of(user)``), ONE
     shuffle, then an entirely vectorized per-bucket chain search over
     ALL users at once:
 
@@ -407,7 +409,6 @@ def funnel(ds, steps: list[str], within_s: int, ts_col: str = "ts",
     assert len(set(steps)) == K, \
         "funnel steps must be distinct (repeat-step funnels are not " \
         "supported; a duplicated name would silently match nothing)"
-    NB = int(num_buckets)
     W_US = np.int64(within_s) * np.int64(1_000_000)
     step_of = {s: i for i, s in enumerate(steps)}
 
@@ -424,8 +425,7 @@ def funnel(ds, steps: list[str], within_s: int, ts_col: str = "ts",
             sid[st == s] = np.int8(i)
         return pa.table({
             "u": pa.array(uid), "t": pa.array(ts),
-            "s": pa.array(sid, pa.int8()),
-            "__bucket": pa.array((uid % NB).astype(np.int64))})
+            "s": pa.array(sid, pa.int8())})
 
     def _first_later(uq, tq, uk, tk):
         """For each query (uq, tq): index into the (user, ts)-sorted key
@@ -473,9 +473,8 @@ def funnel(ds, steps: list[str], within_s: int, ts_col: str = "ts",
             user_col: pa.array(uh[first]),
             "first_start": pa.array(th[first].astype("datetime64[us]"))})
 
-    return (ds.map_batches(bucket, batch_format="pyarrow")
-            .groupby("__bucket")
-            .map_groups(chain_bucket, batch_format="pyarrow"))
+    return exchange(ds.map_batches(bucket, batch_format="pyarrow"),
+                    chain_bucket, "u", num_buckets)
 
 
 def retention_cohorts(ds, bucket_s: int = 86400, ts_col: str = "ts",
@@ -491,7 +490,6 @@ def retention_cohorts(ds, bucket_s: int = 86400, ts_col: str = "ts",
     groupby over at most periods² rows."""
     from ray.data.aggregate import Sum
 
-    NB = int(num_buckets)
     B_US = np.int64(bucket_s) * np.int64(1_000_000)
 
     def pre(batch: pa.Table) -> pa.Table:
@@ -500,9 +498,8 @@ def retention_cohorts(ds, bucket_s: int = 86400, ts_col: str = "ts",
         w = (ts // B_US) * B_US
         uid = np.asarray(batch.column(user_col), dtype=np.int64)
         pair = np.unique(np.stack([uid, w], axis=1), axis=0)
-        return pa.table({
-            "u": pa.array(pair[:, 0]), "w": pa.array(pair[:, 1]),
-            "__bucket": pa.array((pair[:, 0] % NB).astype(np.int64))})
+        return pa.table({"u": pa.array(pair[:, 0]),
+                         "w": pa.array(pair[:, 1])})
 
     def cohort_bucket(group: pa.Table) -> pa.Table:
         u = np.asarray(group.column("u"), dtype=np.int64)
@@ -530,9 +527,8 @@ def retention_cohorts(ds, bucket_s: int = 86400, ts_col: str = "ts",
 
     from bqf_ray.stages.partition import bucketed_agg
     agg = bucketed_agg(
-        ds.map_batches(pre, batch_format="pyarrow")
-        .groupby("__bucket")
-        .map_groups(cohort_bucket, batch_format="pyarrow"),
+        exchange(ds.map_batches(pre, batch_format="pyarrow"),
+                 cohort_bucket, "u", num_buckets),
         ["cohort_i", "day_offset"], [("pn", "sum", "n_users")])
 
     def finish(batch: pa.Table) -> pa.Table:
@@ -559,23 +555,10 @@ def rolling_window_sum(ds, k: int, value_col: str = "value",
     from ONE global cumsum with per-key window clamping (first-of-run
     start offsets propagated by maximum.accumulate) — no per-key loop.
     """
-    NB = int(num_buckets)
     KK = int(k)
     assert KK >= 1
 
-    def bucket(batch: pa.Table) -> pa.Table:
-        import pyarrow.compute as pc
-        uid = np.asarray(batch.column(key_col), dtype=np.int64)
-        ts = np.asarray(batch.column(ts_col)).astype("datetime64[us]"
-                                                     ).astype(np.int64)
-        return pa.table({
-            "u": pa.array(uid), "t": pa.array(ts),
-            "i": pc.cast(batch.column(id_col), pa.int64()),
-            "v": pc.cast(batch.column(value_col), pa.int64()),
-            "__bucket": pa.array((uid % NB).astype(np.int64))})
-
     def roll_bucket(group: pa.Table) -> pa.Table:
-        import pyarrow.compute as pc
         u = np.asarray(group.column("u"), dtype=np.int64)
         t = np.asarray(group.column("t"), dtype=np.int64)
         i = np.asarray(group.column("i"), dtype=np.int64)
@@ -596,9 +579,9 @@ def rolling_window_sum(ds, k: int, value_col: str = "value",
             "roll_sum": pa.array(cs[pos + 1] - cs[lo]),
             "n_window": pa.array(pos + 1 - lo)})
 
-    return (ds.map_batches(bucket, batch_format="pyarrow")
-            .groupby("__bucket")
-            .map_groups(roll_bucket, batch_format="pyarrow"))
+    prep = _keyed_rows(key_col, ts_col, id_col, value_col)
+    return exchange(ds.map_batches(prep, batch_format="pyarrow"),
+                    roll_bucket, "u", num_buckets)
 
 
 def lag_diff(ds, value_col: str = "ts", ts_col: str = "ts",
@@ -611,22 +594,6 @@ def lag_diff(ds, value_col: str = "ts", ts_col: str = "ts",
     microseconds.  Same one-bucket-shuffle shape as
     :func:`rolling_window_sum`; the diff is one vectorized subtraction
     with first-of-run masking."""
-    NB = int(num_buckets)
-
-    def bucket(batch: pa.Table) -> pa.Table:
-        import pyarrow.compute as pc
-        uid = np.asarray(batch.column(key_col), dtype=np.int64)
-        ts = np.asarray(batch.column(ts_col)).astype("datetime64[us]"
-                                                     ).astype(np.int64)
-        v = np.asarray(batch.column(value_col))
-        if np.issubdtype(v.dtype, np.datetime64):
-            v = v.astype("datetime64[us]").astype(np.int64)
-        return pa.table({
-            "u": pa.array(uid), "t": pa.array(ts),
-            "i": pc.cast(batch.column(id_col), pa.int64()),
-            "v": pa.array(v.astype(np.int64)),
-            "__bucket": pa.array((uid % NB).astype(np.int64))})
-
     def diff_bucket(group: pa.Table) -> pa.Table:
         u = np.asarray(group.column("u"), dtype=np.int64)
         t = np.asarray(group.column("t"), dtype=np.int64)
@@ -650,9 +617,9 @@ def lag_diff(ds, value_col: str = "ts", ts_col: str = "ts",
             cols[key_col] = pa.array(u)
         return pa.table(cols)
 
-    return (ds.map_batches(bucket, batch_format="pyarrow")
-            .groupby("__bucket")
-            .map_groups(diff_bucket, batch_format="pyarrow"))
+    prep = _keyed_rows(key_col, ts_col, id_col, value_col)
+    return exchange(ds.map_batches(prep, batch_format="pyarrow"),
+                    diff_bucket, "u", num_buckets)
 
 
 def grouped_row_numbers(ds, key_col: str = "user_id", ts_col: str = "ts",
@@ -662,18 +629,6 @@ def grouped_row_numbers(ds, key_col: str = "user_id", ts_col: str = "ts",
     :func:`bqf_ray.pipelines.ranking.global_row_numbers`.  Same
     one-bucket-shuffle shape as :func:`lag_diff`; ranks come from one
     lexsort plus a first-of-run subtraction (no per-key loop)."""
-    NB = int(num_buckets)
-
-    def bucket(batch: pa.Table) -> pa.Table:
-        import pyarrow.compute as pc
-        uid = np.asarray(batch.column(key_col), dtype=np.int64)
-        ts = np.asarray(batch.column(ts_col)).astype("datetime64[us]"
-                                                     ).astype(np.int64)
-        return pa.table({
-            "u": pa.array(uid), "t": pa.array(ts),
-            "i": pc.cast(batch.column(id_col), pa.int64()),
-            "__bucket": pa.array((uid % NB).astype(np.int64))})
-
     def rank_bucket(group: pa.Table) -> pa.Table:
         u = np.asarray(group.column("u"), dtype=np.int64)
         t = np.asarray(group.column("t"), dtype=np.int64)
@@ -691,9 +646,9 @@ def grouped_row_numbers(ds, key_col: str = "user_id", ts_col: str = "ts",
         return pa.table({id_col: pa.array(i[order]),
                          "rnk": pa.array(rnk)})
 
-    return (ds.map_batches(bucket, batch_format="pyarrow")
-            .groupby("__bucket")
-            .map_groups(rank_bucket, batch_format="pyarrow"))
+    prep = _keyed_rows(key_col, ts_col, id_col)
+    return exchange(ds.map_batches(prep, batch_format="pyarrow"),
+                    rank_bucket, "u", num_buckets)
 
 
 def rolling_time_range_sum(ds, range_s: int, value_col: str = "value",
@@ -714,20 +669,8 @@ def rolling_time_range_sum(ds, range_s: int, value_col: str = "value",
     ``searchsorted`` over that order — (key, ts-range) left for the
     start, (key, ts) right for the peer-inclusive end — then one
     global cumsum.  No per-key loop, no per-row loop."""
-    NB = int(num_buckets)
     R = int(range_s) * 1_000_000
     assert R >= 0
-
-    def bucket(batch: pa.Table) -> pa.Table:
-        import pyarrow.compute as pc
-        uid = np.asarray(batch.column(key_col), dtype=np.int64)
-        ts = np.asarray(batch.column(ts_col)).astype("datetime64[us]"
-                                                     ).astype(np.int64)
-        return pa.table({
-            "u": pa.array(uid), "t": pa.array(ts),
-            "i": pc.cast(batch.column(id_col), pa.int64()),
-            "v": pc.cast(batch.column(value_col), pa.int64()),
-            "__bucket": pa.array((uid % NB).astype(np.int64))})
 
     def roll_bucket(group: pa.Table) -> pa.Table:
         u = np.asarray(group.column("u"), dtype=np.int64)
@@ -752,9 +695,9 @@ def rolling_time_range_sum(ds, range_s: int, value_col: str = "value",
             "range_sum": pa.array(cs[hi] - cs[lo]),
             "n_window": pa.array(hi - lo)})
 
-    return (ds.map_batches(bucket, batch_format="pyarrow")
-            .groupby("__bucket")
-            .map_groups(roll_bucket, batch_format="pyarrow"))
+    prep = _keyed_rows(key_col, ts_col, id_col, value_col)
+    return exchange(ds.map_batches(prep, batch_format="pyarrow"),
+                    roll_bucket, "u", num_buckets)
 
 
 def lag_autocorr_components(ds, key_col: str = "event_type",
@@ -783,13 +726,7 @@ def lag_autocorr_components(ds, key_col: str = "event_type",
     Values scale to integers as ``floor(v * scale + 0.5)``; null
     values are excluded row-wise (mirror the oracle with ``WHERE v IS
     NOT NULL``).  Overflow envelope: ``n * (scale*vmax)^2 < 2^63``."""
-    import pyarrow.compute as pc
-
-    from bqf_ray.functions.hashing import xxhash64_array
-    from bqf_ray.stages.partition import _col_hash64
-
     W = np.int64(bucket_width_s) * 1_000_000
-    KB = np.int64(key_buckets)
     SC = float(scale)
 
     def tag(batch: pa.Table) -> pa.Table:
@@ -799,10 +736,7 @@ def lag_autocorr_components(ds, key_col: str = "event_type",
             keep = pc.and_(keep, pc.invert(pc.is_nan(pc.fill_null(v, 0.0))))
         batch = batch.filter(pc.and_(keep, pc.is_valid(
             batch.column(key_col))))
-        ts = np.asarray(batch.column(ts_col)).astype("datetime64[us]") \
-            .astype(np.int64)
-        kh = (_col_hash64(batch.column(key_col)) % np.uint64(KB)
-              ).astype(np.int64)
+        ts = _us(batch.column(ts_col))
         mv = np.floor(np.asarray(batch.column(value_col),
                                  dtype=np.float64) * SC + 0.5
                       ).astype(np.int64)
@@ -812,7 +746,7 @@ def lag_autocorr_components(ds, key_col: str = "event_type",
             "i": pa.array(np.asarray(batch.column(id_col),
                                      dtype=np.int64)),
             "v": pa.array(mv),
-            "__cell": pa.array((ts // W) * KB + kh)})
+            "ct": pa.array(ts // W)})
 
     def cell_partial(g: pa.Table) -> pa.Table:
         k = g.column("k")
@@ -829,10 +763,12 @@ def lag_autocorr_components(ds, key_col: str = "event_type",
         t = np.asarray(g.column("t"), dtype=np.int64)
         i = np.asarray(g.column("i"), dtype=np.int64)
         v = np.asarray(g.column("v"), dtype=np.int64)
+        ct = np.asarray(g.column("ct"), dtype=np.int64)
         order = np.lexsort((i, t, kc))
-        kc, v = kc[order], v[order]
+        kc, v, ct = kc[order], v[order], ct[order]
         n = len(kc)
-        new = np.r_[True, kc[1:] != kc[:-1]]
+        # one run per (key, time cell): t-order within a key is cell order
+        new = np.r_[True, (kc[1:] != kc[:-1]) | (ct[1:] != ct[:-1])]
         starts = np.flatnonzero(new)
         ends = np.r_[starts[1:], n]
         # inner adjacent pairs: positions p, p+1 with same key
@@ -848,8 +784,7 @@ def lag_autocorr_components(ds, key_col: str = "event_type",
 
         return pa.table({
             "k": k.take(pa.array(order[starts])),
-            "cell_t": pa.array(np.full(len(starts),
-                                       t[order[0]] // W, dtype=np.int64)),
+            "cell_t": pa.array(ct[starts]),
             "n_pairs": pa.array(np.int64(ends - starts - 1)),
             "sx": pa.array(rsum(x)), "sy": pa.array(rsum(y)),
             "sxy": pa.array(rsum(x * y)),
@@ -906,9 +841,8 @@ def lag_autocorr_components(ds, key_col: str = "event_type",
             "sxx": pa.array(fold("sxx") + bsum(bx * bx)),
             "syy": pa.array(fold("syy") + bsum(by * by))})
 
-    return (ds.map_batches(tag, batch_format="pyarrow")
-            .groupby("__cell").map_groups(cell_partial,
-                                          batch_format="pyarrow")
+    return (exchange(ds.map_batches(tag, batch_format="pyarrow"),
+                     cell_partial, ["k", "ct"], key_buckets)
             .groupby("k").map_groups(key_merge, batch_format="pyarrow"))
 
 
@@ -922,20 +856,8 @@ def scd2_intervals(ds, key_col: str, ts_col: str, id_col: str,
     latest-state MERGE.  Same one-key-bucket-shuffle shape as
     :func:`lag_diff`: lexsort + one shifted gather, no per-key loop.
     Output: ``(id_col, key_col, valid_from, valid_to)``."""
-    NB = int(num_buckets)
-
-    def bucket(batch: pa.Table) -> pa.Table:
-        import pyarrow.compute as pc
-        k = np.asarray(batch.column(key_col), dtype=np.int64)
-        ts = np.asarray(batch.column(ts_col)).astype("datetime64[us]"
-                                                     ).astype(np.int64)
-        return pa.table({
-            "k": pa.array(k), "t": pa.array(ts),
-            "i": pc.cast(batch.column(id_col), pa.int64()),
-            "__bucket": pa.array((k % NB).astype(np.int64))})
-
     def intervals(group: pa.Table) -> pa.Table:
-        k = np.asarray(group.column("k"), dtype=np.int64)
+        k = np.asarray(group.column("u"), dtype=np.int64)
         t = np.asarray(group.column("t"), dtype=np.int64)
         i = np.asarray(group.column("i"), dtype=np.int64)
         if not len(k):
@@ -958,9 +880,9 @@ def scd2_intervals(ds, key_col: str, ts_col: str, id_col: str,
                              ts_.astype("datetime64[us]")),
                          "valid_to": vto})
 
-    return (ds.map_batches(bucket, batch_format="pyarrow")
-            .groupby("__bucket").map_groups(intervals,
-                                            batch_format="pyarrow"))
+    prep = _keyed_rows(key_col, ts_col, id_col)
+    return exchange(ds.map_batches(prep, batch_format="pyarrow"),
+                    intervals, "u", num_buckets)
 
 
 def rolling_median(ds, key_col: str, ts_col: str, id_col: str,
@@ -976,11 +898,6 @@ def rolling_median(ds, key_col: str, ts_col: str, id_col: str,
     values stay a prefix), then a vectorized per-row selection at
     ``ceil(m/2)−1``.  Cost n·w·log w per bucket, no per-key loop.
     Output: ``(id_col, med)``; null/NaN values excluded row-wise."""
-    import pyarrow.compute as pc
-
-    from bqf_ray.stages.partition import _col_hash64
-
-    NB = int(num_buckets)
     W = int(window)
     if W < 1:
         raise ValueError("window must be >= 1")
@@ -993,15 +910,11 @@ def rolling_median(ds, key_col: str, ts_col: str, id_col: str,
                 v, 0.0))))
         batch = batch.filter(pc.and_(keep, pc.is_valid(
             batch.column(key_col))))
-        kh = (_col_hash64(batch.column(key_col))
-              % np.uint64(NB)).astype(np.int64)
-        ts = np.asarray(batch.column(ts_col)).astype("datetime64[us]"
-                                                     ).astype(np.int64)
         return pa.table({
-            "k": batch.column(key_col), "t": pa.array(ts),
+            "k": batch.column(key_col), "t": pa.array(_us(
+                batch.column(ts_col))),
             "i": pc.cast(batch.column(id_col), pa.int64()),
-            "v": pc.cast(batch.column(value_col), pa.float64()),
-            "__bucket": pa.array(kh)})
+            "v": pc.cast(batch.column(value_col), pa.float64())})
 
     def med_bucket(g: pa.Table) -> pa.Table:
         if not g.num_rows:
@@ -1037,9 +950,8 @@ def rolling_median(ds, key_col: str, ts_col: str, id_col: str,
                          "med": pa.array(
                              wins[np.arange(n), sel])})
 
-    return (ds.map_batches(bucket, batch_format="pyarrow")
-            .groupby("__bucket").map_groups(med_bucket,
-                                            batch_format="pyarrow"))
+    return exchange(ds.map_batches(bucket, batch_format="pyarrow"),
+                    med_bucket, "k", num_buckets)
 
 
 def activity_islands(ds, key_col: str = "user_id", ts_col: str = "ts",
@@ -1055,16 +967,12 @@ def activity_islands(ds, key_col: str = "user_id", ts_col: str = "ts",
     where the key changes or the period step exceeds 1, then contiguous per-key reduceat folds.  No
     per-key loop.  Period = floor division of the epoch (negative
     timestamps floor toward -inf, matching date_trunc)."""
-    NB = int(num_buckets)
     G = np.int64(granularity_s) * 1_000_000
 
     def bucket(batch: pa.Table) -> pa.Table:
         k = np.asarray(batch.column(key_col), dtype=np.int64)
-        ts = np.asarray(batch.column(ts_col)).astype("datetime64[us]"
-                                                     ).astype(np.int64)
         return pa.table({"k": pa.array(k),
-                         "p": pa.array(ts // G),
-                         "__bucket": pa.array((k % NB).astype(np.int64))})
+                         "p": pa.array(_us(batch.column(ts_col)) // G)})
 
     def islands(g: pa.Table) -> pa.Table:
         if not g.num_rows:
@@ -1097,9 +1005,8 @@ def activity_islands(ds, key_col: str = "user_id", ts_col: str = "ts",
                          "n_islands": pa.array(n_islands),
                          "max_run": pa.array(max_run)})
 
-    return (ds.map_batches(bucket, batch_format="pyarrow")
-            .groupby("__bucket").map_groups(islands,
-                                            batch_format="pyarrow"))
+    return exchange(ds.map_batches(bucket, batch_format="pyarrow"),
+                    islands, "k", num_buckets)
 
 
 def grouped_first_last(ds, key_col: str, order_cols: list[str],
@@ -1122,12 +1029,6 @@ def grouped_first_last(ds, key_col: str, order_cols: list[str],
     Output: ``(key, n, first_val, second_val, last_val)`` with
     ``second_val`` NULL for single-row keys.
     """
-    import pyarrow.compute as pc
-
-    from bqf_ray.stages.partition import _col_hash64
-
-    NB = int(num_buckets)
-
     def _sorted(tbl: pa.Table):
         """(sorted table, run starts, run lens) by key then order."""
         arrs = []
@@ -1156,9 +1057,7 @@ def grouped_first_last(ds, key_col: str, order_cols: list[str],
             mask = pc.and_(mask, pc.is_valid(batch.column(c)))
         batch = batch.select([key_col, *order_cols, val_col]).filter(mask)
         if batch.num_rows == 0:
-            return batch.append_column(
-                "__pc", pa.array([], pa.int64())).append_column(
-                "__bucket", pa.array([], pa.int64()))
+            return batch.append_column("__pc", pa.array([], pa.int64()))
         st, starts, lens = _sorted(batch)
         n = st.num_rows
         cnt = np.zeros(n, dtype=np.int64)
@@ -1167,11 +1066,8 @@ def grouped_first_last(ds, key_col: str, order_cols: list[str],
             starts,
             (starts + 1)[lens >= 2],
             (starts + lens - 1)[lens >= 2]]))
-        out = st.take(pa.array(sel)).append_column(
+        return st.take(pa.array(sel)).append_column(
             "__pc", pa.array(cnt[sel]))
-        h = _col_hash64(out.column(key_col))
-        return out.append_column(
-            "__bucket", pa.array((h % np.uint64(NB)).astype(np.int64)))
 
     def finish(group: pa.Table) -> pa.Table:
         if group.num_rows == 0:
@@ -1203,9 +1099,8 @@ def grouped_first_last(ds, key_col: str, order_cols: list[str],
                          "second_val": sec,
                          "last_val": last})
 
-    return (ds.map_batches(partial, batch_format="pyarrow")
-            .groupby("__bucket")
-            .map_groups(finish, batch_format="pyarrow"))
+    return exchange(ds.map_batches(partial, batch_format="pyarrow"),
+                    finish, key_col, num_buckets)
 
 
 def new_keys_daily(ds, key_col: str = "user_id", ts_col: str = "ts",
@@ -1281,10 +1176,6 @@ def interval_coalesce(ds, key_col: str, lo_col: str, hi_col: str,
     per-key loop.  Output ``(key_col, span_start, span_end, n)`` with
     ``n`` = intervals merged into the span.
     """
-    import pyarrow.compute as pc
-
-    NB = int(num_buckets)
-
     def bucket(batch: pa.Table) -> pa.Table:
         lo = batch.column(lo_col)
         hi = batch.column(hi_col)
@@ -1306,8 +1197,7 @@ def interval_coalesce(ds, key_col: str, lo_col: str, hi_col: str,
         return pa.table({"k": pa.array(kk), "pos": pa.array(pos),
                          "typ": pa.array(typ), "__ts": pa.array(
                              np.full(len(kk), int(ts_type),
-                                     dtype=np.int64)),
-                         "__bucket": pa.array((kk % NB))})
+                                     dtype=np.int64))})
 
     def sweep(group: pa.Table) -> pa.Table:
         k = np.asarray(group.column("k"), dtype=np.int64)
@@ -1349,9 +1239,8 @@ def interval_coalesce(ds, key_col: str, lo_col: str, hi_col: str,
         return pa.table({key_col: pa.array(ks[si]), "span_start": sa,
                          "span_end": ea, "n": pa.array(n)})
 
-    return (ds.map_batches(bucket, batch_format="pyarrow")
-            .groupby("__bucket").map_groups(sweep,
-                                            batch_format="pyarrow"))
+    return exchange(ds.map_batches(bucket, batch_format="pyarrow"),
+                    sweep, "k", num_buckets)
 
 
 def time_weighted_avg(ds, key_col: str, ts_col: str, id_col: str,
@@ -1372,28 +1261,18 @@ def time_weighted_avg(ds, key_col: str, ts_col: str, id_col: str,
     per-key loop.  A float shadow of ``num`` raises loudly past the
     2^62 exact envelope.  Output ``(key_col, num, den, twa)``.
     """
-    import pyarrow.compute as pc
-
-    NB = int(num_buckets)
-
     def bucket(batch: pa.Table) -> pa.Table:
         if batch.column(ts_col).null_count or \
                 batch.column(key_col).null_count:
             raise ValueError("time_weighted_avg: null key/ts row")
-        k = np.asarray(batch.column(key_col), dtype=np.int64)
-        ts = np.asarray(batch.column(ts_col)).astype("datetime64[us]"
-                                                     ).astype(np.int64)
         v = np.asarray(pc.fill_null(pc.cast(batch.column(value_col),
                                             pa.float64()), 0.0))
         vc = np.floor(v * scale + 0.5).astype(np.int64)
-        return pa.table({
-            "k": pa.array(k), "t": pa.array(ts),
-            "i": pc.cast(batch.column(id_col), pa.int64()),
-            "vc": pa.array(vc),
-            "__bucket": pa.array((k % NB).astype(np.int64))})
+        return _keyed_rows(key_col, ts_col, id_col)(batch).append_column(
+            "vc", pa.array(vc))
 
     def twap(group: pa.Table) -> pa.Table:
-        k = np.asarray(group.column("k"), dtype=np.int64)
+        k = np.asarray(group.column("u"), dtype=np.int64)
         if not len(k):
             return pa.table({key_col: pa.array([], pa.int64()),
                              "num": pa.array([], pa.int64()),
@@ -1429,9 +1308,8 @@ def time_weighted_avg(ds, key_col: str, ts_col: str, id_col: str,
                          "twa": pa.array(twa, pa.float64(),
                                          mask=~(den > 0))})
 
-    return (ds.map_batches(bucket, batch_format="pyarrow")
-            .groupby("__bucket").map_groups(twap,
-                                            batch_format="pyarrow"))
+    return exchange(ds.map_batches(bucket, batch_format="pyarrow"),
+                    twap, "u", num_buckets)
 
 
 def last_touch_attribution(ds, key_col: str, ts_col: str, id_col: str,
@@ -1456,9 +1334,6 @@ def last_touch_attribution(ds, key_col: str, ts_col: str, id_col: str,
     Output ``(conversion_id, key_col, conv_ts, touch_id, touch_type,
     touch_ts)`` with nullable touch columns.
     """
-    import pyarrow.compute as pc
-
-    NB = int(num_buckets)
     touch_set = list(dict.fromkeys(touch_types))
     if conversion_type in touch_set:
         raise ValueError("last_touch_attribution: conversion_type must "
@@ -1483,8 +1358,7 @@ def last_touch_attribution(ds, key_col: str, ts_col: str, id_col: str,
                 "datetime64[us]").astype(np.int64)),
             "i": pc.cast(sub.column(id_col), pa.int64()),
             "role": pa.array(role),
-            "typ": sub.column(type_col),
-            "__bucket": pa.array((k % NB).astype(np.int64))})
+            "typ": sub.column(type_col)})
 
     def attribute(group: pa.Table) -> pa.Table:
         k = np.asarray(group.column("k"), dtype=np.int64)
@@ -1536,9 +1410,8 @@ def last_touch_attribution(ds, key_col: str, ts_col: str, id_col: str,
             "touch_type": touch_type,
             "touch_ts": touch_ts})
 
-    return (ds.map_batches(bucket, batch_format="pyarrow")
-            .groupby("__bucket").map_groups(attribute,
-                                            batch_format="pyarrow"))
+    return exchange(ds.map_batches(bucket, batch_format="pyarrow"),
+                    attribute, "k", num_buckets)
 
 
 def watermark_scan(ds, order_col: str, ts_col: str, lateness_us: int,
@@ -1557,7 +1430,7 @@ def watermark_scan(ds, order_col: str, ts_col: str, lateness_us: int,
     prefix-max over the sorted cell table (cells ≪ rows — the driver
     envelope, like pagerank's node vector; widen ``cell_bits`` if the
     cell table outgrows it) and broadcasts it.  Pass 2 buckets rows by
-    ``cell % B`` (whole cells co-located), sorts each bucket once by
+    ``bucket_of(cell)`` (whole cells co-located), sorts each bucket once by
     (cell, order), and stitches ``max(cell-exclusive prefix, strict
     in-cell running max)``; the in-cell pass loops over CELLS in the
     bucket (≈ cells/B iterations), never over rows.  The first row
@@ -1603,10 +1476,8 @@ def watermark_scan(ds, order_col: str, ts_col: str, lateness_us: int,
         o = np.asarray(batch.column(order_col), dtype=np.int64)
         t = np.asarray(batch.column(ts_col)).astype("datetime64[us]"
                                                     ).astype(np.int64)
-        cells = o >> CB
         return pa.table({"o": pa.array(o), "t": pa.array(t),
-                         "cell": pa.array(cells),
-                         "__bucket": pa.array(cells % np.int64(B))})
+                         "cell": pa.array(o >> CB)})
 
     def stitch(g: pa.Table) -> pa.Table:
         cs, es = ray.get(ref)  # zero-copy plasma read
@@ -1641,9 +1512,8 @@ def watermark_scan(ds, order_col: str, ts_col: str, lateness_us: int,
                                   pa.timestamp("us"), mask=~known),
             "is_late": pa.array(is_late)})
 
-    return (ds.map_batches(tag, batch_format="pyarrow")
-            .groupby("__bucket")
-            .map_groups(stitch, batch_format="pyarrow"))
+    return exchange(ds.map_batches(tag, batch_format="pyarrow"),
+                    stitch, "cell", B)
 
 
 def resample_locf(ds, step_s: int, value_col: str = "value",
@@ -1668,28 +1538,9 @@ def resample_locf(ds, step_s: int, value_col: str = "value",
 
     Rows with null ts or null/NaN value are excluded.  Output
     ``(key_col, grid_ts [timestamp µs], value [float64])``."""
-    import pyarrow.compute as pc
-
-    NB = int(num_buckets)
     STEP = int(step_s) * 1_000_000
     if STEP <= 0:
         raise ValueError("step_s must be positive")
-
-    def bucket(batch: pa.Table) -> pa.Table:
-        ok = pc.and_(batch.column(ts_col).is_valid(),
-                     batch.column(value_col).is_valid())
-        if pa.types.is_floating(batch.schema.field(value_col).type):
-            ok = pc.and_(ok, pc.fill_null(
-                pc.is_finite(batch.column(value_col)), False))
-        batch = batch.filter(ok)
-        uid = np.asarray(batch.column(key_col), dtype=np.int64)
-        ts = np.asarray(batch.column(ts_col)).astype("datetime64[us]"
-                                                     ).astype(np.int64)
-        return pa.table({
-            "u": pa.array(uid), "t": pa.array(ts),
-            "i": pc.cast(batch.column(id_col), pa.int64()),
-            "v": pc.cast(batch.column(value_col), pa.float64()),
-            "__bucket": pa.array((uid % NB).astype(np.int64))})
 
     def fill_bucket(group: pa.Table) -> pa.Table:
         u = np.asarray(group.column("u"), dtype=np.int64)
@@ -1740,9 +1591,26 @@ def resample_locf(ds, step_s: int, value_col: str = "value",
                                 .astype("datetime64[us]")),
             value_col: pa.array(v[ev_pos])})
 
-    return (ds.map_batches(bucket, batch_format="pyarrow")
-            .groupby("__bucket")
-            .map_groups(fill_bucket, batch_format="pyarrow"))
+    return exchange(_finite_rows(ds, value_col, ts_col, key_col, id_col),
+                    fill_bucket, "u", num_buckets)
+
+
+def _finite_rows(ds, value_col: str, ts_col: str, key_col: str,
+                 id_col: str):
+    """The resample projection: rows with a ts and a finite value, as
+    ``(u, t µs, i, v float64)``."""
+
+    def prep(batch: pa.Table) -> pa.Table:
+        ok = pc.and_(batch.column(ts_col).is_valid(),
+                     batch.column(value_col).is_valid())
+        if pa.types.is_floating(batch.schema.field(value_col).type):
+            ok = pc.and_(ok, pc.fill_null(
+                pc.is_finite(batch.column(value_col)), False))
+        batch = batch.filter(ok)
+        return _keyed_rows(key_col, ts_col, id_col)(batch).append_column(
+            "v", pc.cast(batch.column(value_col), pa.float64()))
+
+    return ds.map_batches(prep, batch_format="pyarrow")
 
 
 def cusum_changepoint(ds, key_col: str = "user_id", ts_col: str = "ts",
@@ -1770,11 +1638,6 @@ def cusum_changepoint(ds, key_col: str = "user_id", ts_col: str = "ts",
     Values scale as ``floor(v·scale + 0.5)``; null/NaN values are
     excluded row-wise (mirror with ``WHERE v IS NOT NULL``).  Output:
     ``(key_col, n, total, t_star, ts_split, d_max)``."""
-    import pyarrow.compute as pc
-
-    from bqf_ray.stages.partition import _col_hash64
-
-    NB = np.uint64(int(num_buckets))
     SC = float(scale)
     CAP = int(max_rows_per_key)
 
@@ -1794,9 +1657,7 @@ def cusum_changepoint(ds, key_col: str = "user_id", ts_col: str = "ts",
             "k": batch.column(key_col), "t": pa.array(ts),
             "i": pa.array(np.asarray(batch.column(id_col),
                                      dtype=np.int64)),
-            "v": pa.array(mv),
-            "__bucket": pa.array((_col_hash64(batch.column(key_col))
-                                  % NB).astype(np.int64))})
+            "v": pa.array(mv)})
 
     def score_bucket(group: pa.Table) -> pa.Table:
         k = group.column("k")
@@ -1863,9 +1724,8 @@ def cusum_changepoint(ds, key_col: str = "user_id", ts_col: str = "ts",
                                  .astype("datetime64[us]")),
             "d_max": pa.array(np.where(keep_seg, d_max, 0))}).filter(sel)
 
-    return (ds.map_batches(bucket, batch_format="pyarrow")
-            .groupby("__bucket")
-            .map_groups(score_bucket, batch_format="pyarrow"))
+    return exchange(ds.map_batches(bucket, batch_format="pyarrow"),
+                    score_bucket, "k", num_buckets)
 
 
 def resample_interp(ds, step_s: int, value_col: str = "value",
@@ -1890,28 +1750,9 @@ def resample_interp(ds, step_s: int, value_col: str = "value",
     ``maximum.accumulate`` (prev) and one reverse pass (next) over a
     single merged lexsort — no per-key loop, no driver grid.  Output
     ``(key_col, grid_ts [timestamp µs], value [float64])``."""
-    import pyarrow.compute as pc
-
-    NB = int(num_buckets)
     STEP = int(step_s) * 1_000_000
     if STEP <= 0:
         raise ValueError("step_s must be positive")
-
-    def bucket(batch: pa.Table) -> pa.Table:
-        ok = pc.and_(batch.column(ts_col).is_valid(),
-                     batch.column(value_col).is_valid())
-        if pa.types.is_floating(batch.schema.field(value_col).type):
-            ok = pc.and_(ok, pc.fill_null(
-                pc.is_finite(batch.column(value_col)), False))
-        batch = batch.filter(ok)
-        uid = np.asarray(batch.column(key_col), dtype=np.int64)
-        ts = np.asarray(batch.column(ts_col)).astype("datetime64[us]"
-                                                     ).astype(np.int64)
-        return pa.table({
-            "u": pa.array(uid), "t": pa.array(ts),
-            "i": pc.cast(batch.column(id_col), pa.int64()),
-            "v": pc.cast(batch.column(value_col), pa.float64()),
-            "__bucket": pa.array((uid % NB).astype(np.int64))})
 
     def interp_bucket(group: pa.Table) -> pa.Table:
         u = np.asarray(group.column("u"), dtype=np.int64)
@@ -1976,9 +1817,8 @@ def resample_interp(ds, step_s: int, value_col: str = "value",
             "grid_ts": pa.array(gt.astype("datetime64[us]")),
             value_col: pa.array(out_v)})
 
-    return (ds.map_batches(bucket, batch_format="pyarrow")
-            .groupby("__bucket")
-            .map_groups(interp_bucket, batch_format="pyarrow"))
+    return exchange(_finite_rows(ds, value_col, ts_col, key_col, id_col),
+                    interp_bucket, "u", num_buckets)
 
 
 def linear_attribution(ds, window_s: int, key_col: str = "user_id",
@@ -2006,9 +1846,6 @@ def linear_attribution(ds, window_s: int, key_col: str = "user_id",
     yield nothing (the unattributed/direct share is derivable by
     anti-join).  Output ``(key, touch_id, conversion_id,
     n_window_touches, credit)``."""
-    import pyarrow.compute as pc
-
-    NB = int(num_buckets)
     W_US = int(window_s) * 1_000_000
     SC = float(scale)
 
@@ -2030,8 +1867,7 @@ def linear_attribution(ds, window_s: int, key_col: str = "user_id",
             "i": pc.cast(t.column(id_col), pa.int64()),
             "conv": pa.array(is_conv),
             "cents": pa.array(np.rint(np.nan_to_num(val) * SC)
-                              .astype(np.int64)),
-            "__bucket": pa.array((uid % NB).astype(np.int64))})
+                              .astype(np.int64))})
 
     def attribute(group: pa.Table) -> pa.Table:
         u = np.asarray(group.column("u"), dtype=np.int64)
@@ -2084,9 +1920,8 @@ def linear_attribution(ds, window_s: int, key_col: str = "user_id",
             "n_window_touches": pa.array(n[seg]),
             "credit": pa.array(cc[seg].astype(np.float64) / n[seg])})
 
-    return (ds.map_batches(bucket, batch_format="pyarrow")
-            .groupby("__bucket")
-            .map_groups(attribute, batch_format="pyarrow"))
+    return exchange(ds.map_batches(bucket, batch_format="pyarrow"),
+                    attribute, "u", num_buckets)
 
 
 # ---------------------------------------------------------------------------
@@ -2731,12 +2566,8 @@ def ohlc_window(ds, size_s: int = 21600, ts_col: str = "ts",
     hi, lo, n); partials ride a (window, key)-bucketed exchange and
     fold per group with a lexsort — shuffle volume is
     O(windows × keys × blocks), never the event stream."""
-    import pyarrow.compute as pc
-
     from bqf_ray.pipelines.audit import _key_codes
-    from bqf_ray.stages.partition import _col_hash64
 
-    B = int(num_buckets)
     size_us = np.int64(int(size_s)) * 1_000_000
 
     def _partials(w, kc, ts, ids, v, kvals):
@@ -2773,11 +2604,7 @@ def ohlc_window(ds, size_s: int = 21600, ts_col: str = "ts",
         kc = _key_codes(k)
         ids = np.asarray(t.column(id_col), dtype=np.int64)
         v = np.asarray(t.column(value_col), dtype=np.float64)
-        out = _partials(w, kc, ts, ids, v, k)
-        bkt = (_col_hash64(out.column(key_col))
-               + np.asarray(out.column("window_start")).view(np.uint64))
-        return out.append_column(
-            "__b", pa.array((bkt % np.uint64(B)).astype(np.int64)))
+        return _partials(w, kc, ts, ids, v, k)
 
     def fold(group: pa.Table) -> pa.Table:
         w = np.asarray(group.column("window_start"), dtype=np.int64)
@@ -2824,6 +2651,5 @@ def ohlc_window(ds, size_s: int = 21600, ts_col: str = "ts",
             "close": pa.array(closes),
             "n": pa.array(nsum)})
 
-    return (ds.map_batches(pre, batch_format="pyarrow")
-            .groupby("__b")
-            .map_groups(fold, batch_format="pyarrow"))
+    return exchange(ds.map_batches(pre, batch_format="pyarrow"), fold,
+                    ["window_start", key_col], num_buckets)

@@ -1,5 +1,13 @@
 """Partitioning / skew helpers.
 
+Every hash-bucket exchange in the pipelines goes through :func:`exchange`:
+it routes rows by :func:`bucket_of` — the one routing hash, a per-column
+``fmix64`` chain over :func:`_col_hash64` — and folds each bucket with one
+Python call after Ray Data's sort-based ``groupby(bucket).map_groups``.
+The shuffle strategy is therefore one decision made here, not per site;
+join-shaped callers tag each side and exchange the union, so both sides
+route through the same hash by construction.
+
 The sketch-build shuffle keys on uniform token hashes, which is skew-free
 by construction.  Natural-key aggregations (per-host, per-lang — the skewed
 dimensions the pages table engineers in: one host ≈25%, one lang ≈70%) go
@@ -169,31 +177,73 @@ def phase2_local(batch: pa.Table) -> pa.Table:
 def _col_hash64(col) -> np.ndarray:
     """uint64 hash of any column for ROUTING (nulls → fixed value;
     grouping downstream is by the real columns, so collisions and the
-    null constant only affect placement, never results)."""
+    null constant only affect placement, never results).  NumPy arrays
+    are accepted and hash like the Arrow array of the same dtype."""
+    if not isinstance(col, (pa.Array, pa.ChunkedArray)):
+        col = pa.array(col)
     if isinstance(col, pa.ChunkedArray):
         col = col.combine_chunks()
     t = col.type
-    import pyarrow as _pa
-    if (_pa.types.is_string(t) or _pa.types.is_large_string(t)
-            or _pa.types.is_binary(t) or _pa.types.is_large_binary(t)):
-        h = xxhash64_array(col.fill_null(""))
-    elif _pa.types.is_floating(t):
+    if (pa.types.is_string(t) or pa.types.is_large_string(t)
+            or pa.types.is_binary(t) or pa.types.is_large_binary(t)):
+        return xxhash64_array(col.fill_null(""))
+    if pa.types.is_floating(t):
         # hash the raw 64-bit pattern — a safe int cast would raise on
         # fractional values.  NaNs are canonicalized first: Arrow's
         # in-bucket grouper treats every NaN payload as ONE group, so
         # differing NaN bit patterns must not route to different buckets
         # (0.0 vs -0.0 stay distinct in Arrow group_by, so their distinct
         # bit patterns are correct as-is).
-        vals = col.cast(_pa.float64()).fill_null(0.0).to_numpy(
+        vals = col.cast(pa.float64()).fill_null(0.0).to_numpy(
             zero_copy_only=False)
         if np.isnan(vals).any():
             vals = np.where(np.isnan(vals), np.float64("nan"), vals)
-        h = fmix64(vals.view(np.uint64))
-    else:
-        vals = col.cast(_pa.int64()).fill_null(-1).to_numpy(
-            zero_copy_only=False)
-        h = fmix64(vals.view(np.uint64))
-    return h
+        return fmix64(vals.view(np.uint64))
+    if pa.types.is_uint64(t):
+        # the bit pattern directly: token/shingle hashes use all 64 bits,
+        # and below 2^63 (null → all ones) it equals the int64 path's
+        return fmix64(col.fill_null(np.iinfo(np.uint64).max).to_numpy(
+            zero_copy_only=False))
+    vals = col.cast(pa.int64()).fill_null(-1).to_numpy(zero_copy_only=False)
+    return fmix64(vals.view(np.uint64))
+
+
+_PHI = np.uint64(0x9E3779B97F4A7C15)
+_ROUTE = "__xbucket"
+
+
+def bucket_of(*cols, num_buckets: int) -> np.ndarray:
+    """The one routing hash: int64 bucket ids in ``[0, num_buckets)`` of
+    the key tuple ``cols`` (Arrow or NumPy columns of equal length).  A
+    value's bucket depends only on the value — never on its batch, its
+    chunking or the other rows — so every dataset routed by the same key
+    columns co-locates equal keys."""
+    h = np.zeros(len(cols[0]), dtype=np.uint64)
+    for col in cols:
+        h = fmix64(h * _PHI + _col_hash64(col))
+    return (h % np.uint64(num_buckets)).astype(np.int64)
+
+
+def exchange(ds, fold, keys, num_buckets: int):
+    """One keyed exchange: route every row by :func:`bucket_of` over the
+    ``keys`` column(s), shuffle, and call ``fold(table)`` once per bucket
+    with all of that bucket's rows (routing column already dropped).
+    Equal keys always meet in one call; a bucket holds many keys, so the
+    fold groups by the real columns itself.  Join-shaped callers tag each
+    side and pass ``a.union(b)``."""
+    keys = [keys] if isinstance(keys, str) else list(keys)
+    B = int(num_buckets)
+
+    def route(batch: pa.Table) -> pa.Table:
+        return batch.append_column(_ROUTE, pa.array(bucket_of(
+            *(batch.column(k) for k in keys), num_buckets=B)))
+
+    def run(group: pa.Table) -> pa.Table:
+        return fold(group.drop_columns([_ROUTE]))
+
+    return (ds.map_batches(route, batch_format="pyarrow")
+            .groupby(_ROUTE)
+            .map_groups(run, batch_format="pyarrow"))
 
 
 def _null_fill_scalar(t):
@@ -243,19 +293,10 @@ def bucketed_agg(ds, key_cols: list[str],
     import pyarrow.compute as pc
 
     keys = list(key_cols)
-    B = int(num_buckets)
-    PHI = np.uint64(0x9E3779B97F4A7C15)
 
-    def add_bucket(batch: pa.Table) -> pa.Table:
-        if combine_local:
-            batch = (batch.group_by(keys)
-                     .aggregate([(c, fn) for c, fn, _ in aggs]))
-            # columns come back as [*keys, f"{c}_{fn}"...]
-        h = np.zeros(batch.num_rows, dtype=np.uint64)
-        for k in keys:
-            h = fmix64(h * PHI + _col_hash64(batch.column(k)))
-        return batch.append_column(
-            "__gb", pa.array((h % np.uint64(B)).astype(np.int64)))
+    def local(batch: pa.Table) -> pa.Table:
+        # columns come back as [*keys, f"{c}_{fn}"...]
+        return batch.group_by(keys).aggregate([(c, fn) for c, fn, _ in aggs])
 
     # in-bucket plan: raw rows aggregate with the caller's fns; local
     # partials re-combine with sum for sum/count and the same fn for
@@ -291,9 +332,9 @@ def bucketed_agg(ds, key_cols: list[str],
             g = g.drop_columns([f for _, f in flags])
         return g.rename_columns(keys + [out for _, _, out in aggs])
 
-    return (ds.map_batches(add_bucket, batch_format="pyarrow")
-            .groupby("__gb")
-            .map_groups(combine, batch_format="pyarrow"))
+    if combine_local:
+        ds = ds.map_batches(local, batch_format="pyarrow")
+    return exchange(ds, combine, keys, num_buckets)
 
 
 def bucketed_sum(ds, key_cols: list[str], sum_cols: dict[str, str],

@@ -270,3 +270,33 @@ def test_wav_roundtrip_property(n, ch, bits, seed):
     back, rate = wav_decode(wav_encode(s, rate=22_050, bits=bits))
     assert rate == 22_050
     assert back.shape == s.shape and (back == s).all()
+
+
+def _sample_frames(payloads):
+    from bqf_ray.pipelines.multimodal import SampleFrames
+    t = pa.table({"media_id": pa.array(np.arange(len(payloads),
+                                                 dtype=np.int64)),
+                  "payload": pa.array(payloads, pa.binary())})
+    return SampleFrames(stride=1, max_frames=4)(t)
+
+
+def test_sample_frames_skips_null_payload():
+    from bqf_ray.sources.media import encode_media
+    ok = encode_media(2, 2, 2, 2, bytes(range(8)))
+    out = _sample_frames([None, ok])
+    assert out.column("media_id").to_pylist() == [1, 1]
+    assert out.column("frame").to_pylist() == [bytes(range(4)),
+                                               bytes(range(4, 8))]
+
+
+def test_sample_frames_skips_truncated_header():
+    from bqf_ray.sources.media import MAGIC
+    out = _sample_frames([MAGIC + b"\x02\x01"])      # 6 of 11 header bytes
+    assert out.num_rows == 0
+
+
+def test_sample_frames_skips_overrunning_frames():
+    from bqf_ray.sources.media import encode_media
+    # the header claims 65535 frames of 65535x65535 over an 11-byte blob
+    out = _sample_frames([encode_media(2, 65535, 65535, 65535, b"")])
+    assert out.num_rows == 0

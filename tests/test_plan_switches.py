@@ -72,3 +72,38 @@ def test_bpe_train_logs_its_plan(ray_session):
         outs[plan] = out
     assert outs["driver"] == outs["dataset"]
     assert len(outs["driver"]) == 5
+
+
+def test_dbscan_embeddings_logs_its_pair_plan(ray_session, monkeypatch):
+    """``dbscan_embeddings(mode="auto")`` picks its pair plan inside
+    ``embedding_dup_pairs``: one record per call, driven by the budget
+    against the materialized (id, vec) projection's bytes."""
+    import functools
+
+    import ray
+
+    from bqf_ray.pipelines import dedup
+    from bqf_ray.pipelines.clustering import dbscan_embeddings
+    rng = np.random.default_rng(3)
+    x = rng.normal(0, 1.0, size=(40, 8)).astype(np.float32)
+    ds = ray.data.from_arrow(pa.table({
+        "vec_id": pa.array(np.arange(len(x), dtype=np.int64)),
+        "embedding": pa.FixedSizeListArray.from_arrays(
+            pa.array(x.reshape(-1), pa.float32()), 8).cast(
+            pa.list_(pa.float32()))}))
+    orig = dedup.embedding_dup_pairs
+
+    def run(budget):
+        monkeypatch.setattr(dedup, "embedding_dup_pairs", functools.partial(
+            orig, broadcast_budget_bytes=budget))
+        return _run_logged("embedding_dup_pairs", lambda: dbscan_embeddings(
+            ds, sim_threshold=0.5, min_pts=1).to_pandas())
+
+    _, recs = run(1 << 30)
+    assert [r["plan"] for r in recs] == ["exact"]
+    size = recs[0]["table_bytes"]
+    for budget, plan in ((size, "exact"), (size - 1, "blocked")):
+        out, recs = run(budget)
+        assert [(r["plan"], r["table_bytes"], r["budget_bytes"])
+                for r in recs] == [(plan, size, budget)]
+        assert sorted(out["vec_id"]) == list(range(len(x)))

@@ -605,3 +605,36 @@ def test_one_sided_bucket_joins_no_keyerror(ray_session):
                  by="user_id", ts_col="ts", tie_col="tid",
                  num_buckets=2, suffix="").to_pandas()
     assert len(p) == 3 and pd.isna(p["v"]).all()
+
+
+def test_partitioned_hash_join_builds_without_partial_execution(
+        ray_session, monkeypatch):
+    """Building the join over mapped inputs must not run a throwaway
+    limit-1 execution to learn each side's schema."""
+    import pyarrow.compute as pc
+    import ray
+    from ray.data._internal.plan import ExecutionPlan
+
+    left = ray.data.from_arrow(pa.table({
+        "k": pa.array(np.arange(100, dtype=np.int64)),
+        "a": pa.array(np.arange(100, dtype=np.int64) * 2)}))
+    right = ray.data.from_arrow(pa.table({
+        "k": pa.array(np.arange(50, 150, dtype=np.int64)),
+        "b": pa.array(["r%d" % i for i in range(50, 150)])}))
+
+    def plus_one(batch):
+        return batch.set_column(1, "a", pc.add(batch.column("a"), 1))
+
+    lm = left.map_batches(plus_one, batch_format="pyarrow")
+    rm = right.map_batches(lambda b: b, batch_format="pyarrow")
+
+    def no_iter(self, *a, **kw):
+        raise AssertionError("partial execution while building the join")
+
+    monkeypatch.setattr(ExecutionPlan, "execute_to_iterator", no_iter)
+    joined = partitioned_hash_join(lm, rm, key="k", num_buckets=8)
+    monkeypatch.undo()
+    got = joined.to_pandas().sort_values("k").reset_index(drop=True)
+    assert list(got["k"]) == list(range(50, 100))
+    assert list(got["a"]) == [2 * k + 1 for k in range(50, 100)]
+    assert list(got["b_r"]) == ["r%d" % k for k in range(50, 100)]

@@ -764,3 +764,195 @@ def test_rolling_time_range_sum_matches_duckdb(ray_session):
         ORDER BY event_id""").df()
     assert list(got["range_sum"]) == list(exp["range_sum"])
     assert list(got["n_window"]) == list(exp["n_window"])
+
+
+# --------------------------------------------------------------------------
+# the one keyed exchange: bucket_of + exchange
+# --------------------------------------------------------------------------
+
+def _bucket_columns():
+    nan_a = np.array([0x7FF8000000000000], np.uint64).view(np.float64)[0]
+    nan_b = np.array([0x7FF8000000000BAD], np.uint64).view(np.float64)[0]
+    return {
+        "int64": pa.array([5, -3, None, 5, 2**62, None, -1], pa.int64()),
+        "uint64": pa.array([2**63 + 5, 2**64 - 1, None, 7, 2**63 + 5],
+                           pa.uint64()),
+        "string": pa.array(["a", "", None, "hé", "a", None]),
+        "float": pa.array([nan_a, 1.5, nan_b, None, -0.0, 1.5],
+                          pa.float64()),
+    }
+
+
+@pytest.mark.parametrize("kind", ["int64", "uint64", "string", "float"])
+def test_bucket_of_in_range_and_per_value(kind):
+    """A value's bucket is in [0, B) and depends on the value alone —
+    not on its batch, its row position or the array's chunking."""
+    from bqf_ray.stages.partition import bucket_of
+    col = _bucket_columns()[kind]
+    B = 7
+    b = bucket_of(col, num_buckets=B)
+    assert b.dtype == np.int64 and len(b) == len(col)
+    assert ((b >= 0) & (b < B)).all()
+    alone = [bucket_of(col.slice(i, 1), num_buckets=B)[0]
+             for i in range(len(col))]
+    assert list(b) == alone
+    chunked = pa.chunked_array([col.slice(0, 2), col.slice(2, 1),
+                                col.slice(3)])
+    assert list(bucket_of(chunked, num_buckets=B)) == list(b)
+    vals = col.to_pylist()
+    for i, v in enumerate(vals):         # equal values share a bucket
+        for j, w in enumerate(vals):
+            same = (v is None and w is None) or (
+                v is not None and w is not None and
+                (v == w or (kind == "float" and v != v and w != w)))
+            if same:
+                assert b[i] == b[j], (v, w)
+
+
+def test_bucket_of_two_nan_payloads_share_a_bucket():
+    from bqf_ray.stages.partition import _col_hash64, bucket_of
+    col = _bucket_columns()["float"]
+    assert np.isnan(col[0].as_py()) and np.isnan(col[2].as_py())
+    assert _col_hash64(col)[0] == _col_hash64(col)[2]
+    assert len(set(bucket_of(col, num_buckets=1 << 20)[[0, 2]])) == 1
+
+
+def test_col_hash64_uint64_high_bit_and_low_values():
+    """uint64 keys past 2^63 hash (no int64 cast error); below 2^63 they
+    hash exactly as the same int64 values do, so their routing is
+    unchanged."""
+    from bqf_ray.stages.partition import _col_hash64
+    hi = _col_hash64(pa.array(np.array([2**63 + 5], np.uint64)))
+    assert hi.dtype == np.uint64 and len(hi) == 1
+    low = [0, 1, 5, 2**62, 2**63 - 1]
+    assert list(_col_hash64(pa.array(low, pa.uint64()))) == \
+        list(_col_hash64(pa.array(low, pa.int64())))
+    assert list(_col_hash64(pa.array([None], pa.uint64()))) != \
+        list(_col_hash64(pa.array([0], pa.uint64())))
+
+
+def test_bucket_of_multi_column_matches_bucketed_agg_routing():
+    """bucketed_agg routes through bucket_of: the chained fmix64 over
+    the key columns (its routing before the exchange helper existed)."""
+    from bqf_ray.functions.hashing import fmix64
+    from bqf_ray.stages.partition import _col_hash64, bucket_of
+    a = pa.array([1, 2, None, 4], pa.int64())
+    s = pa.array(["x", "y", "x", None])
+    phi = np.uint64(0x9E3779B97F4A7C15)
+    h = np.zeros(4, np.uint64)
+    for c in (a, s):
+        h = fmix64(h * phi + _col_hash64(c))
+    assert list(bucket_of(a, s, num_buckets=64)) == \
+        list((h % np.uint64(64)).astype(np.int64))
+
+
+def test_exchange_one_fold_call_per_bucket(ray_session):
+    """Every key's rows reach exactly one fold call, the routing column
+    is dropped before the fold, and no row is lost or duplicated."""
+    import uuid
+
+    import ray
+
+    from bqf_ray.stages.partition import exchange
+    rng = np.random.RandomState(5)
+    k = rng.randint(0, 500, 6000).astype(np.int64)
+    t = pa.table({"k": pa.array(k), "v": pa.array(np.arange(len(k)))})
+
+    def fold(g: pa.Table) -> pa.Table:
+        assert g.column_names == ["k", "v"]
+        return pa.table({"k": g.column("k"), "v": g.column("v"),
+                         "call": pa.array([uuid.uuid4().hex] * g.num_rows)})
+
+    out = exchange(ray.data.from_arrow(t).repartition(7), fold, "k",
+                   16).to_pandas()
+    assert sorted(out["v"]) == list(range(len(k)))
+    assert (out.groupby("k")["call"].nunique() == 1).all()
+    assert out["call"].nunique() <= 16
+
+
+def test_exchange_colocates_unioned_sides(ray_session):
+    """A join-shaped exchange over a.union(b): equal keys from both
+    sides meet in one fold call."""
+    import ray
+
+    from bqf_ray.stages.partition import exchange
+    a = pa.table({"key": pa.array(["u%d" % i for i in range(0, 300)]),
+                  "side": pa.array(np.zeros(300, np.int8))})
+    b = pa.table({"key": pa.array(["u%d" % i for i in range(150, 450)]),
+                  "side": pa.array(np.ones(300, np.int8))})
+
+    def fold(g: pa.Table) -> pa.Table:
+        df = g.to_pandas()
+        both = df.groupby("key")["side"].nunique()
+        return pa.table({"key": pa.array(both.index.tolist(), pa.string()),
+                         "n_sides": pa.array(both.to_numpy(np.int64))})
+
+    out = exchange(ray.data.from_arrow(a).union(ray.data.from_arrow(b)),
+                   fold, "key", 8).to_pandas()
+    assert len(out) == 450 and out["key"].is_unique
+    got = dict(zip(out["key"], out["n_sides"]))
+    assert all(got["u%d" % i] == (2 if 150 <= i < 300 else 1)
+               for i in range(450))
+
+
+# hash-bucket exchanges go through stages.partition.exchange; these
+# groupby-on-a-routing-column sites partition by DATA, not a hash bucket
+_ROUTED_BY_DATA = {
+    ("build_index.py", "__part"),    # BQF shard id key % P (manifests)
+    ("graph.py", "__sp"),            # vertex-shard routes (checkpoints)
+    ("graph.py", "__tp"),            # destination-shard fold
+    ("ranking.py", "__part"),        # range partitions
+    ("relational.py", "__tb"),       # interval time bucket (replicas)
+    ("knn.py", "__cell"),            # IVF cell: one ranking per cell
+    ("dedup.py", "__bkey"),          # LSH band code: one verify per code
+    ("contamination.py", "__bkey"),  # LSH band code: one verify per code
+}
+
+
+def _routing_groupbys(path):
+    """(lineno, column) of every ``.groupby(...)`` whose keys are all
+    ``__``-prefixed routing columns (string literals, lists of them, or
+    module-level string constants)."""
+    import ast
+    tree = ast.parse(open(path).read())
+    consts = {t.id: n.value.value for n in tree.body
+              if isinstance(n, ast.Assign)
+              and isinstance(n.value, ast.Constant)
+              and isinstance(n.value.value, str)
+              for t in n.targets if isinstance(t, ast.Name)}
+
+    def keys(node):
+        if isinstance(node, ast.Constant) and isinstance(node.value, str):
+            return [node.value]
+        if isinstance(node, ast.Name) and node.id in consts:
+            return [consts[node.id]]
+        if isinstance(node, ast.List):
+            ks = [keys(e) for e in node.elts]
+            return None if None in ks else [k for kk in ks for k in kk]
+        return None
+
+    out = []
+    for n in ast.walk(tree):
+        if (isinstance(n, ast.Call) and isinstance(n.func, ast.Attribute)
+                and n.func.attr == "groupby" and n.args):
+            ks = keys(n.args[0])
+            if ks and all(k.startswith("__") for k in ks):
+                out.extend((n.lineno, k) for k in ks)
+    return out
+
+
+def test_no_hand_rolled_bucket_exchange():
+    """No pipeline groups by a hand-made ``__`` routing column except the
+    data-partitioned sites above: hash-bucket exchanges use
+    ``stages.partition.exchange`` and its one routing hash."""
+    import glob
+    root = os.path.dirname(os.path.dirname(os.path.abspath(__file__)))
+    paths = sorted(glob.glob(os.path.join(root, "bqf_ray", "pipelines",
+                                          "*.py")))
+    paths.append(os.path.join(root, "__ray_entry__.py"))
+    found = {(os.path.basename(p), col, ln) for p in paths
+             for ln, col in _routing_groupbys(p)}
+    stray = sorted(f for f in found if f[:2] not in _ROUTED_BY_DATA)
+    assert not stray, f"hand-rolled routing-column groupby: {stray}"
+    # the scan sees the allowed sites, so it is not vacuous
+    assert {f[:2] for f in found} == _ROUTED_BY_DATA
