@@ -1484,12 +1484,12 @@ def w_pagerank_types(sf_dir):
 
 def w_pagerank_parts_sharded(sf_dir):
     """Weighted PageRank over the part co-purchase graph with the
-    SHARDED plan FORCED (``mode="sharded"`` — range-partitioned shard
-    actors, co-bucketed edge scans): the 100-TB scale path,
-    driver-oracled every round.  The sharded plan is bit-identical to
-    the broadcast plan (asserted in tests/test_pagerank_sharded.py),
-    so the same unrolled-CTE integer replay is EXACT.  Output
-    (partkey, rank_int)."""
+    SHARDED plan FORCED (``mode="sharded"`` — 16 range-partitioned
+    shard actors, co-bucketed edge scans): the 100-TB scale path,
+    driver-oracled every round.  The vertex runtime is bit-identical
+    at every shard count, P = 1 included (asserted in
+    tests/test_pagerank_sharded.py), so the same unrolled-CTE integer
+    replay is EXACT.  Output (partkey, rank_int)."""
     from bqf_ray.pipelines.graph import pagerank
 
     def both_dirs(b: pa.Table) -> pa.Table:
@@ -1931,9 +1931,9 @@ def w_cuckoo_parts_revoked(sf_dir):
 
 def w_bfs_parts(sf_dir):
     """Multi-source BFS hop distances over the part co-purchase graph
-    from seeds (partkey % 97 == 0): broadcast-frontier rounds, one
-    linear edge scan each, min-hop exact vs the recursive-CTE oracle;
-    ``graph.bfs_hops``."""
+    from seeds (partkey % 97 == 0): unit-weight SSSP rounds on the
+    driver-local vertex shard, one scan of the edge blocks each,
+    min-hop exact vs the recursive-CTE oracle; ``graph.bfs_hops``."""
     from bqf_ray.pipelines.graph import bfs_hops, canonical_edges
     edges = canonical_edges(_copurchase(sf_dir))
     nodes = _nodes(edges)
@@ -2059,9 +2059,10 @@ def w_kcore_copurchase(sf_dir):
     """k-core of the part co-purchase graph via a FIXED-ROUND
     synchronous peel (6 rounds, monotone ⇒ equals the true k-core once
     converged): canonical edges materialized once, each round one
-    broadcast-membership edge scan + vertex-sized degree fold; the
-    oracle unrolls the same 6 HAVING rounds as CTEs (the
-    ``bpe_merges`` pattern); ``graph.kcore``."""
+    scan of the edge blocks against the driver-local alive vector +
+    a degree fold on the driver; the oracle unrolls the same 6
+    HAVING rounds as CTEs (the ``bpe_merges`` pattern);
+    ``graph.kcore``."""
     from bqf_ray.pipelines.graph import kcore
     return kcore(_copurchase(sf_dir), k=_KCORE_K, rounds=6)
 
@@ -2088,9 +2089,10 @@ def w_rrf_docs(sf_dir):
 def w_lpa_copurchase(sf_dir):
     """Label-propagation communities on the part co-purchase graph:
     FIXED-ROUND synchronous LPA (3 rounds, deterministic max-count
-    min-label updates) — per round one broadcast-label edge scan +
-    two edge-bounded bucketed exchanges; the oracle unrolls the same
-    3 rounds as join+QUALIFY CTEs; ``graph.label_propagation``."""
+    min-label updates) — per round one scan of the edge blocks
+    against the driver-local label vector, the (node, label) counts
+    and argmax folded on the driver; the oracle unrolls the same 3
+    rounds as join+QUALIFY CTEs; ``graph.label_propagation``."""
     from bqf_ray.pipelines.graph import label_propagation
     return label_propagation(_copurchase(sf_dir), rounds=3)
 
@@ -2571,9 +2573,9 @@ def w_nearest_click(sf_dir):
 def w_sssp_parts(sf_dir):
     """Bounded-round weighted shortest paths over the part
     co-purchase graph (edge weight = shared-order count, seeds =
-    partkey % 97 == 0): 4 Bellman-Ford rounds, one linear edge scan
-    each with the distance vector broadcast; ``graph.sssp`` — exact
-    int64 vs the unrolled-CTE replay."""
+    partkey % 97 == 0): 4 Bellman-Ford rounds, one scan of the edge
+    blocks each against the driver-local distance vector;
+    ``graph.sssp`` — exact int64 vs the unrolled-CTE replay."""
     from bqf_ray.pipelines.graph import sssp
     weighted = _weighted_copurchase(sf_dir).materialize()
     nodes = _nodes(weighted)

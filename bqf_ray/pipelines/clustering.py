@@ -282,7 +282,7 @@ def dbscan_embeddings(ds, sim_threshold: float = 0.3, min_pts: int = 3,
 
     cc = connected_components(
         pairs.map_batches(CoreEdges, batch_format="pyarrow",
-                          concurrency=2), "id_a", "id_b")
+                          concurrency=2, num_cpus=0.5), "id_a", "id_b")
     lab_nodes, lab_vals = [], []
     for b in cc.iter_batches(batch_format="pyarrow"):
         lab_nodes.append(np.asarray(b.column("doc_id"), dtype=np.int64))
@@ -327,7 +327,7 @@ def dbscan_embeddings(ds, sim_threshold: float = 0.3, min_pts: int = 3,
 
     border = bucketed_agg(
         pairs.map_batches(BorderMin, batch_format="pyarrow",
-                          concurrency=2),
+                          concurrency=2, num_cpus=0.5),
         ["node"], [("lab", "min", "lab")], num_buckets=num_buckets)
     bn, bv = [], []
     for b in border.iter_batches(batch_format="pyarrow"):
@@ -366,4 +366,4 @@ def dbscan_embeddings(ds, sim_threshold: float = 0.3, min_pts: int = 3,
                 "cluster_id": pa.array(lab, pa.int64(), mask=~ok)})
 
     return ds.select_columns([id_col]).map_batches(
-        Assemble, batch_format="pyarrow", concurrency=2)
+        Assemble, batch_format="pyarrow", concurrency=2, num_cpus=0.5)

@@ -292,26 +292,30 @@ def pagerank(edges_ds, src_col: str, dst_col: str, d_num: int = 17,
     all nodes.  Seeds must exist in the graph (loud raise).  Total
     mass stays exactly ``n_nodes · unit`` either way.
 
-    **Plans** (``mode``): ``"broadcast"`` holds the (node, rank, deg)
-    vector on the driver and re-``ray.put``s it each round — fastest
-    while vertex-sized arrays fit driver RAM.  ``"sharded"`` holds the
-    vector in ``num_shards`` range-partitioned shard ACTORS: edges are
+    **Plans** (``mode``): the (node, rank, deg) vector lives in P
+    range shards of the vertex runtime (:class:`_Runtime`).
+    ``"broadcast"`` is P = 1: the one shard stays on the driver, each
+    round ``ray.put``s it to a parallel scan of every edge block, and
+    the driver folds at most ``node_budget`` partial rows (an exchange
+    folds more) — fastest while vertex-sized arrays fit driver RAM.
+    ``"sharded"`` is P = ``num_shards`` shard ACTORS: edges are
     co-bucketed by source range once, each contribution task reads only
     the shard(s) its batch touches, and per-round contributions flow
     through one partial-aggregated exchange to the destination shards —
-    nothing node-sized ever lands on the driver (web-graph node
-    counts).  ``"auto"`` (default) picks sharded past ``node_budget``
-    nodes.  Both plans are BIT-IDENTICAL: same integer units, same
-    floor-div-before-sum contributions, same lowest-id remainder
-    respread (asserted by tests/test_graph_iter.py).
+    nothing node-sized ever lands on the driver (web-graph node counts).
+    ``"auto"`` (default) is P = 1 up to ``node_budget`` nodes.  Every P
+    is BIT-IDENTICAL: same integer units, same floor-div-before-sum
+    contributions, same lowest-id remainder respread (asserted by
+    tests/test_graph_iter.py).
 
     ``checkpoint_dir`` makes the iteration RESUMABLE: every
-    ``checkpoint_every`` rounds the rank state persists (broadcast: one
-    atomic npz from the driver; sharded: each shard actor writes its
-    own file, nothing node-sized through the driver) under a config
-    hash — a killed job re-run with the same arguments resumes from
-    the last completed round bit-exactly, a mismatched config starts
-    fresh (the sketch-checkpoint contract applied to iteration state).
+    ``checkpoint_every`` rounds each shard writes its own rank file
+    (``pr_shard_<p>.npz``; nothing node-sized through the driver at
+    P > 1) and ``pr_sharded_meta.json`` records the round, P and a
+    config hash — a killed job re-run with the same arguments resumes
+    from the last completed round bit-exactly, a mismatched config
+    starts fresh (the sketch-checkpoint contract applied to iteration
+    state).
 
     ``output="dataset"`` returns a ``ray.data.Dataset`` of
     ``(node, rank)`` (plus the unit as an attribute-free second return)
@@ -319,9 +323,15 @@ def pagerank(edges_ds, src_col: str, dst_col: str, d_num: int = 17,
     never materializes on the driver; ``"arrays"`` (default) returns
     the legacy ``(node_ids, ranks_int, unit)`` tuple.
     """
+    import json
+    import os
+
     import ray
 
-    from bqf_ray.stages.partition import bucketed_agg, bucketed_sum
+    from bqf_ray.state.checkpoint import _atomic_write
+    from bqf_ray.stages.partition import bucketed_agg
+
+    _check_mode("pagerank", mode)
 
     def edge_cols(batch: pa.Table) -> pa.Table:
         w = (np.asarray(batch.column(weight_col), dtype=np.int64)
@@ -351,114 +361,95 @@ def pagerank(edges_ds, src_col: str, dst_col: str, d_num: int = 17,
                 [np.full(len(su), int(w.max(initial=1))),
                  np.ones(len(tu), dtype=np.int64)]))})
 
-    # node-sized folds ride the 1-int hash-bucket exchange (the HITS
-    # port measured 12.5x over the native sort-based groupby at 10M
-    # edges — same shape here)
+    # node-sized folds ride the 1-int hash-bucket exchange (12.5x over
+    # the sort-based groupby at 10M edges, measured on HITS)
     nd_ds = bucketed_agg(
         edges.map_batches(node_partials, batch_format="pyarrow"),
-        ["node"], [("deg", "sum", "deg"), ("wmax", "max", "wmax")])
-    if mode not in ("auto", "broadcast", "sharded"):
-        raise ValueError(f"pagerank: unknown mode {mode!r}")
-    if mode != "broadcast":
-        nd_ds = nd_ds.materialize()
-        n_nodes = nd_ds.count()
-        if mode == "sharded" or n_nodes > int(node_budget):
-            return _pagerank_sharded(
-                edges, nd_ds, n_nodes,
-                dict(n_nodes=n_nodes, node_budget=int(node_budget),
-                     forced=int(mode == "sharded")),
-                d_num=d_num, d_den=d_den,
-                iters=iters, restart_nodes=restart_nodes,
-                num_shards=num_shards, output=output,
-                checkpoint_dir=checkpoint_dir,
-                checkpoint_every=checkpoint_every,
-                weight_col=weight_col)
-    nd = nd_ds.to_pandas()
-    if len(nd) == 0:                 # empty groupby: no columns at all
+        ["node"], [("deg", "sum", "deg"),
+                   ("wmax", "max", "wmax")]).materialize()
+    rt, n = _table_runtime("pagerank", nd_ds, mode, node_budget,
+                           num_shards)
+    P = rt.P
+    if n == 0:
         empty = (np.empty(0, dtype=np.int64),
                  np.empty(0, dtype=np.int64), 1 << 40)
         return (ray.data.from_arrow(_rank_table(*empty))
                 if output == "dataset" else empty)
-    nodes = nd["node"].to_numpy()
-    order = np.argsort(nodes)
-    nodes = nodes[order]
-    deg = nd["deg"].to_numpy()[order].astype(np.int64)
-    n = len(nodes)
-    w_max = max(int(nd["wmax"].max()), 1)
+    counts = rt.init(nd_ds, ("node", "deg", "wmax"), _pr_prep)
+    assert int(counts.sum()) == n
+    # int64 is exact end-to-end: UNIT is scaled so n·UNIT·d_num·w_max
+    # ≤ 2^62, hence every per-edge product, per-node sum, and the total
+    # mass n·UNIT stay < 2^63
+    w_max = max(*rt.each(_pop_max, "wmax"), 1)
     UNIT = min(1 << 40, (1 << 62) // (n * d_num * w_max))
     if UNIT < (1 << 20):
         raise ValueError(
             f"pagerank: n·d_num·w_max = {n * d_num * w_max} leaves "
-            "< 2^20 integer precision per node — shard the rank vector "
-            "instead of the broadcast plan")
+            "< 2^20 integer precision per node — lower d_num or split "
+            "the graph")
 
-    # int64 is exact end-to-end: UNIT is scaled so n·UNIT·d_num·w_max
-    # ≤ 2^62, hence every per-edge product, per-node sum, and the total
-    # mass n·UNIT stay < 2^63 — object-dtype/python-int arithmetic buys
-    # nothing and costs O(n) Python per iteration (r2 verdict #4).
-    # the broadcast plan keeps its vector in ONE local vertex shard, so
-    # the exact respread and the checkpoint file are the sharded plan's
-    shard = _VertexShard()
-    shard.init(nodes, deg=deg)
-    targets = n
+    # restart targets per shard: every node, or (PPR) the sorted-seed
+    # slice each shard claims — "lowest-id targets get the +1" is then
+    # (offset, clip) arithmetic
+    targets = counts
     if restart_nodes is not None:
         seeds = np.unique(np.asarray(restart_nodes, dtype=np.int64))
         if not len(seeds):
             raise ValueError("pagerank: empty restart_nodes")
-        bad = _pr_seed(shard, seeds)
+        sp = rt.route(seeds)
+        bad = np.concatenate(rt.call("apply", [
+            (_pr_seed, seeds[sp == p]) for p in range(P)]))
         if len(bad):
             raise ValueError("pagerank: restart node(s) absent from "
                              f"the graph: {bad[:5].tolist()}")
-        targets = len(seeds)
+        targets = np.bincount(sp, minlength=P)
+    t_off = np.concatenate([[0], np.cumsum(targets)[:-1]])
 
     def spread(undelivered):
         # conserve mass exactly: respread everything not delivered
         # (teleport + dangling + floor-div residue) over the restart
         # targets — vectorized divmod, bit-identical to per-node divmod
-        _pr_spread(shard, *divmod(undelivered, targets))
+        base, rem = divmod(undelivered, int(targets.sum()))
+        rt.call("apply", [
+            (_pr_spread, base, int(np.clip(rem - t_off[p], 0, targets[p])))
+            for p in range(P)])
 
     spread(n * UNIT)
+    edges_b = rt.cobucket(edges, "s")
+
     start_iter = 0
     if checkpoint_dir is not None:
-        import json
-        import os
-
-        from bqf_ray.state.checkpoint import _atomic_write
         ck_cfg = _pr_ckpt_config(n, UNIT, d_num, d_den, weight_col,
                                  restart_nodes)
-        meta_p = os.path.join(checkpoint_dir, "pr_meta.json")
-        st_p = os.path.join(checkpoint_dir, "pr_state.npz")
-        done = _pr_resume_iter(meta_p, ck_cfg, iters)
-        if done and shard.load_state(st_p):
+        meta_p = os.path.join(checkpoint_dir, "pr_sharded_meta.json")
+        paths = [os.path.join(checkpoint_dir, f"pr_shard_{p:05d}.npz")
+                 for p in range(P)]
+        done = _pr_resume_iter(meta_p, ck_cfg, iters, P=P)
+        loaded = rt.call("load_state", [(q,) for q in paths]) \
+            if done else []
+        if loaded and all(loaded):
             start_iter = done
+        elif any(loaded):
+            # PARTIAL load (a shard's file lost/damaged): re-init every
+            # shard so the from-scratch recompute starts consistent
+            spread(n * UNIT)
 
-    for _it in range(start_iter, int(iters)):
-        ref = ray.put((nodes, shard.vec["ranks"], deg))
-
-        def contrib(batch: pa.Table) -> pa.Table:
-            tu, sums = _pr_message(ray.get(ref), _int_cols(batch),
-                                   d_num, d_den)
-            return pa.table({"node": pa.array(tu),
-                             "partial": pa.array(sums)})
-
-        got = bucketed_sum(
-            edges.map_batches(contrib, batch_format="pyarrow"),
-            ["node"], {"partial": "r"}).to_pandas()
-        if len(got):
-            shard.stage(got["node"].to_numpy().astype(np.int64),
-                        got["r"].to_numpy().astype(np.int64))
-        spread(n * UNIT - _pr_commit(shard))   # ≤ n·UNIT < 2^63: exact
+    for it in range(start_iter, int(iters)):
+        delivered = sum(rt.round(edges_b, ("ranks", "deg"), _pr_message,
+                                 _sum_by, _pr_commit, (d_num, d_den)))
+        spread(n * UNIT - delivered)          # ≤ n·UNIT < 2^63: exact
         if checkpoint_dir is not None and (
-                (_it + 1) % int(checkpoint_every) == 0
-                or _it + 1 == int(iters)):
-            shard.save_state(st_p, "ranks")
+                (it + 1) % int(checkpoint_every) == 0
+                or it + 1 == int(iters)):
+            rt.call("save_state", [(q, "ranks") for q in paths])
             _atomic_write(meta_p, json.dumps(
-                {"config": ck_cfg, "iter": _it + 1}).encode())
+                {"config": ck_cfg, "P": P, "iter": it + 1}).encode())
 
     if output == "dataset":
-        return ray.data.from_arrow(
-            _rank_table(nodes, shard.vec["ranks"], UNIT))
-    return nodes, shard.vec["ranks"], UNIT
+        return rt.result(_pr_table, UNIT, dataset=True)
+    tbl = rt.result(_pr_table, UNIT)
+    return (np.asarray(tbl.column("node"), dtype=np.int64),
+            np.asarray(tbl.column("rank"), dtype=np.int64), UNIT)
 
 
 def _rank_table(nodes, ranks, unit):
@@ -469,10 +460,8 @@ def _rank_table(nodes, ranks, unit):
 
 
 # ---------------------------------------------------------------------------
-# node-sharded vertex runtime: every sharded iterative (pagerank, kcore,
-# label_propagation, hits, sssp/bfs_hops, random_walks) keeps its vertex
-# state in range-partitioned _VertexShard actors and expresses one round
-# as a (message, combine, apply) triple run by _shard_round
+# vertex runtime: every iterative keeps its vertex state in P range shards
+# and runs each round as a (message, combine, apply) triple (_Runtime)
 # ---------------------------------------------------------------------------
 
 _PART = "__sp"          # shard-id column of co-bucketed / routed rows
@@ -490,7 +479,7 @@ class _VertexShard:
         self.vec = {}
         self.staged = None
 
-    def init(self, nodes, **vec):
+    def init(self, nodes, vec):
         self.nodes, self.vec = nodes, vec
         return len(nodes)
 
@@ -503,11 +492,6 @@ class _VertexShard:
     def apply(self, fn, *args):
         """``fn(shard, *args)`` — an algorithm's commit/update rule."""
         return fn(self, *args)
-
-    def state_table(self, **cols):
-        return pa.table({"node": pa.array(self.nodes),
-                         **{out: pa.array(self.vec[name])
-                            for out, name in cols.items()}})
 
     def save_state(self, path, *names):
         """Shard writes its OWN checkpoint file — node-sized bytes never
@@ -534,11 +518,9 @@ class _VertexShard:
         return True
 
 
-# per-worker-process shard-state cache for the scan tasks: keyed
-# (round_token, shard); a token change (new round) clears it, so a
-# worker holds at most the shards its current round's batches touch
-# (edges are co-bucketed by source range, so that is ~P/W shards, not
-# the whole vector)
+# per-worker-process shard-state cache of the scan tasks, keyed (round
+# token, shard): a new token clears it, so a worker holds only the
+# shards its current round's (source-range co-bucketed) batches touch
 _SHARD_CACHE: dict = {}
 
 
@@ -556,7 +538,8 @@ def _make_shards(P):
 def _shard_route(ds, col: str, P: int):
     """Range router over the MATERIALIZED ``ds[col]``: quantile
     boundaries once → ``route(values) -> shard id`` (monotone, identical
-    everywhere).  An empty ``ds`` routes everything to shard 0."""
+    everywhere).  At P = 1, or over an empty ``ds``, everything routes
+    to shard 0 without reading ``ds``."""
     from bqf_ray.stages.partition import quantile_boundaries
 
     bounds = (quantile_boundaries(ds, col, P)
@@ -587,60 +570,229 @@ def _cobucket(ds, route, col: str):
             .materialize())
 
 
-def _both_dirs(ds, ca: str, cb: str, weight=None):
+def _both_dirs(ds, ca: str, cb: str, weight=None, mirror=True):
     """Each undirected edge in both directions as ``(x, y)`` rows, plus
-    ``w = weight(batch)`` (twice) when given — the projection every
-    undirected sharded plan co-buckets by ``x``."""
+    ``w = weight(batch)`` (twice) when given — the view every
+    undirected plan's message reads (``mirror=False``: once, as is)."""
+    k = 2 if mirror else 1
     def fn(batch: pa.Table) -> pa.Table:
         a = np.asarray(batch.column(ca), dtype=np.int64)
         b = np.asarray(batch.column(cb), dtype=np.int64)
-        cols = {"x": pa.array(np.concatenate([a, b])),
-                "y": pa.array(np.concatenate([b, a]))}
+        cols = {"x": pa.array(np.concatenate([a, b][:k])),
+                "y": pa.array(np.concatenate([b, a][:k]))}
         if weight is not None:
             w = weight(batch)
-            cols["w"] = pa.array(np.concatenate([w, w]))
+            cols["w"] = pa.array(np.concatenate([w, w][:k]))
         return pa.table(cols)
 
     return ds.map_batches(fn, batch_format="pyarrow")
 
 
-def _vertex_shards(op: str, why: dict, ds, col: str, P: int):
-    """Runtime entry of every sharded plan: log the plan once (``why``
-    carries ``forced`` and the numbers behind the choice), range-route
-    over ``ds[col]``, start P actors.  Returns ``(actors, route,
-    run_token)``.  The token is a uuid, NOT ``id(actor)``: worker
-    processes outlive queries and a recycled CPython id would silently
-    serve a previous run's cached shard state."""
-    import uuid
-    plan_log(op, "sharded", **why)
-    return (_make_shards(P), _shard_route(ds, col, P),
-            f"{op}-{uuid.uuid4().hex}")
+def _gather(ds, cols):
+    """``ds``'s ``cols`` as int64 arrays on the driver (executed through
+    ``materialize``: a lazy ``to_arrow_refs`` runs the plan a second
+    time for its schema)."""
+    import ray
+    parts = [t for t in ray.get(ds.materialize().to_arrow_refs())
+             if t.num_rows]
+    return tuple(np.concatenate(
+        [np.asarray(t.column(c), dtype=np.int64) for t in parts]
+        or [np.empty(0, dtype=np.int64)]) for c in cols)
 
 
-def _shard_scaffold(op: str, why: dict, edges, ca: str, cb: str,
-                    num_shards: int, weight=None):
-    """:func:`_vertex_shards` over the doubled edge projection,
-    materialized ONCE (the boundaries pass AND the co-bucket both read
-    it) and co-bucketed by ``x`` — returns ``(actors, route, run_token,
-    edges_bucketed)``."""
-    ed = _both_dirs(edges, ca, cb, weight).materialize()
-    actors, route, run = _vertex_shards(op, why, ed, "x",
-                                        max(1, int(num_shards)))
-    return actors, route, run, _cobucket(ed, route, "x")
+def _check_mode(op: str, mode: str):
+    if mode not in ("auto", "broadcast", "sharded"):
+        raise ValueError(f"{op}: unknown mode {mode!r}")
+
+
+def _shard_count(mode: str, n_nodes, node_budget, num_shards) -> int:
+    """P for ``mode``: 1 for ``"broadcast"`` and for ``"auto"`` at or
+    below ``node_budget`` nodes, else ``num_shards``."""
+    if mode == "broadcast" or (mode == "auto"
+                               and n_nodes <= int(node_budget)):
+        return 1
+    return max(1, int(num_shards))
+
+
+class _Runtime:
+    """Driver handle of one vertex-state run over P range shards, with
+    one transport per P.  At P = 1 the one :class:`_VertexShard` lives
+    on the driver: no actor, no range boundaries and no co-bucket — a
+    round ``ray.put``s the read vectors and scans every edge block in
+    parallel with ``message``; the driver folds the partials with
+    ``combine`` while they hold at most ``budget`` rows (the caller's
+    ``node_budget``: the vertex-sized envelope), past that one
+    :func:`exchange` by node folds them in tasks.  At P > 1 the shards
+    are actors, edges are co-bucketed by source range and a round is
+    :func:`_shard_round`.  Both transports run the same
+    triple, so every P gives the same answer.
+
+    The token is a uuid, NOT ``id(actor)``: worker processes outlive
+    queries and a recycled CPython id would silently serve a previous
+    run's cached shard state."""
+
+    def __init__(self, op: str, P: int, ds=None, col: str = "",
+                 budget: int = 0):
+        import uuid
+        self.op, self.P, self.budget = op, int(P), int(budget)
+        self.local = self.P == 1
+        self.shards = ([_VertexShard()] if self.local
+                       else _make_shards(self.P))
+        self.route = _shard_route(ds, col, self.P)
+        self.token = f"{op}-{uuid.uuid4().hex}"
+        self.rounds = 0
+
+    def log(self, **why):
+        """The run's one plan record: ``why`` carries ``forced`` and the
+        numbers behind the choice."""
+        plan_log(self.op, "broadcast" if self.local else "sharded",
+                 P=self.P, **why)
+
+    def call(self, method: str, args):
+        """``shard.method(*args[p])`` on every shard p, results in shard
+        order."""
+        if self.local:
+            return [getattr(self.shards[0], method)(*args[0])]
+        import ray
+        return ray.get([getattr(a, method).remote(*x)
+                        for a, x in zip(self.shards, args)])
+
+    def each(self, fn, *args):
+        """``fn(shard, *args)`` on every shard."""
+        return self.call("apply", [(fn, *args)] * self.P)
+
+    def init(self, ds, cols, prep):
+        """Init every shard from its rows of ``ds`` (all of them at
+        P = 1, so ``ds`` should be node-sized there): ``prep(*int64
+        cols) -> (sorted distinct ids, {name: vector})``.  Returns the
+        node count per shard."""
+        if self.local:
+            return np.array([self.shards[0].init(*prep(*_gather(ds, cols)))])
+        return _shard_init(self.shards, _with_part(ds, self.route, cols[0]),
+                           cols, prep)
+
+    def seed(self, nodes, **vec):
+        """Init every shard from driver arrays aligned with ``nodes``."""
+        sp = self.route(nodes)
+        self.call("init", [(nodes[sp == p], {k: v[sp == p]
+                                            for k, v in vec.items()})
+                           for p in range(self.P)])
+
+    def cobucket(self, ds, col: str):
+        """``ds`` as a round scans it: co-bucketed by ``route(col)`` at
+        P > 1, as is (every block its own scan task) at P = 1."""
+        return ds if self.local else _cobucket(ds, self.route, col)
+
+    def round(self, edges, read, message, combine, apply, msg_args=(),
+              apply_args=()):
+        """One round; returns every shard's ``apply`` result."""
+        self.rounds += 1
+        if not self.local:
+            return _shard_round(self.shards, self.route, edges,
+                                f"{self.token}-{self.rounds}", read,
+                                message, combine, apply, msg_args,
+                                apply_args)
+        import ray
+        shard = self.shards[0]
+        ref = ray.put(shard.get_state(read))
+
+        def scan(batch: pa.Table) -> pa.Table:
+            return _v_table(message(ray.get(ref), _int_cols(batch),
+                                    *msg_args))
+
+        def fold(group: pa.Table) -> pa.Table:
+            return _v_table(combine(*_int_cols(group).values()))
+
+        out = edges.map_batches(scan, batch_format="pyarrow").materialize()
+        folded = out.count() > self.budget
+        if folded:
+            out = exchange(out, fold, "v0", out.num_blocks()).materialize()
+        parts = [t for t in ray.get(out.to_arrow_refs()) if t.num_rows]
+        if parts:
+            cols = _int_cols(pa.concat_tables(parts)).values()
+            shard.stage(*(cols if folded else combine(*cols)))
+        return [shard.apply(apply, *apply_args)]
+
+    def result(self, fn, *args, dataset=False):
+        """The ``fn(shard, *args)`` tables of every shard, concatenated,
+        or (``dataset=True``) as a Dataset — built from per-shard refs at
+        P > 1, so nothing node-sized passes through the driver."""
+        import ray
+        if self.local:
+            t = fn(self.shards[0], *args)
+            return ray.data.from_arrow(t) if dataset else t
+        refs = [a.apply.remote(fn, *args) for a in self.shards]
+        return (ray.data.from_arrow_refs(refs) if dataset
+                else pa.concat_tables(ray.get(refs)))
+
+
+def _edge_runtime(op: str, P: int, budget, edges, ca: str, cb: str,
+                  weight=None, mirror=True):
+    """A runtime (driver fold ``budget``) over the undirected ``edges``
+    and the :func:`_both_dirs` view its rounds scan: at P > 1 doubled,
+    materialized once and co-bucketed by ``x``; at P = 1 derived in each
+    scan task from its block, doubled unless ``mirror=False`` (whose
+    message reads each edge both ways)."""
+    ed = _both_dirs(edges, ca, cb, weight, mirror or P > 1)
+    if P > 1:
+        ed = ed.materialize()
+    rt = _Runtime(op, P, ed, "x", budget)
+    return rt, rt.cobucket(ed, "x")
+
+
+def _table_runtime(op: str, nd_ds, mode: str, node_budget, num_shards):
+    """Runtime entry of the directed plans (:func:`pagerank`,
+    :func:`hits`) over their materialized distinct-node table
+    ``nd_ds``: P by ``mode``, never more shards than nodes, range
+    boundaries over ``nd_ds["node"]``, the plan logged.  Returns
+    ``(runtime, n_nodes)``."""
+    n = nd_ds.count()
+    rt = _Runtime(op, min(_shard_count(mode, n, node_budget, num_shards),
+                          max(n, 1)), nd_ds, "node", node_budget)
+    rt.log(n_nodes=n, node_budget=int(node_budget),
+           forced=int(mode != "auto"))
+    return rt, n
+
+
+def _node_runtime(op: str, mode: str, node_budget, num_shards, edges,
+                  ca: str, cb: str, prep):
+    """``(logged runtime, scanned edges)`` of :func:`kcore` / LPA over the
+    materialized canonical ``edges``; shards start from ``prep`` of their
+    node ids: read by the driver at P = 1 while the endpoints fit
+    ``node_budget``, else the per-block unique endpoints (counted only
+    if ``auto`` finds more than ``node_budget``)."""
+    def ends(batch: pa.Table) -> pa.Table:
+        return pa.table({"x": pa.array(np.unique(np.concatenate([
+            np.asarray(batch.column(c), dtype=np.int64)
+            for c in (ca, cb)])))})
+
+    B = int(node_budget)
+    if 2 * edges.count() <= B and _shard_count(mode, 0, B, num_shards) == 1:
+        x = np.unique(np.concatenate(_gather(edges, (ca, cb))))
+        rt, ed = _edge_runtime(op, 1, B, edges, ca, cb)
+        n = rt.shards[0].init(*prep(x))
+    else:
+        ids = edges.map_batches(ends, batch_format="pyarrow").materialize()
+        n = ids.count()                    # ≥ the node count
+        if mode == "auto" and n > B:
+            n = len(np.unique(_gather(ids, ("x",))[0]))
+        rt, ed = _edge_runtime(op, _shard_count(mode, n, B, num_shards), B,
+                               edges, ca, cb)
+        n = int(rt.init(ids, ("x",), prep).sum())
+    rt.log(n_nodes=n, node_budget=B, forced=int(mode != "auto"))
+    return rt, ed
 
 
 def _cached_state(actors, token, p, names, max_entries: int = 8):
     """``(nodes, *vectors[names])`` of shard ``p``, fetched once per
     (token, shard) per worker process."""
     import ray
-    stale = [k for k in _SHARD_CACHE if k[0] != token]
-    for k in stale:
+    for k in [k for k in _SHARD_CACHE if k[0] != token]:
         del _SHARD_CACHE[k]
     key = (token, p)
     if key not in _SHARD_CACHE:
-        # bound worker residency: a static token (e.g. the walk plan's
-        # CSR shards) would otherwise accumulate every shard a worker
-        # ever touches — evict oldest entries FIFO past the cap
+        # bound worker residency (a static token, e.g. the walk plan's
+        # CSR shards, would keep every shard): evict FIFO past the cap
         while len(_SHARD_CACHE) >= max_entries:
             del _SHARD_CACHE[next(iter(_SHARD_CACHE))]
         _SHARD_CACHE[key] = ray.get(actors[p].get_state.remote(names))
@@ -648,17 +800,15 @@ def _cached_state(actors, token, p, names, max_entries: int = 8):
 
 
 def _shard_init(actors, ds, cols, prep):
-    """Init every shard from its group of the ``_PART``-tagged ``ds``:
-    ``prep(*int64 cols) -> (sorted distinct ids, {name: vector})``;
-    shards without a group get ``prep`` of empty columns.  Returns the
-    node count per shard."""
+    """Init every shard actor from its group of the ``_PART``-tagged
+    ``ds`` (see :meth:`_Runtime.init`); shards without a group get
+    ``prep`` of empty columns.  Returns the node count per shard."""
     import ray
 
     def init_group(group: pa.Table) -> pa.Table:
         p = int(group.column(_PART)[0].as_py())
-        nodes, vec = prep(*(np.asarray(group.column(c), dtype=np.int64)
-                            for c in cols))
-        n = ray.get(actors[p].init.remote(nodes, **vec))
+        n = ray.get(actors[p].init.remote(*prep(
+            *(np.asarray(group.column(c), dtype=np.int64) for c in cols))))
         return pa.table({"p": pa.array([p], pa.int64()),
                          "n": pa.array([n], pa.int64())})
 
@@ -667,25 +817,31 @@ def _shard_init(actors, ds, cols, prep):
     counts = np.zeros(len(actors), dtype=np.int64)
     if len(got):
         counts[got["p"].to_numpy()] = got["n"].to_numpy()
-    nodes, vec = prep(*(np.empty(0, dtype=np.int64) for _ in cols))
-    ray.get([a.init.remote(nodes, **vec)
+    empty = prep(*(np.empty(0, dtype=np.int64) for _ in cols))
+    ray.get([a.init.remote(*empty)
              for p, a in enumerate(actors) if not counts[p]])
     return counts
-
-
-def _apply_all(actors, fn, *args):
-    import ray
-    return ray.get([a.apply.remote(fn, *args) for a in actors])
 
 
 def _scatter(shard, out):
     """Write the staged ``(node, value)`` pairs into ``out`` (aligned
     with ``shard.nodes``) and clear the stage."""
-    if shard.staged is not None and len(shard.staged[0]):
-        out[np.searchsorted(shard.nodes, shard.staged[0])] = \
-            shard.staged[1]
+    if shard.staged is not None:
+        out[np.searchsorted(shard.nodes, shard.staged[0])] = shard.staged[1]
     shard.staged = None
     return out
+
+
+def _state_table(shard, cols):
+    """``(node, out...)``, ``cols = {out column: vector name}``."""
+    return pa.table({"node": pa.array(shard.nodes),
+                     **{out: pa.array(shard.vec[name])
+                        for out, name in cols.items()}})
+
+
+def _pop_max(shard, name):
+    """Drop vector ``name`` (a prep-time statistic), return its max."""
+    return int(shard.vec.pop(name).max(initial=0))
 
 
 def _int_cols(batch: pa.Table) -> dict:
@@ -694,32 +850,45 @@ def _int_cols(batch: pa.Table) -> dict:
             for c in batch.column_names}
 
 
+def _v_table(arrays) -> pa.Table:
+    """A triple's partial arrays as columns ``v0, v1, ...``."""
+    return pa.table({f"v{i}": pa.array(v) for i, v in enumerate(arrays)})
+
+
 def _found(ids, x):
     """``(pos, hit)``: ``searchsorted`` positions of ``x`` in the sorted
-    ``ids`` and whether each value is present."""
-    pos = np.searchsorted(ids, x)
+    ``ids`` and whether each is there.  Past ~1k ``ids`` (out of cache)
+    ``x`` probes in sorted order, 2-5x faster than random probes."""
+    if len(ids) > 1024:
+        order = np.argsort(x)
+        pos = np.empty(len(x), dtype=np.intp)
+        pos[order] = np.searchsorted(ids, x[order])
+    else:
+        pos = np.searchsorted(ids, x)
     if not len(ids):
         return pos, np.zeros(len(x), dtype=bool)
     return pos, ids[np.minimum(pos, len(ids) - 1)] == x
 
 
+def _fold_by(ufunc, node, val):
+    """``(sorted distinct node, ufunc-fold of val per node)``."""
+    order = np.argsort(node)
+    node, val = node[order], val[order]
+    first = np.flatnonzero(np.diff(node, prepend=node[:1] - 1))
+    return node[first], ufunc.reduceat(val, first)
+
+
 def _sum_by(node, val):
-    tu, inv = np.unique(node, return_inverse=True)
-    sums = np.zeros(len(tu), dtype=np.int64)
-    np.add.at(sums, inv, val)
-    return tu, sums
+    return _fold_by(np.add, node, val)
 
 
 def _min_by(node, val):
-    order = np.lexsort((val, node))
-    node, val = node[order], val[order]
-    _, first = np.unique(node, return_index=True)
-    return node[first], val[first]
+    return _fold_by(np.minimum, node, val)
 
 
 def _shard_round(actors, route, edges_b, token, read, message, combine,
                  apply, msg_args=(), apply_args=()):
-    """One round of a node-sharded plan.  Each co-bucketed edge batch
+    """One round over P shard actors.  Each co-bucketed edge batch
     reads its source shards' ``read`` vectors once through the worker
     cache and ``message(state, edge_cols, *msg_args)`` turns each
     source-shard slice into pre-combined ``(node, *values)`` partials;
@@ -742,20 +911,18 @@ def _shard_round(actors, route, edges_b, token, read, message, combine,
                                 *msg_args))
         out = [np.concatenate(c) for c in
                zip(*(outs or [message(empty, cols, *msg_args)]))]
-        return pa.table({**{f"v{i}": pa.array(v) for i, v in enumerate(out)},
-                         "__tp": pa.array(route(out[0]))})
+        return _v_table(out).append_column("__tp", pa.array(route(out[0])))
 
     def fold(group: pa.Table) -> pa.Table:
         p = int(group.column("__tp")[0].as_py())
-        vals = [np.asarray(group.column(c), dtype=np.int64)
-                for c in group.column_names if c != "__tp"]
+        vals = _int_cols(group.drop_columns(["__tp"])).values()
         ray.get(actors[p].stage.remote(*combine(*vals)))
         return pa.table({"p": pa.array([p], pa.int64())})
 
     (edges_b.map_batches(scan, batch_format="pyarrow")
      .groupby("__tp").map_groups(fold, batch_format="pyarrow")
      .materialize())
-    return _apply_all(actors, apply, *apply_args)
+    return ray.get([a.apply.remote(apply, *apply_args) for a in actors])
 
 
 # PageRank triple: contributions floor-divide per edge then SUM; the
@@ -763,7 +930,7 @@ def _shard_round(actors, route, edges_b, token, read, message, combine,
 
 def _pr_message(state, e, d_num, d_den):
     nn, rr, dd = state
-    si = np.searchsorted(nn, e["s"])
+    si = _found(nn, e["s"])[0]
     return _sum_by(e["t"], (rr[si] * d_num * e["w"]) // (d_den * dd[si]))
 
 
@@ -799,115 +966,13 @@ def _pr_seed(shard, seeds):
     return seeds[~ok]
 
 
-def _pr_prep(node, deg):
+def _pr_prep(node, deg, wmax):
     order = np.argsort(node)
-    return node[order], {"deg": deg[order]}
+    return node[order], {"deg": deg[order], "wmax": wmax[order]}
 
 
 def _pr_table(shard, unit):
     return _rank_table(shard.nodes, shard.vec["ranks"], unit)
-
-
-def _pagerank_sharded(edges, nd_ds, n, why, *, d_num, d_den, iters,
-                      restart_nodes, num_shards, output,
-                      checkpoint_dir=None, checkpoint_every=1,
-                      weight_col=None):
-    """Node-sharded PageRank plan: see :func:`pagerank` docstring.
-
-    Driver state is O(num_shards); the rank/deg vector lives in shard
-    actors; edges shuffle ONCE (co-bucket by source range); each round
-    is one edge scan + one partial-aggregated contribution exchange +
-    O(P) actor RPCs."""
-    import json
-    import os
-
-    import ray
-
-    from bqf_ray.state.checkpoint import _atomic_write
-
-    P = max(1, min(int(num_shards), n))
-    actors, route, run = _vertex_shards("pagerank", why, nd_ds, "node", P)
-    if n == 0:
-        empty = (np.empty(0, dtype=np.int64),
-                 np.empty(0, dtype=np.int64), 1 << 40)
-        return (ray.data.from_arrow(_rank_table(*empty))
-                if output == "dataset" else empty)
-    counts = _shard_init(actors, _with_part(nd_ds, route, "node"),
-                         ("node", "deg"), _pr_prep)
-    assert int(counts.sum()) == n
-    w_max = max(int(nd_ds.max("wmax")), 1)
-    UNIT = min(1 << 40, (1 << 62) // (n * d_num * w_max))
-    if UNIT < (1 << 20):
-        raise ValueError(
-            f"pagerank: n·d_num·w_max = {n * d_num * w_max} leaves "
-            "< 2^20 integer precision per node even sharded — lower "
-            "d_num or split the graph")
-
-    # restart targets per shard: every node, or (PPR) the sorted-seed
-    # slice each shard claims — "lowest-id targets get the +1" is then
-    # (offset, clip) arithmetic
-    targets = counts
-    if restart_nodes is not None:
-        seeds = np.unique(np.asarray(restart_nodes, dtype=np.int64))
-        if not len(seeds):
-            raise ValueError("pagerank: empty restart_nodes")
-        sp = route(seeds)
-        bad = np.concatenate(ray.get([
-            actors[p].apply.remote(_pr_seed, seeds[sp == p])
-            for p in range(P)]))
-        if len(bad):
-            raise ValueError("pagerank: restart node(s) absent from "
-                             f"the graph: {bad[:5].tolist()}")
-        targets = np.bincount(sp, minlength=P)
-    t_off = np.concatenate([[0], np.cumsum(targets)[:-1]])
-
-    def spread(undelivered):
-        base, rem = divmod(undelivered, int(targets.sum()))
-        ray.get([actors[p].apply.remote(
-            _pr_spread, base, int(np.clip(rem - t_off[p], 0, targets[p])))
-            for p in range(P)])
-
-    spread(n * UNIT)
-    edges_b = _cobucket(edges, route, "s")
-
-    start_iter = 0
-    if checkpoint_dir is not None:
-        ck_cfg = _pr_ckpt_config(n, UNIT, d_num, d_den, weight_col,
-                                 restart_nodes)
-        meta_p = os.path.join(checkpoint_dir, "pr_sharded_meta.json")
-        paths = [os.path.join(checkpoint_dir, f"pr_shard_{p:05d}.npz")
-                 for p in range(P)]
-        done = _pr_resume_iter(meta_p, ck_cfg, iters, P=P)
-        loaded = ray.get([actors[p].load_state.remote(paths[p])
-                          for p in range(P)]) if done else []
-        if loaded and all(loaded):
-            start_iter = done
-        elif any(loaded):
-            # PARTIAL load (a shard's file lost/damaged): the loaded
-            # shards now hold checkpointed ranks while the rest hold
-            # the fresh init — re-init everything so the from-scratch
-            # recompute starts consistent
-            spread(n * UNIT)
-
-    for it in range(start_iter, int(iters)):
-        delivered = sum(_shard_round(
-            actors, route, edges_b, f"{run}-{it}", ("ranks", "deg"),
-            _pr_message, _sum_by, _pr_commit, (d_num, d_den)))
-        spread(n * UNIT - delivered)
-        if checkpoint_dir is not None and (
-                (it + 1) % int(checkpoint_every) == 0
-                or it + 1 == int(iters)):
-            ray.get([actors[p].save_state.remote(paths[p], "ranks")
-                     for p in range(P)])
-            _atomic_write(meta_p, json.dumps(
-                {"config": ck_cfg, "P": P, "iter": it + 1}).encode())
-
-    refs = [a.apply.remote(_pr_table, UNIT) for a in actors]
-    if output == "dataset":
-        return ray.data.from_arrow_refs(refs)
-    tbl = pa.concat_tables(ray.get(refs))
-    return (np.asarray(tbl.column("node"), dtype=np.int64),
-            np.asarray(tbl.column("rank"), dtype=np.int64), UNIT)
 
 
 def _packed_pair_set(a: np.ndarray, b: np.ndarray):
@@ -1611,76 +1676,18 @@ def bfs_hops(edges_ds, seeds: np.ndarray, max_hops: int = 8,
     unweighted path).  The traversal primitive behind influence
     radius, contamination blast-radius, and graph-sampled curation.
 
-    Plan (broadcast-frontier, the :func:`pagerank` envelope): edges
-    are canonicalized + MATERIALIZED once, then each round streams one
-    ``map_batches`` pass over them with the current frontier broadcast
-    as a sorted array (``ray.put``, zero-copy in plasma); per-batch
-    candidates dedupe locally before the driver folds them against the
-    visited array (vertex-table-sized).  Rounds = eccentricity ≤
-    ``max_hops``; each is one linear edge scan, no shuffle after the
-    canonicalization.  Past ``node_budget`` visited nodes the ``auto``
-    plan hands off to the sharded SSSP machinery with unit weights
-    (``mode="sharded"`` starts there) — identical (node, hop) table,
-    driver state O(num_shards)."""
-    import ray
-
-    if mode not in ("auto", "broadcast", "sharded"):
-        raise ValueError(f"bfs_hops: unknown mode {mode!r}")
+    Plan: hop distance is SSSP with unit weights — the canonical edges
+    run through :func:`_sssp_run` (``mode``, ``node_budget`` and
+    ``num_shards`` as in :func:`sssp`), so every plan returns the same
+    ``(node, hop)`` table."""
     edges = (edges_ds if pre_canonical
              else canonical_edges(edges_ds, a_col=a_col, b_col=b_col))
     ca, cb = (a_col, b_col) if pre_canonical else ("a", "b")
-    visited = np.unique(np.asarray(seeds, dtype=np.int64))
-
-    def sharded(nodes, hops, rounds, why):
-        # hop distance ≡ SSSP with unit weights: reuse the sharded
-        # dist-vector plan (min-fold ⇒ identical tables)
-        return _sssp_sharded(
-            edges, ca, cb,
-            lambda batch: np.ones(batch.num_rows, dtype=np.int64),
-            nodes, hops, rounds, num_shards, "bfs_hops", why).rename_columns(["node", "hop"])
-
-    if mode == "sharded":
-        if not len(visited):
-            return pa.table({"node": pa.array([], pa.int64()),
-                             "hop": pa.array([], pa.int64())})
-        return sharded(visited, np.zeros(len(visited), dtype=np.int64),
-                       int(max_hops),
-                       dict(node_budget=int(node_budget), forced=1))
-    out_nodes = [visited]
-    out_hops = [np.zeros(len(visited), dtype=np.int64)]
-    frontier = visited
-    for h in range(1, int(max_hops) + 1):
-        if mode == "auto" and len(visited) > int(node_budget):
-            return sharded(np.concatenate(out_nodes),
-                           np.concatenate(out_hops).astype(np.int64),
-                           int(max_hops) - h + 1,
-                           dict(n_visited=len(visited),
-                                node_budget=int(node_budget), forced=0))
-        if not len(frontier):
-            break
-        ref = ray.put(np.sort(frontier))
-
-        def reach(batch: pa.Table) -> pa.Table:
-            fr = ray.get(ref)
-            a = np.asarray(batch.column(ca), dtype=np.int64)
-            b = np.asarray(batch.column(cb), dtype=np.int64)
-            cand = np.unique(np.concatenate([b[_found(fr, a)[1]],
-                                             a[_found(fr, b)[1]]]))
-            return pa.table({"node": pa.array(cand)})
-
-        got = edges.map_batches(reach, batch_format="pyarrow").to_pandas()
-        cand = np.unique(got["node"].to_numpy().astype(np.int64)) \
-            if len(got) else np.empty(0, dtype=np.int64)
-        new = cand[np.isin(cand, visited, invert=True,
-                           assume_unique=True)]
-        if not len(new):
-            break
-        out_nodes.append(new)
-        out_hops.append(np.full(len(new), h, dtype=np.int64))
-        visited = np.union1d(visited, new)
-        frontier = new
-    return pa.table({"node": pa.array(np.concatenate(out_nodes)),
-                     "hop": pa.array(np.concatenate(out_hops))})
+    return _sssp_run(
+        "bfs_hops", edges, ca, cb,
+        lambda batch: np.ones(batch.num_rows, dtype=np.int64), seeds,
+        max_hops, mode, node_budget, num_shards
+    ).rename_columns(["node", "hop"])
 
 
 def _segment_pairs_keyed(sort_key: np.ndarray, values: np.ndarray):
@@ -2018,7 +2025,7 @@ def path_ngram_counts(ds, n: int = 3, key_col: str = "user_id",
 
 def _kcore_message(state, e):
     nn, alive = state
-    ok = alive[np.searchsorted(nn, e["x"])]
+    ok = alive[_found(nn, e["x"])[0]]
     tu, cnt = np.unique(e["y"][ok], return_counts=True)
     return tu, cnt.astype(np.int64)
 
@@ -2047,33 +2054,6 @@ def _kcore_table(shard, min_deg):
                      "core_deg": pa.array(deg[keep])})
 
 
-def _kcore_sharded(edges, K, rounds, ca, cb, num_shards, why):
-    """Sharded k-core peel: alive/degree vectors in shard actors; each
-    round one edge scan + one summed exchange + O(P) RPCs.  Mirrors the
-    broadcast plan's round semantics exactly (restricted degree,
-    synchronous peel, early convergence, final extra degree pass)."""
-    actors, route, run, edges_b = _shard_scaffold(
-        "kcore", why, edges, ca, cb, num_shards)
-    _shard_init(actors, edges_b, ("x",), _kcore_prep)
-
-    def one_pass(tag, peel):
-        res = _shard_round(actors, route, edges_b, f"{run}-{tag}",
-                           ("alive",), _kcore_message, _sum_by,
-                           _kcore_commit, apply_args=(K, peel))
-        return any(ch for ch, _ in res), sum(na for _, na in res)
-
-    for it in range(int(rounds)):
-        changed, n_alive = one_pass(it, True)
-        if not changed or not n_alive:
-            # converged (or nothing left): deg was computed within
-            # alive == next alive, so it already IS the in-core
-            # degree — emit survivors
-            return pa.concat_tables(_apply_all(actors, _kcore_table, K))
-    # not converged within R rounds: one more restricted degree pass
-    one_pass("final", False)
-    return pa.concat_tables(_apply_all(actors, _kcore_table, 1))
-
-
 def kcore(edges_ds, k: int, rounds: int = 6,
           a_col: str = "a", b_col: str = "b", pre_canonical: bool = False,
           mode: str = "auto", node_budget: int = 20_000_000,
@@ -2092,83 +2072,38 @@ def kcore(edges_ds, k: int, rounds: int = 6,
     ``bpe_merges`` unrolled-CTE pattern).  Convergence is detected and
     rounds stop early with an identical result.
 
-    Plan: canonical edges materialized ONCE (R linear scans), then each
-    round = one broadcast-membership edge scan (sorted alive array in
-    plasma via ``ray.put``) emitting per-batch endpoint-count partials,
-    folded into a vertex-sized degree table on the driver — the same
-    documented ~10^8-node driver envelope as :func:`bfs_hops` /
-    :func:`pagerank`.  No shuffle after the canonicalization.
-    ``mode="sharded"`` (or ``auto`` past ``node_budget`` vertices)
-    replays the peel with the alive/degree vectors in range-partitioned
-    shard actors (:func:`_kcore_sharded`) — identical output, driver
-    state O(num_shards).
+    Plan: canonical edges materialized once, alive/degree vectors in
+    the vertex runtime (:class:`_Runtime`): each round is one edge scan
+    in which alive sources message 1 per neighbor, a summed fold, and a
+    commit that restricts degrees to alive nodes and peels.  ``mode``
+    picks P as in :func:`pagerank` (``broadcast`` = one driver-local
+    shard, ``sharded`` = ``num_shards`` range-partitioned shard actors,
+    ``auto`` = P = 1 up to ``node_budget`` vertices) — identical output
+    at every P.
     """
-    import ray
-
     K = int(k)
     assert K >= 1, "k-core needs k >= 1"
-    if mode not in ("auto", "broadcast", "sharded"):
-        raise ValueError(f"kcore: unknown mode {mode!r}")
+    _check_mode("kcore", mode)
     edges = (edges_ds if pre_canonical
              else canonical_edges(edges_ds, a_col=a_col, b_col=b_col))
     ca, cb = (a_col, b_col) if pre_canonical else ("a", "b")
-    edges = edges.materialize()
-    if mode == "sharded":
-        return _kcore_sharded(edges, K, rounds, ca, cb, num_shards,
-                              dict(node_budget=int(node_budget), forced=1))
+    rt, ed = _node_runtime("kcore", mode, node_budget, num_shards,
+                           edges.materialize(), ca, cb, _kcore_prep)
 
-    def degrees(alive_ref):
-        """Vertex degree table restricted to alive nodes (None = all)."""
-        def part(batch: pa.Table) -> pa.Table:
-            a = np.asarray(batch.column(ca), dtype=np.int64)
-            b = np.asarray(batch.column(cb), dtype=np.int64)
-            if alive_ref is not None:
-                al = ray.get(alive_ref)
-                ok = _found(al, a)[1] & _found(al, b)[1]
-                a, b = a[ok], b[ok]
-            nodes, cnt = np.unique(np.concatenate([a, b]),
-                                   return_counts=True)
-            return pa.table({"node": pa.array(nodes),
-                             "d": pa.array(cnt.astype(np.int64))})
+    def one_pass(peel):
+        res = rt.round(ed, ("alive",), _kcore_message, _sum_by,
+                       _kcore_commit, apply_args=(K, peel))
+        return any(ch for ch, _ in res), sum(na for _, na in res)
 
-        got = edges.map_batches(part, batch_format="pyarrow").to_pandas()
-        if not len(got):
-            return (np.empty(0, dtype=np.int64),
-                    np.empty(0, dtype=np.int64))
-        return _sum_by(got["node"].to_numpy().astype(np.int64),
-                       got["d"].to_numpy().astype(np.int64))
-
-    alive_ref = None
-    alive = None
     for _ in range(int(rounds)):
-        nodes, deg = degrees(alive_ref)
-        if mode == "auto" and len(nodes) > int(node_budget):
-            # vertex table outgrew the driver envelope: replay the
-            # peel sharded from the start (peeling is deterministic,
-            # so the replay is free of divergence; the one wasted
-            # degree pass is the price of late detection)
-            return _kcore_sharded(
-                edges, K, rounds, ca, cb, num_shards,
-                dict(n_nodes=len(nodes), node_budget=int(node_budget),
-                     forced=0))
-        nxt = nodes[deg >= K]                      # already sorted
-        if alive is not None and len(nxt) == len(alive) \
-                and np.array_equal(nxt, alive):
-            # converged: deg was computed within alive == nxt, so it
-            # already IS the in-core degree — emit directly.
-            keep = deg >= K
-            return pa.table({"node": pa.array(nodes[keep]),
-                             "core_deg": pa.array(deg[keep])})
-        alive = nxt
-        if not len(alive):
-            return pa.table({"node": pa.array([], pa.int64()),
-                             "core_deg": pa.array([], pa.int64())})
-        alive_ref = ray.put(alive)
-    # not converged within R rounds (or R==1): one more restricted
-    # degree pass gives the survivors' in-core degrees.
-    nodes, deg = degrees(alive_ref)
-    return pa.table({"node": pa.array(nodes),
-                     "core_deg": pa.array(deg)})
+        changed, n_alive = one_pass(True)
+        if not changed or not n_alive:
+            # converged (or nothing left): deg was computed within
+            # alive == next alive, so it IS the in-core degree
+            return rt.result(_kcore_table, K)
+    # not converged within R rounds: one more restricted degree pass
+    one_pass(False)
+    return rt.result(_kcore_table, 1)
 
 
 # ---------------------------------------------------------------------------
@@ -2176,9 +2111,8 @@ def kcore(edges_ds, k: int, rounds: int = 6,
 # ---------------------------------------------------------------------------
 
 # LPA triple: each edge sends its source's label to the neighbor as
-# pre-counted (node, label, count) partials; the fold sums them and
-# picks the argmax (max count, ties → smallest label — the broadcast
-# plan's grouped_top_n order); the commit adopts the picks
+# pre-counted (node, label, count) partials; the fold sums them, picks
+# the argmax (max count, ties → smallest label); the commit adopts it
 
 def _lpa_prep(x):
     nodes = np.unique(x)
@@ -2187,7 +2121,7 @@ def _lpa_prep(x):
 
 def _lpa_message(state, e):
     nn, lb = state
-    key = np.stack([e["y"], lb[np.searchsorted(nn, e["x"])]], axis=1)
+    key = np.stack([e["y"], lb[_found(nn, e["x"])[0]]], axis=1)
     uk, cnt = np.unique(key, axis=0, return_counts=True)
     return uk[:, 0], uk[:, 1], cnt.astype(np.int64)
 
@@ -2210,27 +2144,9 @@ def _lpa_commit(shard):
     return bool((shard.vec["labels"] != old).any())
 
 
-def _lpa_sharded(edges, rounds, ca, cb, num_shards, why):
-    """Sharded synchronous LPA: label vector in shard actors; each
-    round one edge scan + ONE exchange keyed by the neighbor's shard,
-    with the per-node argmax computed inside the reduce group."""
-    import ray
-
-    actors, route, run, edges_b = _shard_scaffold(
-        "label_propagation", why, edges, ca, cb, num_shards)
-    _shard_init(actors, edges_b, ("x",), _lpa_prep)
-    for it in range(int(rounds)):
-        if not any(_shard_round(actors, route, edges_b, f"{run}-{it}",
-                                ("labels",), _lpa_message, _lpa_pick,
-                                _lpa_commit)):
-            break                     # fixpoint: identity rounds
-    return pa.concat_tables(ray.get(
-        [a.state_table.remote(community="labels") for a in actors]))
-
-
 def label_propagation(edges_ds, rounds: int = 3,
                       a_col: str = "a", b_col: str = "b",
-                      pre_canonical: bool = False, num_buckets: int = 32,
+                      pre_canonical: bool = False,
                       mode: str = "auto", node_budget: int = 20_000_000,
                       num_shards: int = 16):
     """Fixed-round SYNCHRONOUS label propagation (Raghavan et al. 2007,
@@ -2245,81 +2161,25 @@ def label_propagation(edges_ds, rounds: int = 3,
     later rounds are identity and the loop early-stops with the same
     result.
 
-    Plan: canonical edges materialized once.  Per round: the label
-    array broadcasts via ``ray.put`` (vertex-sized, the documented
-    :func:`pagerank` driver envelope); ONE edge scan emits pre-counted
-    ``(node, neighbor_label)`` partials; a ``(node, label)``-bucketed
-    exchange sums them; per-node argmax rides
-    :func:`bqf_ray.pipelines.aggregates.grouped_top_n` (per-block
-    top-1 partials, no whole group materialized).  Two bucketed
-    exchanges per round, both bounded by the edge count.
-    ``mode="sharded"`` (or ``auto`` past ``node_budget`` vertices)
-    holds the label vector in range-partitioned shard actors instead
-    (:func:`_lpa_sharded`) — identical labels, driver state O(P).
+    Plan: canonical edges materialized once, the label vector in the
+    vertex runtime (:class:`_Runtime`; ``mode`` picks P as in
+    :func:`kcore`): per round ONE edge scan emits pre-counted
+    ``(node, neighbor_label, count)`` partials, the fold sums them and
+    picks each node's argmax, and the commit adopts the picks —
+    identical labels at every P.
     """
-    import ray
-
-    from bqf_ray.pipelines.aggregates import grouped_top_n
-    from bqf_ray.stages.partition import bucketed_agg
-
-    if mode not in ("auto", "broadcast", "sharded"):
-        raise ValueError(f"label_propagation: unknown mode {mode!r}")
+    _check_mode("label_propagation", mode)
     edges = (edges_ds if pre_canonical
              else canonical_edges(edges_ds, a_col=a_col, b_col=b_col))
     ca, cb = (a_col, b_col) if pre_canonical else ("a", "b")
-    edges = edges.materialize()
-    if mode == "sharded":
-        return _lpa_sharded(edges, rounds, ca, cb, num_shards,
-                            dict(node_budget=int(node_budget), forced=1))
-
-    # vertex table: per-block unique endpoints folded once (driver
-    # envelope, same as bfs_hops' visited array)
-    parts = []
-    for t in ray.get(edges.to_arrow_refs()):
-        if t.num_rows:
-            parts.append(np.unique(np.asarray(t.column(ca),
-                                              dtype=np.int64)))
-            parts.append(np.unique(np.asarray(t.column(cb),
-                                              dtype=np.int64)))
-    if not parts:
-        return pa.table({"node": pa.array([], pa.int64()),
-                         "community": pa.array([], pa.int64())})
-    nodes = np.unique(np.concatenate(parts))
-    if mode == "auto" and len(nodes) > int(node_budget):
-        return _lpa_sharded(
-            edges, rounds, ca, cb, num_shards,
-            dict(n_nodes=len(nodes), node_budget=int(node_budget),
-                 forced=0))
-    labels = nodes.copy()
-
+    rt, ed = _node_runtime("label_propagation", mode, node_budget,
+                           num_shards, edges.materialize(), ca, cb,
+                           _lpa_prep)
     for _ in range(int(rounds)):
-        ref = ray.put((nodes, labels))
-
-        def emit(batch: pa.Table) -> pa.Table:
-            a = np.asarray(batch.column(ca), dtype=np.int64)
-            b = np.asarray(batch.column(cb), dtype=np.int64)
-            v, lab, c = _lpa_message(ray.get(ref),
-                                     {"x": np.concatenate([b, a]),
-                                      "y": np.concatenate([a, b])})
-            return pa.table({"v": pa.array(v), "lab": pa.array(lab),
-                             "c": pa.array(c)})
-
-        counts = bucketed_agg(
-            edges.map_batches(emit, batch_format="pyarrow"),
-            ["v", "lab"], [("c", "sum", "c")], num_buckets=num_buckets)
-        picked = grouped_top_n(counts, "v", ["c", "lab"], 1,
-                               descending=[True, False], rank_col=None,
-                               num_buckets=num_buckets).to_pandas()
-        new = labels.copy()
-        pv = picked["v"].to_numpy().astype(np.int64)
-        pl = picked["lab"].to_numpy().astype(np.int64)
-        new[np.searchsorted(nodes, pv)] = pl
-        if np.array_equal(new, labels):      # fixpoint: identity rounds
-            break
-        labels = new
-
-    return pa.table({"node": pa.array(nodes),
-                     "community": pa.array(labels)})
+        if not any(rt.round(ed, ("labels",), _lpa_message, _lpa_pick,
+                            _lpa_commit)):
+            break                     # fixpoint: identity rounds
+    return rt.result(_state_table, {"community": "labels"})
 
 
 def transition_probs(ds, key_col: str = "user_id", ts_col: str = "ts",
@@ -2363,15 +2223,16 @@ def transition_probs(ds, key_col: str = "user_id", ts_col: str = "ts",
 # its ``frm`` end to its ``to`` end, SUM; the commit reports the max
 # for the driver's deterministic integer rescale
 
-def _hits_prep(x):
-    nodes = np.unique(x)
-    return nodes, {"hub": np.ones(len(nodes), dtype=np.int64),
-                   "auth": np.zeros(len(nodes), dtype=np.int64)}
+def _hits_prep(node, dout, din):
+    order = np.argsort(node)
+    return node[order], {"hub": np.ones(len(node), dtype=np.int64),
+                         "auth": np.zeros(len(node), dtype=np.int64),
+                         "deg": np.maximum(dout, din)}
 
 
 def _hits_message(state, e, frm, to):
     nn, vv = state
-    return _sum_by(e[to], vv[np.searchsorted(nn, e[frm])])
+    return _sum_by(e[to], vv[_found(nn, e[frm])[0]])
 
 
 def _hits_commit(shard):
@@ -2382,41 +2243,6 @@ def _hits_commit(shard):
 
 def _hits_scale(shard, q, which):
     shard.vec[which] = shard.vec.pop("out") // np.int64(q)
-
-
-def _hits_sharded(edges, rounds, scale_bits, num_shards, output, why):
-    """Sharded HITS: hub/auth vectors in shard actors; the edge
-    projection is co-bucketed TWICE, once by source range and once by
-    destination range (the two half-steps read opposite sides), each
-    half-step is one edge scan + one summed exchange + a P-sized max
-    fold for the deterministic integer rescale — bit-identical to the
-    broadcast plan."""
-    import ray
-
-    ends = _both_dirs(edges, "s", "t").materialize()
-    actors, route, run = _vertex_shards("hits", why, ends, "x",
-                                        max(1, int(num_shards)))
-    _shard_init(actors, _with_part(ends, route, "x"), ("x",), _hits_prep)
-    by_s = _cobucket(edges, route, "s")    # auth←hub reads hub(s)
-    by_t = _cobucket(edges, route, "t")    # hub←auth reads auth(t)
-
-    def half(edges_b, frm, to, read, write, tag):
-        gmax = max(_shard_round(actors, route, edges_b, f"{run}-{tag}",
-                                (read,), _hits_message, _sum_by,
-                                _hits_commit, (frm, to)))
-        _apply_all(actors, _hits_scale, max(1, gmax >> scale_bits), write)
-
-    for it in range(int(rounds)):
-        half(by_s, "s", "t", "hub", "auth", f"{it}a")
-        half(by_t, "t", "s", "auth", "hub", f"{it}b")
-
-    refs = [a.state_table.remote(hub="hub", auth="auth") for a in actors]
-    if output == "dataset":
-        return ray.data.from_arrow_refs(refs)
-    tbl = pa.concat_tables(ray.get(refs))
-    return (np.asarray(tbl.column("node"), dtype=np.int64),
-            np.asarray(tbl.column("hub"), dtype=np.int64),
-            np.asarray(tbl.column("auth"), dtype=np.int64))
 
 
 def hits(edges_ds, src_col: str, dst_col: str, rounds: int = 2,
@@ -2438,21 +2264,19 @@ def hits(edges_ds, src_col: str, dst_col: str, rounds: int = 2,
     (no implicit dedup — feed :func:`canonical_edges` output if simple-
     graph semantics are wanted).
 
-    Plan: one cached (s, t) edge projection; per round two edge scans
-    with the current score vector broadcast via ``ray.put`` and two
-    node-sized ``bucketed_sum`` folds (1-int hash-bucket exchange;
-    the plain ``groupby().Sum`` form was 12× slower at 10M edges,
-    BASELINE.md) — the rank-vector-on-driver
-    envelope documented at :func:`pagerank`.  ``mode="sharded"`` (or
-    ``auto`` past ``node_budget`` nodes) holds hub/auth in
-    range-partitioned shard actors (:func:`_hits_sharded`) —
-    bit-identical, driver state O(P).  Returns ``(nodes, hub, auth)``
-    int64 arrays (hub init = 1, so round-1 authority = in-degree), or
-    a Dataset with ``output="dataset"``.
+    Plan: one cached (s, t) edge projection and hub/auth in the vertex
+    runtime (:class:`_Runtime`; ``mode`` picks P as in
+    :func:`pagerank`); each half-step is one edge scan summing the read
+    vector into the other end plus a P-sized max fold for the rescale
+    — at P > 1 over edges co-bucketed twice, by source range and by
+    destination range (the two half-steps read opposite sides).
+    Bit-identical at every P.  Returns ``(nodes, hub, auth)`` int64
+    arrays (hub init = 1, so round-1 authority = in-degree), or a
+    Dataset with ``output="dataset"``.
     """
-    import ray
-
     from bqf_ray.stages.partition import bucketed_sum
+
+    _check_mode("hits", mode)
 
     def edge_cols(batch: pa.Table) -> pa.Table:
         return pa.table({
@@ -2476,73 +2300,37 @@ def hits(edges_ds, src_col: str, dst_col: str, rounds: int = 2,
             "din": pa.array(np.concatenate(
                 [np.zeros(len(su), np.int64), tc.astype(np.int64)]))})
 
-    if mode not in ("auto", "broadcast", "sharded"):
-        raise ValueError(f"hits: unknown mode {mode!r}")
-
-    def deg_guard(deg_max: int) -> None:
-        if deg_max >= (1 << (62 - scale_bits - 1)):
-            raise ValueError(
-                f"hits: max degree {deg_max} ≥ 2^{62 - scale_bits - 1} "
-                "breaks the int64 half-step sum envelope — lower "
-                "scale_bits or pre-aggregate parallel edges")
-
     nd_ds = bucketed_sum(edges.map_batches(node_partials,
                                            batch_format="pyarrow"),
-                         ["node"], {"dout": "dout", "din": "din"})
-    if mode != "broadcast":
-        nd_ds = nd_ds.materialize()
-        n_nodes = nd_ds.count()
-        if mode == "sharded" or n_nodes > int(node_budget):
-            from ray.data.aggregate import Max
-            env = nd_ds.aggregate(Max("dout", alias_name="o"),
-                                  Max("din", alias_name="i"))
-            deg_guard(max(int(env["o"] or 0), int(env["i"] or 0), 1))
-            return _hits_sharded(
-                edges, rounds, scale_bits, num_shards, output,
-                dict(n_nodes=n_nodes, node_budget=int(node_budget),
-                     forced=int(mode == "sharded")))
-    nd = nd_ds.to_pandas()
-    if len(nd) == 0:                 # empty groupby: no columns at all
-        z = np.empty(0, dtype=np.int64)
-        return _hits_result(z, z.copy(), z.copy(), output)
-    nodes = np.sort(nd["node"].to_numpy().astype(np.int64))
-    n = len(nodes)
-    deg_guard(max(int(nd["dout"].max()), int(nd["din"].max()), 1))
+                         ["node"], {"dout": "dout", "din": "din"}
+                         ).materialize()
+    rt, n = _table_runtime("hits", nd_ds, mode, node_budget, num_shards)
+    rt.init(nd_ds, ("node", "dout", "din"), _hits_prep)
+    deg_max = max(*rt.each(_pop_max, "deg"), 1)
+    if n and deg_max >= (1 << (62 - scale_bits - 1)):
+        raise ValueError(
+            f"hits: max degree {deg_max} ≥ 2^{62 - scale_bits - 1} "
+            "breaks the int64 half-step sum envelope — lower "
+            "scale_bits or pre-aggregate parallel edges")
+    by_s = rt.cobucket(edges, "s")         # auth←hub reads hub(s)
+    by_t = rt.cobucket(edges, "t")         # hub←auth reads auth(t)
 
-    def _half(vec: np.ndarray, from_col: str, to_col: str) -> np.ndarray:
-        """out(to) = Σ vec[from] over edges, then integer rescale."""
-        ref = ray.put((nodes, vec))
+    def half(edges_b, frm, to, read, write):
+        gmax = max(rt.round(edges_b, (read,), _hits_message, _sum_by,
+                            _hits_commit, (frm, to)))
+        rt.each(_hits_scale, max(1, gmax >> scale_bits), write)
 
-        def contrib(batch: pa.Table) -> pa.Table:
-            tu, sums = _hits_message(ray.get(ref), _int_cols(batch),
-                                     from_col, to_col)
-            return pa.table({"node": pa.array(tu),
-                             "partial": pa.array(sums)})
-
-        got = bucketed_sum(edges.map_batches(contrib,
-                                             batch_format="pyarrow"),
-                           ["node"], {"partial": "v"}).to_pandas()
-        out = np.zeros(n, dtype=np.int64)
-        gi = np.searchsorted(nodes, got["node"].to_numpy())
-        out[gi] = got["v"].to_numpy().astype(np.int64)
-        q = max(1, int(out.max()) >> scale_bits)
-        return out // np.int64(q)
-
-    hub = np.ones(n, dtype=np.int64)
-    auth = np.zeros(n, dtype=np.int64)
     for _ in range(int(rounds)):
-        auth = _half(hub, "s", "t")      # authority ← Σ hub over in-edges
-        hub = _half(auth, "t", "s")      # hub ← Σ auth over out-edges
-    return _hits_result(nodes, hub, auth, output)
+        half(by_s, "s", "t", "hub", "auth")
+        half(by_t, "t", "s", "auth", "hub")
 
-
-def _hits_result(nodes, hub, auth, output):
     if output == "dataset":
-        import ray
-        return ray.data.from_arrow(pa.table({
-            "node": pa.array(nodes), "hub": pa.array(hub),
-            "auth": pa.array(auth)}))
-    return nodes, hub, auth
+        return rt.result(_state_table, {"hub": "hub", "auth": "auth"},
+                         dataset=True)
+    tbl = rt.result(_state_table, {"hub": "hub", "auth": "auth"})
+    return (np.asarray(tbl.column("node"), dtype=np.int64),
+            np.asarray(tbl.column("hub"), dtype=np.int64),
+            np.asarray(tbl.column("auth"), dtype=np.int64))
 
 
 def link_prediction(edges_ds, a_col: str = "a", b_col: str = "b",
@@ -2684,53 +2472,73 @@ def link_prediction(edges_ds, a_col: str = "a", b_col: str = "b",
     return out.union(ray.data.from_arrow(floor))
 
 
-# SSSP/BFS triple: reached sources relax their edges, MIN-fold; the
-# commit merges candidates into the shard (whose node set grows as the
-# frontier reaches new ids) and reports whether anything improved
+# SSSP/BFS triple: the frontier (nodes the last round improved) relaxes
+# its edges, MIN-fold; the commit grows the shard's node set, marks the
+# next frontier and reports whether it is non-empty.  Other sources
+# already relaxed with the same dist, so this equals a full relaxation.
 
-def _sssp_message(state, e):
-    nn, dd = state
-    ix, hit = _found(nn, e["x"])
-    return _min_by(e["y"][hit], dd[ix[hit]] + e["w"][hit])
+def _sssp_message(state, e, both):
+    nn, dd, fr = state
+    fn, fd, ys, ds = nn[fr], dd[fr], [], []
+    for s, t in (("x", "y"), ("y", "x"))[:1 + both]:   # both: undirected
+        ix, hit = _found(fn, e[s])
+        ys.append(e[t][hit])
+        ds.append(fd[ix[hit]] + e["w"][hit])
+    y, d = _min_by(np.concatenate(ys), np.concatenate(ds))
+    ix, hit = _found(nn, y)        # a node already at ≤ d cannot improve
+    keep = ~hit | (d < dd[np.minimum(ix, len(dd) - 1)])
+    return y[keep], d[keep]
 
 
 def _sssp_merge(shard):
-    if shard.staged is None:
-        return False
-    (cn, cd), shard.staged = shard.staged, None
-    dist = shard.vec["dist"]
+    (cn, cd), shard.staged = (shard.staged
+                              or (np.empty(0, dtype=np.int64),) * 2), None
     merged = np.union1d(shard.nodes, cn)
-    new = np.full(len(merged), np.iinfo(np.int64).max)
-    old = np.searchsorted(merged, shard.nodes)
-    new[old] = dist
+    old = np.full(len(merged), np.iinfo(np.int64).max)
+    old[np.searchsorted(merged, shard.nodes)] = shard.vec["dist"]
+    new = old.copy()
     np.minimum.at(new, np.searchsorted(merged, cn), cd)
-    changed = (len(merged) != len(shard.nodes)
-               or not np.array_equal(new[old], dist))
     shard.nodes, shard.vec["dist"] = merged, new
-    return bool(changed)
+    shard.vec["front"] = new < old
+    return bool(shard.vec["front"].any())
 
 
-def _sssp_sharded(edges, ca, cb, weight, nodes0, dist0, rounds,
-                  num_shards, op, why):
-    """Sharded continuation of :func:`sssp` / :func:`bfs_hops`: the
-    dist vector starts at ``(nodes0, dist0)`` in shard actors, edges are
-    doubled (``w = weight(batch)``) and co-bucketed by source range
-    ONCE, and each round is one edge scan + one min-folded candidate
-    exchange.  Driver state is O(num_shards)."""
-    import ray
-
-    actors, route, run, edges_b = _shard_scaffold(
-        op, why, edges, ca, cb, num_shards, weight)
-    sp = route(nodes0)
-    ray.get([a.init.remote(nodes0[sp == p], dist=dist0[sp == p])
-             for p, a in enumerate(actors)])
-    for it in range(int(rounds)):
-        if not any(_shard_round(actors, route, edges_b, f"{run}-{it}",
-                                ("dist",), _sssp_message, _min_by,
-                                _sssp_merge)):
+def _sssp_run(op: str, edges, ca: str, cb: str, weight, seeds, rounds,
+              mode: str, node_budget, num_shards):
+    """The one round loop of :func:`sssp` and :func:`bfs_hops`:
+    ``(node, dist)`` after ≤ ``rounds`` min-folded relaxations from
+    ``seeds`` at distance 0, each round one scan of the doubled
+    ``edges`` (``w = weight(batch)``) relaxing from the frontier only.
+    P = 1 holds the dist vector on the driver and (``auto``) hands the
+    remaining rounds to ``num_shards`` shard actors once it holds more
+    than ``node_budget`` nodes; ``sharded`` starts there."""
+    _check_mode(op, mode)
+    B = int(node_budget)
+    why = dict(node_budget=B, forced=int(mode != "auto"))
+    nodes = np.unique(np.asarray(seeds, dtype=np.int64))
+    P = _shard_count(mode, len(nodes), B, num_shards) if len(nodes) else 1
+    if P == 1:
+        edges = edges.materialize()      # every round re-scans it
+    rt, ed = _edge_runtime(op, P, B, edges, ca, cb, weight, False)
+    rt.seed(nodes, dist=np.zeros(len(nodes), dtype=np.int64),
+            front=np.ones(len(nodes), dtype=bool))
+    if not rt.local:
+        rt.log(n_nodes=len(nodes), **why)
+    for _ in range(int(rounds) if len(nodes) else 0):
+        if rt.local and _shard_count(mode, len(rt.shards[0].nodes), B,
+                                     num_shards) > 1:
+            # outgrew the driver: shard actors run the remaining rounds
+            nodes, dist, front = rt.shards[0].get_state(("dist", "front"))
+            rt, ed = _edge_runtime(op, int(num_shards), B, edges, ca, cb,
+                                   weight)
+            rt.seed(nodes, dist=dist, front=front)
+            rt.log(n_nodes=len(nodes), **why)
+        if not any(rt.round(ed, ("dist", "front"), _sssp_message, _min_by,
+                            _sssp_merge, (rt.local,))):
             break                            # converged = true SSSP
-    return pa.concat_tables(ray.get(
-        [a.state_table.remote(dist="dist") for a in actors]))
+    if rt.local:
+        rt.log(n_nodes=len(rt.shards[0].nodes), **why)
+    return rt.result(_state_table, {"dist": "dist"})
 
 
 def _sssp_weights(batch: pa.Table, w_col: str) -> np.ndarray:
@@ -2757,77 +2565,21 @@ def sssp(edges_ds, seeds: "np.ndarray", rounds: int = 4,
     POSITIVE int64 (loud raise on null/≤0 — zero/negative cycles void
     the fixed-round equality).
 
-    Plan (the :func:`bfs_hops` / :func:`pagerank` envelope): the
-    ``(nodes, dist)`` vector broadcasts once per round (``ray.put``);
-    each round is ONE linear ``map_batches`` scan over the edges
-    emitting per-batch MIN-folded candidate relaxations, and the
-    driver folds candidates against the current vector (vertex-sized
-    arrays).  No shuffle after edge materialization.
-
-    Past ``node_budget`` settled nodes the ``auto`` plan hands the
-    remaining rounds to a SHARDED continuation (``mode="sharded"``
-    starts there): the dist vector lives in ``num_shards``
-    range-partitioned vertex-shard actors (:func:`_sssp_sharded`),
-    edges are doubled and co-bucketed by source range once, and each
-    round is one edge scan + one min-folded candidate exchange —
-    driver state O(P).  Min-folds are order-independent, so both plans
-    return identical tables (asserted in tests)."""
-    import ray
-
-    R = int(rounds)
-    nodes = np.unique(np.asarray(seeds, dtype=np.int64))
-    dist = np.zeros(len(nodes), dtype=np.int64)
-    if not len(nodes):
-        return pa.table({"node": pa.array([], pa.int64()),
-                         "dist": pa.array([], pa.int64())})
-    if mode not in ("auto", "broadcast", "sharded"):
-        raise ValueError(f"sssp: unknown mode {mode!r}")
-
-    def sharded(edges, rounds, why):
-        return _sssp_sharded(
-            edges, a_col, b_col, lambda batch: _sssp_weights(batch, w_col),
-            nodes, dist, rounds, num_shards, "sssp", why)
-
-    if mode == "sharded":
-        return sharded(edges_ds, R,
-                       dict(node_budget=int(node_budget), forced=1))
-    edges = edges_ds.materialize()
-    for rnd in range(R):
-        if mode == "auto" and len(nodes) > int(node_budget):
-            # dist vector outgrew the driver envelope: hand the
-            # remaining rounds to the sharded continuation (same
-            # min-fold semantics → same result)
-            return sharded(edges, R - rnd,
-                           dict(n_nodes=len(nodes),
-                                node_budget=int(node_budget), forced=0))
-        ref = ray.put((nodes, dist))
-
-        def relax(batch: pa.Table) -> pa.Table:
-            w = _sssp_weights(batch, w_col)
-            a = np.asarray(batch.column(a_col), dtype=np.int64)
-            b = np.asarray(batch.column(b_col), dtype=np.int64)
-            cn, cd = _sssp_message(ray.get(ref),
-                                   {"x": np.concatenate([a, b]),
-                                    "y": np.concatenate([b, a]),
-                                    "w": np.concatenate([w, w])})
-            return pa.table({"node": pa.array(cn), "d": pa.array(cd)})
-
-        got = edges.map_batches(relax, batch_format="pyarrow") \
-            .to_pandas()
-        if not len(got):
-            break
-        cn, cd = _min_by(got["node"].to_numpy().astype(np.int64),
-                         got["d"].to_numpy().astype(np.int64))
-        merged = np.union1d(nodes, cn)
-        nd_new = np.full(len(merged), np.iinfo(np.int64).max)
-        pos_old = np.searchsorted(merged, nodes)
-        nd_new[pos_old] = dist
-        pos_c = np.searchsorted(merged, cn)
-        nd_new[pos_c] = np.minimum(nd_new[pos_c], cd)
-        if len(merged) == len(nodes) and (nd_new == dist).all():
-            break                            # converged = true SSSP
-        nodes, dist = merged, nd_new
-    return pa.table({"node": pa.array(nodes), "dist": pa.array(dist)})
+    Plan (:func:`_sssp_run`): the ``(nodes, dist)`` vector lives in
+    the vertex runtime (:class:`_Runtime`); each round is ONE scan of
+    the doubled edges in which the frontier (the nodes the last round
+    improved) emits per-batch MIN-folded candidate relaxations, and a
+    min-fold commit that grows the vector as the frontier reaches new
+    nodes.  ``broadcast`` and ``auto`` start at
+    P = 1 (the vector on the driver, edges materialized once); past
+    ``node_budget`` settled nodes ``auto`` hands the remaining rounds
+    to ``num_shards`` range-partitioned shard actors (``sharded``
+    starts there), edges doubled and co-bucketed by source range once
+    — driver state O(P).  Min-folds are order-independent, so every
+    plan returns the same table (asserted in tests)."""
+    return _sssp_run("sssp", edges_ds, a_col, b_col,
+                     lambda batch: _sssp_weights(batch, w_col), seeds,
+                     rounds, mode, node_budget, num_shards)
 
 
 def ktruss(edges_ds, k: int, rounds: int = 3,
@@ -2865,9 +2617,8 @@ def ktruss(edges_ds, k: int, rounds: int = 3,
     for _ in range(int(rounds)):
         if n_cur == 0:
             break
-        # cur is already canonical (canonicalized once before the
-        # loop; the peel filter preserves canonical form) — skip the
-        # two dedup sorts per round
+        # cur is already canonical (the peel filter preserves canonical
+        # form) — skip the two dedup sorts per round
         sup = edge_triangle_support(
             cur, num_buckets=num_buckets,
             broadcast_budget_bytes=broadcast_budget_bytes,
@@ -2918,18 +2669,23 @@ def _random_walks_sharded(edges, seeds, L, W, salt, hash_fn, num_shards,
                           why):
     """Sharded walk tier (past the CSR broadcast budget): the complete
     sorted neighbor list of every node lives in its range's shard actor
-    (edges arrive doubled and co-bucketed by source range), and the walk
+    (edges arrive doubled and grouped by source range), and the walk
     frontier is routed to its current node's shard each step — L
     frontier-sized exchanges instead of an edge-sized broadcast; the
     step rule is the same :func:`_walk_step` over the same sorted
     neighbor order, so the corpus is bit-identical to the broadcast
-    plan.  Uses only the runtime's init and cached state: the frontier
-    is routed per step, not scanned."""
+    plan.  Shards are actors even at ``num_shards=1``: the step tasks
+    read them from workers."""
+    import uuid
+
     import ray
 
-    actors, route, token, ed2b = _shard_scaffold(
-        "random_walks", why, edges, "a", "b", num_shards)
-    _shard_init(actors, ed2b, ("x", "y"), _csr_prep)
+    P = max(1, int(num_shards))
+    ed = _both_dirs(edges, "a", "b").materialize()
+    actors, route = _make_shards(P), _shard_route(ed, "x", P)
+    plan_log("random_walks", "sharded", P=P, **why)
+    _shard_init(actors, _with_part(ed, route, "x"), ("x", "y"), _csr_prep)
+    token = f"random_walks-{uuid.uuid4().hex}"
 
     seeds = np.unique(np.asarray(seeds, dtype=np.int64))
     wid = (seeds[:, None] * W
@@ -2963,10 +2719,7 @@ def _random_walks_sharded(edges, seeds, L, W, salt, hash_fn, num_shards,
         if frontier.count() == 0:
             break
         outs.append(frontier)
-    out = outs[0]
-    for o in outs[1:]:
-        out = out.union(o)
-    return out
+    return outs[0].union(*outs[1:]) if len(outs) > 1 else outs[0]
 
 
 def random_walks(edges_ds, seeds: "np.ndarray", walk_len: int = 5,
@@ -3004,8 +2757,7 @@ def random_walks(edges_ds, seeds: "np.ndarray", walk_len: int = 5,
     L, W = int(walk_len), int(walks_per_seed)
     if L < 1 or W < 1:
         raise ValueError("walk_len and walks_per_seed must be >= 1")
-    if mode not in ("auto", "broadcast", "sharded"):
-        raise ValueError(f"random_walks: unknown mode {mode!r}")
+    _check_mode("random_walks", mode)
     hash_fn = {"md5": md5_hash64_array, "xx64": xxhash64_array}[algo]
     edges = canonical_edges(edges_ds, a_col=a_col, b_col=b_col)
     if mode == "sharded":
