@@ -1149,8 +1149,9 @@ def mg_heavy_keys(ds, col: str, m: int = 128):
             return pa.table({col: pa.array(u),
                              "partial": pa.array(c.astype(np.int64))})
 
+    # half a CPU per actor: the pool leaves a CPU for the upstream read
     counts = (ds.map_batches(Recount, batch_format="pyarrow",
-                             concurrency=2)
+                             concurrency=2, num_cpus=0.5)
               .groupby(col).aggregate(Sum("partial", alias_name="cnt")))
     thresh = n_total / (m + 1.0)
 

@@ -2493,14 +2493,22 @@ def _sssp_message(state, e, both):
 def _sssp_merge(shard):
     (cn, cd), shard.staged = (shard.staged
                               or (np.empty(0, dtype=np.int64),) * 2), None
-    merged = np.union1d(shard.nodes, cn)
-    old = np.full(len(merged), np.iinfo(np.int64).max)
-    old[np.searchsorted(merged, shard.nodes)] = shard.vec["dist"]
-    new = old.copy()
-    np.minimum.at(new, np.searchsorted(merged, cn), cd)
-    shard.nodes, shard.vec["dist"] = merged, new
-    shard.vec["front"] = new < old
-    return bool(shard.vec["front"].any())
+    nodes, dist = shard.nodes, shard.vec["dist"]
+    pos, hit = _found(nodes, cn)
+    if not hit.all():               # new nodes enter at +inf, in order
+        fresh, first = np.unique(cn[~hit], return_index=True)
+        at = pos[~hit][first]
+        nodes = np.insert(nodes, at, fresh)
+        dist = np.insert(dist, at, np.iinfo(np.int64).max)
+        pos = pos + _found(fresh, cn)[0]          # shift past inserts
+    elif not dist.flags.writeable:  # zero-copy from the object store
+        dist = dist.copy()
+    old = dist[pos]
+    np.minimum.at(dist, pos, cd)
+    front = np.zeros(len(dist), dtype=bool)
+    front[pos] = dist[pos] < old
+    shard.nodes, shard.vec["dist"], shard.vec["front"] = nodes, dist, front
+    return bool(front.any())
 
 
 def _sssp_run(op: str, edges, ca: str, cb: str, weight, seeds, rounds,

@@ -2360,7 +2360,8 @@ def window_heavy_hitters(ds, windows_s: list[int], key_col: str,
                         "pn": pa.array([int(member.sum())], pa.int64())}))
                 return pa.concat_tables(outs)
 
-        folded = (us.map_batches(Recount, concurrency=4,
+        # a quarter CPU per actor: the pool leaves a CPU for the read
+        folded = (us.map_batches(Recount, concurrency=4, num_cpus=0.25,
                                  batch_format="pyarrow")
                   .groupby(["window_s", "k"])
                   .aggregate(Sum("pc", alias_name="cnt"),
