@@ -858,8 +858,9 @@ def _v_table(arrays) -> pa.Table:
 def _found(ids, x):
     """``(pos, hit)``: ``searchsorted`` positions of ``x`` in the sorted
     ``ids`` and whether each is there.  Past ~1k ``ids`` (out of cache)
-    ``x`` probes in sorted order, 2-5x faster than random probes."""
-    if len(ids) > 1024:
+    ``x`` probes in sorted order, 2-5x faster than random probes; keys
+    that already arrive sorted (fold outputs) skip the argsort."""
+    if len(ids) > 1024 and np.any(x[1:] < x[:-1]):
         order = np.argsort(x)
         pos = np.empty(len(x), dtype=np.intp)
         pos[order] = np.searchsorted(ids, x[order])

@@ -32,7 +32,7 @@ from __future__ import annotations
 import numpy as np
 
 from bqf_ray.functions.hashing import fmix64
-from bqf_ray.sketches.base import MergeableSketch, register
+from bqf_ray.sketches.base import MergeableSketch, narrow_ints, register
 
 _GOLDEN = 0x9E3779B97F4A7C15
 
@@ -85,7 +85,7 @@ class AmsF2(MergeableSketch):
     # -- serialization ------------------------------------------------
 
     def _state_arrays(self):
-        return {"counters": self._counters.ravel().copy(),
+        return {"counters": narrow_ints(self._counters.ravel()),
                 "n": np.array([self.n], dtype=np.int64)}
 
     def _config(self):

@@ -33,6 +33,34 @@ _REGISTRY: dict[str, type] = {}
 _MAGIC = b"BQRS"
 
 
+#: (dtype, min, max) of the integer widths below 64 bits, narrowest first
+_INT_WIDTHS = tuple((np.dtype(t), int(np.iinfo(t).min), int(np.iinfo(t).max))
+                    for t in (np.uint8, np.int8, np.uint16, np.int16,
+                              np.uint32, np.int32))
+
+
+def narrow_ints(a: np.ndarray) -> np.ndarray:
+    """``a`` cast to the narrowest integer dtype that holds its min and max
+    (``a`` itself when no narrower one does, or when it is empty).
+
+    Counter states are stored at their in-memory width (uint64/int64) but
+    rarely need it: a Count-Min counter never exceeds the rows its sketch
+    saw.  The blob header records each array's dtype and every decoder
+    casts back to its in-memory dtype, so the narrowing is lossless and
+    invisible past ``to_bytes``.  The width comes from the values, never
+    from a running total, which negative weights can wrap.
+    """
+    if a.size == 0:
+        return a
+    # an unsigned array's minimum cannot change the choice: skip its pass
+    lo = int(a.min()) if a.dtype.kind == "i" else 0
+    hi = int(a.max())
+    for t, t_lo, t_hi in _INT_WIDTHS:
+        if t_lo <= lo and hi <= t_hi:
+            return a.astype(t)
+    return a
+
+
 def register(cls):
     """Class decorator: make a sketch type self-describing in serialization."""
     _REGISTRY[cls.__name__] = cls
@@ -102,9 +130,7 @@ class MergeableSketch(ABC):
         (hlen,) = struct.unpack("<I", data[4:8])
         if 8 + hlen > len(data):
             raise ValueError("truncated sketch blob: header")
-        head = json.loads(data[8:8 + hlen].decode())
-        cfg = head["config"]
-        tname = cfg.pop("__type__")
+        tname, cfg, specs = _parse_header(data[8:8 + hlen])
         if tname not in _REGISTRY:
             # Fresh worker process: populate the registry by importing
             # EVERY module in the sketches package (built dynamically so
@@ -117,17 +143,17 @@ class MergeableSketch(ABC):
             import bqf_ray.sketches as _pkg
             for info in pkgutil.iter_modules(_pkg.__path__):
                 importlib.import_module(f"bqf_ray.sketches.{info.name}")
+        if tname not in _REGISTRY:
+            raise ValueError(f"bad sketch blob: unknown type {tname!r}")
         cls = _REGISTRY[tname]
         pos = 8 + hlen
         arrays = {}
-        for k in sorted(head["arrays"]):
-            dtype, shape = head["arrays"][k]
-            dims = [int(d) for d in shape]
-            nbytes = math.prod(dims) * np.dtype(dtype).itemsize
-            if min(dims, default=0) < 0 or pos + nbytes > len(data):
+        for k, dtype, dims in specs:
+            nbytes = math.prod(dims) * dtype.itemsize
+            if pos + nbytes > len(data):
                 raise ValueError(f"truncated sketch blob: array {k!r}")
             arrays[k] = np.frombuffer(
-                data[pos:pos + nbytes], dtype=dtype).reshape(shape).copy()
+                data[pos:pos + nbytes], dtype=dtype).reshape(dims).copy()
             pos += nbytes
         return cls._from_state(cfg, arrays)
 
@@ -141,3 +167,38 @@ class MergeableSketch(ABC):
             if getattr(self, f) != getattr(other, f):
                 raise ValueError(f"merge config mismatch on {f}: "
                                  f"{getattr(self, f)} != {getattr(other, f)}")
+
+
+def _parse_header(raw: bytes) -> tuple[str, dict, list]:
+    """``(type name, config, [(array name, dtype, dims)])`` of a blob
+    header, arrays in payload order.  Anything ``to_bytes`` cannot have
+    written raises ``ValueError``: only numeric dtypes (bool, int, uint,
+    float) reach ``np.frombuffer``, and dims must be non-negative ints."""
+    head = json.loads(raw.decode())    # Unicode/JSON errors are ValueErrors
+    if not isinstance(head, dict):
+        raise ValueError("bad sketch blob header: not an object")
+    cfg, meta = head.get("config"), head.get("arrays")
+    if not isinstance(cfg, dict) or not isinstance(meta, dict):
+        raise ValueError("bad sketch blob header: no config or arrays")
+    tname = cfg.pop("__type__", None)
+    if not isinstance(tname, str):
+        raise ValueError("bad sketch blob header: no __type__")
+    specs = []
+    for k in sorted(meta):
+        spec = meta[k]
+        if not (isinstance(spec, list) and len(spec) == 2
+                and isinstance(spec[0], str) and isinstance(spec[1], list)):
+            raise ValueError(f"bad sketch blob header: array {k!r}")
+        try:
+            dtype = np.dtype(spec[0])
+        except TypeError:
+            dtype = None
+        if dtype is None or dtype.kind not in "biuf":
+            raise ValueError(f"bad sketch blob header: array {k!r} has "
+                             f"dtype {spec[0]!r}")
+        dims = spec[1]
+        if not all(type(d) is int and d >= 0 for d in dims):
+            raise ValueError(f"bad sketch blob header: array {k!r} has "
+                             f"shape {dims!r}")
+        specs.append((k, dtype, dims))
+    return tname, cfg, specs

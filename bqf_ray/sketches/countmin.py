@@ -12,7 +12,7 @@ from __future__ import annotations
 import numpy as np
 
 from bqf_ray.functions.hashing import fmix64
-from bqf_ray.sketches.base import MergeableSketch, register
+from bqf_ray.sketches.base import MergeableSketch, narrow_ints, register
 
 
 @register
@@ -91,7 +91,7 @@ class CountMin(MergeableSketch):
         return int(per_row.min())
 
     def _state_arrays(self):
-        return {"table": self.table,
+        return {"table": narrow_ints(self.table),
                 "total": np.array([self.total], dtype=np.uint64)}
 
     def _config(self):

@@ -24,7 +24,7 @@ from __future__ import annotations
 import numpy as np
 
 from bqf_ray.functions.hashing import fmix64
-from bqf_ray.sketches.base import MergeableSketch, register
+from bqf_ray.sketches.base import MergeableSketch, narrow_ints, register
 
 _GOLDEN = 0x9E3779B97F4A7C15
 _SIGN_SALT = 0xA24BAED4963EE407
@@ -95,7 +95,7 @@ class CountSketch(MergeableSketch):
         return float(np.sqrt(f2 / self.width))
 
     def _state_arrays(self):
-        return {"table": self.table,
+        return {"table": narrow_ints(self.table),
                 "total": np.array([self.total], dtype=np.int64)}
 
     def _config(self):

@@ -24,7 +24,7 @@ from __future__ import annotations
 
 import numpy as np
 
-from bqf_ray.sketches.base import MergeableSketch, register
+from bqf_ray.sketches.base import MergeableSketch, narrow_ints, register
 
 
 @register
@@ -155,8 +155,10 @@ class DDSketch(MergeableSketch):
     # -- serde --------------------------------------------------------
 
     def _state_arrays(self):
-        return {"pos_idx": self._pos_idx, "pos_cnt": self._pos_cnt,
-                "neg_idx": self._neg_idx, "neg_cnt": self._neg_cnt,
+        return {"pos_idx": narrow_ints(self._pos_idx),
+                "pos_cnt": narrow_ints(self._pos_cnt),
+                "neg_idx": narrow_ints(self._neg_idx),
+                "neg_cnt": narrow_ints(self._neg_cnt),
                 "zero": np.array([self.zero_count], dtype=np.int64)}
 
     def _config(self):

@@ -25,7 +25,7 @@ from __future__ import annotations
 
 import numpy as np
 
-from bqf_ray.sketches.base import MergeableSketch, register
+from bqf_ray.sketches.base import MergeableSketch, narrow_ints, register
 
 
 @register
@@ -102,7 +102,7 @@ class MisraGries(MergeableSketch):
     # -- serde --------------------------------------------------------
 
     def _state_arrays(self):
-        return {"keys": self._keys, "counts": self._counts,
+        return {"keys": self._keys, "counts": narrow_ints(self._counts),
                 "n": np.array([self.n], dtype=np.int64)}
 
     def _config(self):
