@@ -23,7 +23,7 @@ from bqf_ray.functions.tokenize import shingle_hashes, token_hashes
 from bqf_ray.plans import plan_log
 from bqf_ray.sketches.bqf import BqfEc, fimpera_from_abundances
 from bqf_ray.stages.sketch_stage import (PartitionedSketch, build_partitioned,
-                                         key_runs, run_arrays)
+                                         key_runs, route, run_arrays)
 from bqf_ray.state.checkpoint import SketchCheckpoint
 
 
@@ -181,7 +181,8 @@ def update_bqf_index(checkpoint_dir: str, add_ds=None, remove_ds=None,
             from bqf_ray.sketches.bqf import BqfEc
             sk = BqfEc(q=int(config["q"]),
                        count_size=int(config["count_size"]),
-                       hash_bits=int(config["hash_bits"]))
+                       hash_bits=int(config["hash_bits"])
+                       ).for_partition(P, part)
         sk.update_batch(*run_arrays(adds))
         sk.remove_batch(*run_arrays(removes))
         blob = sk.to_bytes()
@@ -283,15 +284,15 @@ class BqfIndex:
             def routed_probe(batch: pa.Table) -> pa.Table:
                 keys, koffs = extract_keys(batch)
                 ab = np.zeros(len(keys), dtype=np.uint64)
-                part = keys % np.uint64(P) if P else keys
-                futs, masks = [], []
+                order, bounds = route(keys, P) if handles else (None, None)
+                futs, idxs = [], []
                 for p, h in handles.items():
-                    m = part == p
-                    if m.any():
-                        futs.append(h.query.remote(keys[m]))
-                        masks.append(m)
-                for m, res in zip(masks, ray.get(futs)):
-                    ab[m] = res
+                    idx = order[bounds[p]:bounds[p + 1]]
+                    if len(idx):
+                        futs.append(h.query.remote(keys[idx]))
+                        idxs.append(idx)
+                for idx, res in zip(idxs, ray.get(futs)):
+                    ab[idx] = res
                 return stats_table(batch, ab, koffs)
 
             return docs_ds.map_batches(routed_probe, batch_format="pyarrow",

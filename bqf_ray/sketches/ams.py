@@ -32,7 +32,8 @@ from __future__ import annotations
 import numpy as np
 
 from bqf_ray.functions.hashing import fmix64
-from bqf_ray.sketches.base import MergeableSketch, narrow_ints, register
+from bqf_ray.sketches.base import (MergeableSketch, narrow_ints, register,
+                                   require)
 
 _GOLDEN = 0x9E3779B97F4A7C15
 
@@ -40,6 +41,7 @@ _GOLDEN = 0x9E3779B97F4A7C15
 @register
 class AmsF2(MergeableSketch):
     config_fields = ("depth", "seed")
+    config_types = {"depth": int, "seed": int}
 
     def __init__(self, depth: int = 8, seed: int = 0):
         assert 1 <= depth <= 64
@@ -90,6 +92,12 @@ class AmsF2(MergeableSketch):
 
     def _config(self):
         return {"depth": self.depth, "seed": self.seed}
+
+    @classmethod
+    def _array_specs(cls, config):
+        d = config["depth"]
+        require(1 <= d <= 64, f"AMS depth={d}")
+        return {"counters": ("iu", (d * 64,)), "n": ("i", (1,))}
 
     @classmethod
     def _from_state(cls, config, arrays):

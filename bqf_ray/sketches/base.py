@@ -61,6 +61,13 @@ def narrow_ints(a: np.ndarray) -> np.ndarray:
     return a
 
 
+def require(ok: bool, what: str) -> None:
+    """``ValueError`` naming ``what`` unless ``ok``: the range checks of
+    ``_array_specs``."""
+    if not ok:
+        raise ValueError(f"bad sketch blob: {what}")
+
+
 def register(cls):
     """Class decorator: make a sketch type self-describing in serialization."""
     _REGISTRY[cls.__name__] = cls
@@ -72,6 +79,20 @@ class MergeableSketch(ABC):
 
     #: subclasses list the config fields that must match for merge()
     config_fields: tuple[str, ...] = ()
+
+    #: the config a blob of this sketch carries: field → ``int`` or
+    #: ``float``.  ``from_bytes`` rejects any other field set or value
+    #: type, and checks the arrays against :meth:`_array_specs`.  ``None``
+    #: leaves all of that to the sketch's ``_from_state``.
+    config_types: dict[str, type] | None = None
+
+    @classmethod
+    def _array_specs(cls, config: dict) -> dict[str, tuple[str, tuple]]:
+        """Array name → (dtype kinds, shape) of a blob with this (type-
+        checked) config.  A shape entry is an int, or a name standing for
+        one length that every array naming it must share.  Raises
+        ValueError for config values the constructor would reject."""
+        raise NotImplementedError
 
     @abstractmethod
     def update_batch(self, keys: np.ndarray, counts: np.ndarray | None = None
@@ -146,6 +167,8 @@ class MergeableSketch(ABC):
         if tname not in _REGISTRY:
             raise ValueError(f"bad sketch blob: unknown type {tname!r}")
         cls = _REGISTRY[tname]
+        if cls.config_types is not None:
+            _check_layout(cls, cfg, specs)
         pos = 8 + hlen
         arrays = {}
         for k, dtype, dims in specs:
@@ -202,3 +225,32 @@ def _parse_header(raw: bytes) -> tuple[str, dict, list]:
                              f"shape {dims!r}")
         specs.append((k, dtype, dims))
     return tname, cfg, specs
+
+
+def _check_layout(cls, cfg: dict, specs: list) -> None:
+    """A parsed header against ``cls.config_types`` and
+    ``cls._array_specs``: the same config fields with values of the
+    declared types, and the same arrays with their dtype kinds and shapes.
+    Runs before any payload byte is read; raises only ValueError."""
+    name = cls.__name__
+    if cfg.keys() != cls.config_types.keys():
+        raise ValueError(f"bad {name} blob: config fields {sorted(cfg)}, "
+                         f"not {sorted(cls.config_types)}")
+    for k, t in cls.config_types.items():
+        v = cfg[k]
+        if type(v) is not int and not (t is float and type(v) is float):
+            raise ValueError(f"bad {name} blob: config {k}={v!r} is not "
+                             f"{t.__name__}")
+    want = cls._array_specs(cfg)
+    got = {k: (dtype, dims) for k, dtype, dims in specs}
+    if got.keys() != want.keys():
+        raise ValueError(f"bad {name} blob: arrays {sorted(got)}, not "
+                         f"{sorted(want)}")
+    lengths: dict[str, int] = {}
+    for k, (kinds, shape) in want.items():
+        dtype, dims = got[k]
+        if dtype.kind not in kinds or len(dims) != len(shape) or any(
+                d != (lengths.setdefault(s, d) if isinstance(s, str) else s)
+                for d, s in zip(dims, shape)):
+            raise ValueError(f"bad {name} blob: array {k!r} is {dtype} "
+                             f"{dims}, not {kinds} {shape}")

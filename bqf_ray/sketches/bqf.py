@@ -114,7 +114,7 @@ class BqfCf(_QuotientFilterKernel):
         """All keys whose backpack bit is set (seen at least twice)."""
         self._compact()
         keys, stored = self._enumerate_built()
-        return keys[stored == 1]
+        return self._full_keys(keys[stored == 1])
 
 
 # ---------------------------------------------------------------------------

@@ -12,12 +12,14 @@ from __future__ import annotations
 import numpy as np
 
 from bqf_ray.functions.hashing import fmix64
-from bqf_ray.sketches.base import MergeableSketch, narrow_ints, register
+from bqf_ray.sketches.base import (MergeableSketch, narrow_ints, register,
+                                   require)
 
 
 @register
 class CountMin(MergeableSketch):
     config_fields = ("width", "depth", "seed")
+    config_types = {"width": int, "depth": int, "seed": int}
 
     def __init__(self, width: int = 2048, depth: int = 5, seed: int = 0):
         self.width = int(width)
@@ -96,6 +98,12 @@ class CountMin(MergeableSketch):
 
     def _config(self):
         return {"width": self.width, "depth": self.depth, "seed": self.seed}
+
+    @classmethod
+    def _array_specs(cls, config):
+        w, d = config["width"], config["depth"]
+        require(w >= 1 and d >= 1, f"Count-Min of {d} x {w} counters")
+        return {"table": ("u", (d, w)), "total": ("u", (1,))}
 
     @classmethod
     def _from_state(cls, config, arrays):

@@ -24,7 +24,8 @@ from __future__ import annotations
 import numpy as np
 
 from bqf_ray.functions.hashing import fmix64
-from bqf_ray.sketches.base import MergeableSketch, narrow_ints, register
+from bqf_ray.sketches.base import (MergeableSketch, narrow_ints, register,
+                                   require)
 
 _GOLDEN = 0x9E3779B97F4A7C15
 _SIGN_SALT = 0xA24BAED4963EE407
@@ -33,6 +34,7 @@ _SIGN_SALT = 0xA24BAED4963EE407
 @register
 class CountSketch(MergeableSketch):
     config_fields = ("width", "depth", "seed")
+    config_types = {"width": int, "depth": int, "seed": int}
 
     def __init__(self, width: int = 8192, depth: int = 7, seed: int = 0):
         if depth % 2 == 0:
@@ -100,6 +102,13 @@ class CountSketch(MergeableSketch):
 
     def _config(self):
         return {"width": self.width, "depth": self.depth, "seed": self.seed}
+
+    @classmethod
+    def _array_specs(cls, config):
+        w, d = config["width"], config["depth"]
+        require(w >= 1 and d >= 1 and d % 2 == 1,
+                f"Count-Sketch of {d} x {w} counters (odd depth)")
+        return {"table": ("iu", (d, w)), "total": ("i", (1,))}
 
     @classmethod
     def _from_state(cls, config, arrays):

@@ -24,12 +24,14 @@ from __future__ import annotations
 
 import numpy as np
 
-from bqf_ray.sketches.base import MergeableSketch, narrow_ints, register
+from bqf_ray.sketches.base import (MergeableSketch, narrow_ints, register,
+                                   require)
 
 
 @register
 class DDSketch(MergeableSketch):
     config_fields = ("alpha", "max_buckets")
+    config_types = {"alpha": float, "max_buckets": int}
 
     def __init__(self, alpha: float = 0.01, max_buckets: int = 2048):
         assert 0 < alpha < 1
@@ -163,6 +165,14 @@ class DDSketch(MergeableSketch):
 
     def _config(self):
         return {"alpha": self.alpha, "max_buckets": self.max_buckets}
+
+    @classmethod
+    def _array_specs(cls, config):
+        a, m = config["alpha"], config["max_buckets"]
+        require(0 < a < 1 and m >= 1, f"DDSketch alpha={a} max_buckets={m}")
+        return {"pos_idx": ("iu", ("pos",)), "pos_cnt": ("iu", ("pos",)),
+                "neg_idx": ("iu", ("neg",)), "neg_cnt": ("iu", ("neg",)),
+                "zero": ("i", (1,))}
 
     @classmethod
     def _from_state(cls, config, arrays):

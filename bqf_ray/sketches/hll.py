@@ -10,7 +10,7 @@ from __future__ import annotations
 
 import numpy as np
 
-from bqf_ray.sketches.base import MergeableSketch, register
+from bqf_ray.sketches.base import MergeableSketch, register, require
 
 
 def _register_updates(keys: np.ndarray, p: int):
@@ -30,6 +30,7 @@ def _register_updates(keys: np.ndarray, p: int):
 @register
 class HyperLogLog(MergeableSketch):
     config_fields = ("p",)
+    config_types = {"p": int}
 
     def __init__(self, p: int = 14):
         assert 4 <= p <= 20
@@ -161,6 +162,12 @@ class HyperLogLog(MergeableSketch):
 
     def _config(self):
         return {"p": self.p}
+
+    @classmethod
+    def _array_specs(cls, config):
+        p = config["p"]
+        require(4 <= p <= 20, f"HyperLogLog p={p}")
+        return {"registers": ("u", (1 << p,))}
 
     @classmethod
     def _from_state(cls, config, arrays):

@@ -16,7 +16,7 @@ from __future__ import annotations
 
 import numpy as np
 
-from bqf_ray.sketches.base import MergeableSketch, register
+from bqf_ray.sketches.base import MergeableSketch, register, require
 
 _C = 2.0 / 3.0
 
@@ -24,6 +24,7 @@ _C = 2.0 / 3.0
 @register
 class KLL(MergeableSketch):
     config_fields = ("k",)
+    config_types = {"k": int, "seed": int}
 
     def __init__(self, k: int = 200, seed: int = 0):
         self.k = int(k)
@@ -145,9 +146,20 @@ class KLL(MergeableSketch):
         return {"k": self.k, "seed": self.seed}
 
     @classmethod
+    def _array_specs(cls, config):
+        k, seed = config["k"], config["seed"]
+        require(k >= 1 and 0 <= seed * 2654435761 + 1 < 1 << 64,
+                f"KLL k={k} seed={seed}")
+        return {"flat": ("f", ("n",)), "offsets": ("i", ("levels",)),
+                "coin": ("u", (1,)), "stats": ("f", (3,))}
+
+    @classmethod
     def _from_state(cls, config, arrays):
         s = cls(k=int(config["k"]), seed=int(config["seed"]))
         flat, offs = arrays["flat"], arrays["offsets"]
+        require(len(offs) == 0 or (offs[0] == 0 and offs[-1] == len(flat)
+                                   and (np.diff(offs) >= 0).all()),
+                "KLL level offsets do not split the items")
         s.levels = [flat[offs[i]:offs[i + 1]].copy() for i in range(len(offs) - 1)]
         if not s.levels:
             s.levels = [np.empty(0, dtype=np.float64)]

@@ -25,12 +25,14 @@ from __future__ import annotations
 
 import numpy as np
 
-from bqf_ray.sketches.base import MergeableSketch, narrow_ints, register
+from bqf_ray.sketches.base import (MergeableSketch, narrow_ints, register,
+                                   require)
 
 
 @register
 class MisraGries(MergeableSketch):
     config_fields = ("m",)
+    config_types = {"m": int}
 
     def __init__(self, m: int = 1024):
         assert m >= 1
@@ -107,6 +109,12 @@ class MisraGries(MergeableSketch):
 
     def _config(self):
         return {"m": self.m}
+
+    @classmethod
+    def _array_specs(cls, config):
+        require(config["m"] >= 1, f"Misra-Gries m={config['m']}")
+        return {"keys": ("u", ("c",)), "counts": ("iu", ("c",)),
+                "n": ("i", (1,))}
 
     @classmethod
     def _from_state(cls, config, arrays):

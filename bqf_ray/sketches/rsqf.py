@@ -36,10 +36,18 @@ deliberate and observable-behavior-preserving):
 - **In-memory slots are one uint64 each** (vectorized access); the
   *serialized* form (what travels through the object store, the shuffle
   and checkpoints) stores elements, not slots: the occupieds bitvector,
-  one run-end bit per element and the ``r + count_size``-bit slot values
-  of the occupied slots only.  That costs r + c + 1 + 2^q/n bits per
-  element plus the JSON header; empty slots cost nothing beyond their
-  occupieds bit, and decoding re-places the runs exactly as a build does.
+  one run-end bit per element, the ``r``-bit remainders of the occupied
+  slots and their counters coded by exception (see the wire-format
+  comment).  Empty slots cost nothing beyond their occupieds bit, and
+  decoding re-places the runs exactly as a build does.
+- **Partition pin**: a filter that will only ever hold the keys of one
+  ``key % P`` partition (a :func:`build_partitioned` shard) is pinned
+  with :meth:`for_partition`.  Its keys share their low k = ctz(P) bits,
+  so it stores ``key >> k`` on ``hash_bits − k`` bits: the quotient
+  comes from bits that vary within the shard, and every element saves
+  k remainder bits.  The pin ``(low_bits, residue)`` travels in the
+  blob; enumeration restores full keys, and keys outside the residue
+  are absent (queries) or rejected (updates).
 - **Resize** re-derives quotients from stored hashes at q+n — the
   observable contract of the reference's streaming in-place resize
   (/root/reference/src/abstract_bqf.cpp:302-479) at the same O(n) cost,
@@ -96,6 +104,33 @@ def _bitvec(positions: np.ndarray, nbits: int) -> np.ndarray:
     return _pack_flags(flags)
 
 
+def _slot_order(keys: np.ndarray, q: int, key_bits: int) -> np.ndarray:
+    """Order of unique ``key_bits``-bit keys by (quotient, remainder),
+    quotient = the low ``q`` bits: one argsort of the key rotated so its
+    quotient leads (the same order as ``lexsort((rem, quot))``)."""
+    quot = keys & U64((1 << q) - 1)
+    return np.argsort((quot << U64(key_bits - q)) | (keys >> U64(q)))
+
+
+def _element_positions(first: np.ndarray, offsets: np.ndarray,
+                       n: int) -> np.ndarray:
+    """Slot of each of ``n`` elements listed in slot order, run ``j``
+    starting at element ``first[j]``: element i of run j sits at
+    i + max(offsets[:j + 1]), so a run starts at its home slot
+    (offset = home − first) or right after the runs before it."""
+    shift = np.full(n, np.iinfo(np.int64).min)
+    shift[first] = offsets
+    return np.arange(n) + np.maximum.accumulate(shift)
+
+
+def _header_int(config: dict, name: str, default: int | None = None) -> int:
+    """An integer header field (``default`` when absent), else ValueError."""
+    v = config.get(name, default)
+    if type(v) is not int:
+        raise ValueError(f"filter blob: {name!r} is {v!r}, not an int")
+    return v
+
+
 def _check_words(arrays: dict, name: str, bits: int) -> None:
     """A decoded bitvector/packed array must be exactly ⌈bits/64⌉ words."""
     a = arrays.get(name)
@@ -104,12 +139,37 @@ def _check_words(arrays: dict, name: str, bits: int) -> None:
         raise ValueError(f"filter blob: {name!r} does not hold {bits} bits")
 
 
+def _decode_counts(config: dict, arrays: dict, c: int, n: int
+                   ) -> np.ndarray:
+    """The ``n`` stored counters of a wire-3 blob with ``c``-bit counters:
+    ``count_base`` except where ``count_flags`` is set, there ``count_base
+    + 1 +`` the next ``count_exc`` value.  Every length is checked, and
+    every counter must fit ``c`` bits."""
+    base = _header_int(config, "count_base")
+    width = _header_int(config, "count_exc_bits")
+    if not (0 <= base < 1 << c and 0 <= width <= c):
+        raise ValueError(f"filter blob: count_base={base} count_exc_bits="
+                         f"{width} do not fit {c}-bit counters")
+    _check_words(arrays, "count_flags", n)
+    flags = arrays["count_flags"]
+    flagged = _bit_positions(flags, 64 * len(flags))
+    if len(flagged) and flagged[-1] >= n:
+        raise ValueError("filter blob: count flags past the last element")
+    _check_words(arrays, "count_exc", len(flagged) * width)
+    exc = unpack_bits(arrays["count_exc"], width, len(flagged))
+    if len(exc) and int(exc.max()) > (1 << c) - 2 - base:
+        raise ValueError(f"filter blob: counters past 2^{c} - 1")
+    counts = np.full(n, U64(base))
+    counts[flagged] = exc + U64(base + 1)
+    return counts
+
+
 def pack_bits(values: np.ndarray, width: int) -> np.ndarray:
     """Bit-pack uint64 values to ``width`` bits each → uint64 word array."""
     n = len(values)
     total_bits = n * width
     words = np.zeros((total_bits + 63) // 64 + 1, dtype=np.uint64)
-    if n == 0:
+    if total_bits == 0:
         return words[:0]
     v = values.astype(np.uint64) & ((U64(1) << U64(width)) - U64(1) if width < 64 else U64(0xFFFFFFFFFFFFFFFF))
     off = np.arange(n, dtype=np.int64) * width
@@ -125,16 +185,16 @@ def pack_bits(values: np.ndarray, width: int) -> np.ndarray:
 
 def unpack_bits(words: np.ndarray, width: int, n: int) -> np.ndarray:
     """Inverse of :func:`pack_bits`."""
-    if n == 0:
-        return np.empty(0, dtype=np.uint64)
+    if n == 0 or width == 0:
+        return np.zeros(n, dtype=np.uint64)
     w = np.concatenate([words.astype(np.uint64), np.zeros(1, dtype=np.uint64)])
     off = np.arange(n, dtype=np.int64) * width
     widx = off >> 6
     shift = (off & 63).astype(np.uint64)
     lo = w[widx] >> shift
-    hi = np.zeros(n, dtype=np.uint64)
-    spill = shift != 0
-    hi[spill] = w[widx[spill] + 1] << (U64(64) - shift[spill])
+    # the next word's bits: << (64 − shift) in two steps, so shift = 0
+    # gives 0 instead of an out-of-range shift
+    hi = (w[widx + 1] << U64(1)) << (U64(63) - shift)
     mask = (U64(1) << U64(width)) - U64(1) if width < 64 else U64(0xFFFFFFFFFFFFFFFF)
     return (lo | hi) & mask
 
@@ -151,7 +211,7 @@ class _QuotientFilterKernel(MergeableSketch):
     ``_query_process_count`` (stored count → reported count).
     """
 
-    config_fields = ("hash_bits", "count_size")
+    config_fields = ("hash_bits", "count_size", "low_bits", "residue")
     MAX_LOAD = 0.95          # /root/reference/src/rsqf.cpp:19
     _SLACK = 256
 
@@ -172,6 +232,8 @@ class _QuotientFilterKernel(MergeableSketch):
         self.hash_bits = int(hash_bits)
         self.count_size = int(count_size)
         self.auto_resize = auto_resize
+        self.low_bits = 0        # key bits fixed by a partition pin ...
+        self.residue = 0         # ... and their value (for_partition)
         self.elements_inside = 0
         self._pend_keys: list[np.ndarray] = []
         self._pend_counts: list[np.ndarray] = []
@@ -217,19 +279,69 @@ class _QuotientFilterKernel(MergeableSketch):
     # --- geometry ----------------------------------------------------------
 
     @property
+    def key_bits(self) -> int:
+        """Bits stored per key: ``hash_bits`` less the pinned low bits."""
+        return self.hash_bits - self.low_bits
+
+    @property
     def remainder_bits(self) -> int:
-        return self.hash_bits - self.q
+        return self.key_bits - self.q
 
     @property
     def slot_width(self) -> int:
         return self.remainder_bits + self.count_size
 
     def error_bound(self) -> float:
-        """Per-query false-positive bound 2^-(hash_bits − q): an absent
+        """Per-query false-positive bound 2^-(key_bits − q): an absent
         key is reported present only when its remainder matches a stored
-        one in its quotient's run (README.md:54 analog, FP ≤ 2^-r)."""
+        one in its quotient's run (README.md:54 analog, FP ≤ 2^-r).  The
+        quotient must come from bits that vary across the keys, which is
+        why a partition shard is pinned (:meth:`for_partition`): unpinned,
+        its fixed low bits make runs P times longer and the rate P times
+        higher."""
         self._compact()
         return 2.0 ** -self.remainder_bits
+
+    # --- partition pin -----------------------------------------------------
+
+    def for_partition(self, num_partitions: int, part: int
+                      ) -> "_QuotientFilterKernel":
+        """Pin this empty filter to partition ``part`` of a ``key %
+        num_partitions`` split and return it.  Those keys share their
+        low k = ctz(num_partitions) bits, so the filter stores ``key >>
+        k`` on ``hash_bits − k`` bits (k is lowered to keep ``q <
+        hash_bits − k``; odd P pins nothing).  Lossless: enumeration
+        restores full keys, queries report keys of other residues
+        absent, and updates reject them."""
+        if self.elements_inside or self._dirty():
+            raise ValueError("only an empty filter can be pinned")
+        P = int(num_partitions)
+        if P < 1:
+            raise ValueError(f"num_partitions must be >= 1, got {P}")
+        k = min((P & -P).bit_length() - 1, self.hash_bits - self.q - 1)
+        self.low_bits, self.residue = k, int(part) % (1 << k)
+        return self
+
+    def _stored_keys(self, keys) -> np.ndarray:
+        """``keys`` as this filter stores them: cut to ``hash_bits``, pin
+        bits dropped.  A key outside the pinned residue raises."""
+        keys = np.asarray(keys, dtype=np.uint64)
+        if self.hash_bits < 64:
+            keys = keys & ((U64(1) << U64(self.hash_bits)) - U64(1))
+        if self.low_bits:
+            if ((keys & U64((1 << self.low_bits) - 1))
+                    != U64(self.residue)).any():
+                raise ValueError(
+                    f"key outside residue {self.residue} mod "
+                    f"{1 << self.low_bits} of this partition filter")
+            keys = keys >> U64(self.low_bits)
+        return keys
+
+    def _full_keys(self, keys: np.ndarray) -> np.ndarray:
+        """Inverse of :meth:`_stored_keys`."""
+        if not self.low_bits:
+            return keys
+        return (keys << U64(self.low_bits)) | U64(self.residue)
 
     @property
     def size_limit(self) -> int:
@@ -265,11 +377,9 @@ class _QuotientFilterKernel(MergeableSketch):
                           np.array([count], dtype=np.uint64))
 
     def update_batch(self, keys: np.ndarray, counts: np.ndarray | None = None) -> None:
-        keys = np.asarray(keys, dtype=np.uint64)
+        keys = self._stored_keys(keys)
         if len(keys) == 0:
             return
-        if self.hash_bits < 64:
-            keys = keys & ((U64(1) << U64(self.hash_bits)) - U64(1))
         if counts is None:
             counts = np.ones(len(keys), dtype=np.uint64)
         else:
@@ -289,11 +399,9 @@ class _QuotientFilterKernel(MergeableSketch):
                           np.array([count], dtype=np.uint64))
 
     def remove_batch(self, keys: np.ndarray, counts: np.ndarray | None = None) -> None:
-        keys = np.asarray(keys, dtype=np.uint64)
+        keys = self._stored_keys(keys)
         if len(keys) == 0:
             return
-        if self.hash_bits < 64:
-            keys = keys & ((U64(1) << U64(self.hash_bits)) - U64(1))
         if counts is None:
             counts = np.ones(len(keys), dtype=np.uint64)
         self._neg_keys.append(keys)
@@ -362,18 +470,18 @@ class _QuotientFilterKernel(MergeableSketch):
         # grow q until under load cap (reference resize(1) loop,
         # /root/reference/src/abstract_bqf.cpp:102-107)
         while self.auto_resize and len(uniq) > int((1 << self.q) * self.MAX_LOAD) \
-                and self.q + 1 < self.hash_bits:
+                and self.q + 1 < self.key_bits:
             self.q += 1
         self._build(uniq, stored)
 
     def _build(self, ukeys: np.ndarray, counts: np.ndarray) -> None:
-        """Vectorized layout construction from unique keys (any order)."""
+        """Vectorized layout construction from unique stored keys (any
+        order)."""
         q = self.q
-        nq = 1 << q
-        quot = (ukeys & U64(nq - 1)).astype(np.int64)
-        rem = (ukeys >> U64(q)).astype(np.uint64)
-        order = np.lexsort((rem, quot))
-        quot, rem, counts = quot[order], rem[order], counts.astype(np.uint64)[order]
+        order = _slot_order(ukeys, q, self.key_bits)
+        ukeys, counts = ukeys[order], counts.astype(np.uint64)[order]
+        quot = (ukeys & U64((1 << q) - 1)).astype(np.int64)
+        rem = ukeys >> U64(q)
         uq, run_counts = np.unique(quot, return_counts=True)
         c = U64(self.count_size)
         self._place(uq, run_counts, (rem << c) | counts if self.count_size else rem)
@@ -393,10 +501,9 @@ class _QuotientFilterKernel(MergeableSketch):
             self._alloc_empty()
             return
         D = np.cumsum(run_counts)
-        prev_d = np.concatenate([[0], D[:-1]])
-        g = np.maximum.accumulate(uq - 1 - prev_d)
-        ends = g + D
-        pos = np.arange(n) + np.repeat(g + 1, run_counts)
+        first = D - run_counts
+        pos = _element_positions(first, uq - first, n)
+        ends = pos[D - 1]
         self._built_q = q
         extent = int(ends[-1]) + 1
         cap = max(nq + self._SLACK, extent + 64)
@@ -434,7 +541,7 @@ class _QuotientFilterKernel(MergeableSketch):
         grow the way the reference's in-place pass does (tested with a
         tracemalloc peak assertion)."""
         self._compact()
-        assert self.q + n < self.hash_bits
+        assert self.q + n < self.key_bits
         old_q = self._built_q
         q2 = self.q + n
         if self.elements_inside == 0:
@@ -531,6 +638,19 @@ class _QuotientFilterKernel(MergeableSketch):
             return np.zeros(n, dtype=np.uint64)
         if self.hash_bits < 64:
             keys = keys & ((U64(1) << U64(self.hash_bits)) - U64(1))
+        if not self.low_bits:
+            return self._query_stored(keys)
+        mine = (keys & U64((1 << self.low_bits) - 1)) == U64(self.residue)
+        if mine.all():
+            return self._query_stored(keys >> U64(self.low_bits))
+        out = np.zeros(n, dtype=np.uint64)
+        if mine.any():
+            out[mine] = self._query_stored(keys[mine] >> U64(self.low_bits))
+        return out
+
+    def _query_stored(self, keys: np.ndarray) -> np.ndarray:
+        """:meth:`query_batch` of stored keys (a non-empty batch)."""
+        n = len(keys)
         q = self.q
         quot = (keys & U64((1 << q) - 1)).astype(np.int64)
         rem = keys >> U64(q)
@@ -594,12 +714,13 @@ class _QuotientFilterKernel(MergeableSketch):
         """(slot position of every stored element in slot order, length of
         every run) of the built layout."""
         starts, lens = self._runs()
-        pos = np.arange(int(lens.sum())) + \
-            np.repeat(starts - (np.cumsum(lens) - lens), lens)
-        return pos, lens
+        D = np.cumsum(lens)
+        first = D - lens
+        return _element_positions(first, starts - first,
+                                  int(D[-1]) if len(D) else 0), lens
 
     def _enumerate_built(self) -> tuple[np.ndarray, np.ndarray]:
-        """(keys, stored_counts) of the built (compacted) portion."""
+        """(stored keys, stored_counts) of the built (compacted) portion."""
         if self.elements_inside == 0:
             return (np.empty(0, dtype=np.uint64), np.empty(0, dtype=np.uint64))
         pos, lens = self._element_slots()
@@ -620,7 +741,8 @@ class _QuotientFilterKernel(MergeableSketch):
         makes the filter mergeable (reference C8)."""
         self._compact()
         keys, stored = self._enumerate_built()
-        return keys, self._report(stored, np.ones(len(stored), dtype=bool))
+        return self._full_keys(keys), \
+            self._report(stored, np.ones(len(stored), dtype=bool))
 
     # --- merge (engine-defined; absent in reference, SURVEY.md §2.4) -------
 
@@ -643,32 +765,62 @@ class _QuotientFilterKernel(MergeableSketch):
         return self
 
     # --- serde -------------------------------------------------------------
-    # Wire format (``wire: 2``), the reference's on-disk layout idea
-    # (its src/abstract_bqf.cpp:512-529) applied to elements
-    # instead of slots: the occupieds bitvector (2^q bits), one run-end bit
-    # per stored element in slot order, and the stored slot values
-    # (remainder << c | count) bit-packed at ``slot_width``, plus ``n`` in
-    # the header.  Quotients stay implicit in the run structure and empty
-    # slots are not written, so an element costs r + c + 1 + 2^q/n bits
-    # plus the JSON header.  Decoding re-places the runs with ``_place``;
-    # the layout is canonical, so slots, run ends, extent and the
-    # rank/select caches come back identical.  Blobs without ``wire``
-    # (every slot up to ``extent``) stay readable.
+    # Wire format (``wire: 3``), the reference's on-disk layout idea
+    # (its src/abstract_bqf.cpp:512-529) applied to elements instead of
+    # slots.  The header holds q, hash_bits, count_size, auto_resize, the
+    # element count ``n``, the partition pin ``low_bits``/``residue`` and
+    # the counter code ``count_base``/``count_exc_bits``.  The arrays list
+    # elements in slot order:
+    #
+    #   occupieds    2^q bits, one per quotient;
+    #   run_ends     n bits, set on the last element of each run;
+    #   rems         each element's r = hash_bits − low_bits − q remainder
+    #                bits, packed;
+    #   count_flags  (c > 0) n bits, set where the stored count is not
+    #                count_base, the smallest stored count;
+    #   count_exc    (c > 0) each flagged count − count_base − 1, packed at
+    #                count_exc_bits, the bit width of the largest.
+    #
+    # Quotients stay implicit in the run structure and empty slots are not
+    # written, so an element costs r + 1 + 2^q/n bits, one flag bit, and
+    # count_exc_bits more when its counter is an exception, plus the JSON
+    # header.  Decoding re-places the runs with ``_place``; the layout is
+    # canonical, so slots, run ends, extent and the rank/select caches come
+    # back identical.  Wire-2 blobs (``(remainder << c) | count`` packed at
+    # slot_width, no pin) and blobs without ``wire`` (every slot up to
+    # ``extent``) stay readable.
 
     def _state_arrays(self) -> dict[str, np.ndarray]:
         self._compact()
         pos, lens = self._element_slots()
         last = np.zeros(len(pos), dtype=bool)
         last[np.cumsum(lens) - 1] = True
-        return {"occupieds": self._occupieds,
-                "run_ends": _pack_flags(last),
-                "elems": pack_bits(self._slots[pos], self.slot_width)}
+        vals = self._slots[pos]
+        arrays = {"occupieds": self._occupieds,
+                  "run_ends": _pack_flags(last)}
+        base = width = 0
+        if self.count_size:
+            c = U64(self.count_size)
+            counts = vals & ((U64(1) << c) - U64(1))
+            vals = vals >> c
+            base = int(counts.min()) if len(counts) else 0
+            flags = counts != U64(base)
+            exc = counts[flags] - U64(base + 1)
+            width = int(exc.max()).bit_length() if len(exc) else 0
+            arrays["count_flags"] = _pack_flags(flags)
+            arrays["count_exc"] = pack_bits(exc, width)
+        arrays["rems"] = pack_bits(vals, self.remainder_bits)
+        self._count_code = (base, width)    # for _config: to_bytes calls it next
+        return arrays
 
     def _config(self) -> dict:
+        base, width = self._count_code
         return {"q": self.q, "hash_bits": self.hash_bits,
                 "count_size": self.count_size,
                 "auto_resize": int(self.auto_resize),
-                "wire": 2, "n": self.elements_inside}
+                "wire": 3, "n": self.elements_inside,
+                "low_bits": self.low_bits, "residue": self.residue,
+                "count_base": base, "count_exc_bits": width}
 
     @classmethod
     def _construct(cls, config) -> "_QuotientFilterKernel":
@@ -683,24 +835,37 @@ class _QuotientFilterKernel(MergeableSketch):
         # every array length is checked against the header before the
         # 2^q-slot layout is allocated, so a corrupt header cannot make
         # the decoder allocate more than the blob itself justifies
-        q, h, c = (int(config[k]) for k in ("q", "hash_bits", "count_size"))
-        if not (1 <= q < h <= 64 and 0 <= c <= 64 - (h - q)):
+        q, h, c, _ = (_header_int(config, k) for k in
+                      ("q", "hash_bits", "count_size", "auto_resize"))
+        k = _header_int(config, "low_bits", 0)
+        res = _header_int(config, "residue", 0)
+        if not (0 <= k and 1 <= q < h - k and h <= 64
+                and 0 <= res < 1 << k and 0 <= c <= 64 - (h - k - q)):
             raise ValueError(f"bad filter geometry: q={q} hash_bits={h} "
-                             f"count_size={c}")
-        width = h - q + c
+                             f"low_bits={k} residue={res} count_size={c}")
+        r = h - k - q
         nq = 1 << q
         _check_words(arrays, "occupieds", nq)
-        wire = config.get("wire", 1)           # no field: slot-array blob
+        wire = _header_int(config, "wire", 1)  # no field: slot-array blob
         if wire == 1:
             ext = arrays.get("extent")
             extent = int(ext[0]) if ext is not None and ext.shape == (1,) \
                 else -1
             _check_words(arrays, "runends", extent)
-            _check_words(arrays, "slots", extent * width)
-        elif wire == 2:
-            n = int(config["n"])
+            _check_words(arrays, "slots", extent * (r + c))
+        elif wire in (2, 3):
+            n = _header_int(config, "n")
             _check_words(arrays, "run_ends", n)
-            _check_words(arrays, "elems", n * width)
+            if wire == 2:
+                _check_words(arrays, "elems", n * (r + c))
+            else:
+                names = {"occupieds", "run_ends", "rems"} | \
+                    ({"count_flags", "count_exc"} if c else set())
+                if set(arrays) != names:
+                    raise ValueError(f"filter blob: arrays {sorted(arrays)}"
+                                     f" are not {sorted(names)}")
+                _check_words(arrays, "rems", n * r)
+                counts = _decode_counts(config, arrays, c, n) if c else None
             occ, run_ends = arrays["occupieds"], arrays["run_ends"]
             uq = _bit_positions(occ, 64 * len(occ))
             last = _bit_positions(run_ends, 64 * len(run_ends))
@@ -714,11 +879,17 @@ class _QuotientFilterKernel(MergeableSketch):
         if (s.q, s.count_size) != (q, c):
             raise ValueError(f"filter blob geometry q={q} count_size={c} "
                              f"does not fit {cls.__name__}")
+        s.low_bits, s.residue = k, res
         if wire == 1:
             s._load_slots(arrays, extent)
+            return s
+        if wire == 2:
+            vals = unpack_bits(arrays["elems"], r + c, n)
         else:
-            s._place(uq, np.diff(last, prepend=-1),
-                     unpack_bits(arrays["elems"], width, n))
+            vals = unpack_bits(arrays["rems"], r, n)
+            if c:
+                vals = (vals << U64(c)) | counts
+        s._place(uq, np.diff(last, prepend=-1), vals)
         return s
 
     def _load_slots(self, arrays, extent: int) -> None:

@@ -17,7 +17,7 @@ from __future__ import annotations
 
 import numpy as np
 
-from bqf_ray.sketches.base import MergeableSketch, register
+from bqf_ray.sketches.base import MergeableSketch, register, require
 
 _BUFFER_LIMIT = 4096
 
@@ -25,6 +25,7 @@ _BUFFER_LIMIT = 4096
 @register
 class TDigest(MergeableSketch):
     config_fields = ("delta",)
+    config_types = {"delta": int}
 
     def __init__(self, delta: int = 200):
         self.delta = int(delta)
@@ -132,6 +133,12 @@ class TDigest(MergeableSketch):
 
     def _config(self):
         return {"delta": self.delta}
+
+    @classmethod
+    def _array_specs(cls, config):
+        require(config["delta"] >= 1, f"t-digest delta={config['delta']}")
+        return {"means": ("f", ("c",)), "weights": ("f", ("c",)),
+                "stats": ("f", (3,))}
 
     @classmethod
     def _from_state(cls, config, arrays):

@@ -19,9 +19,10 @@ Three shapes (SURVEY.md §3.1 "Ray shape" / §7.3):
    moves at most P rows per batch, whatever the key cardinality, so
    there is no plan to choose.  Keys are disjoint across shards, so the
    shard set IS the global sketch — probes route by the same
-   ``key % P``.  This is the shape for sketches whose size grows with
-   distinct keys (BQF), where a tree-merge of overlapping partials would
-   thrash.
+   ``key % P``.  Each shard is a quotient filter pinned to its partition
+   (``for_partition``): it drops the low key bits ``key % P`` fixes.
+   This is the shape for sketches whose size grows with distinct keys
+   (BQF), where a tree-merge of overlapping partials would thrash.
 
 3. **Probe** (`ProbeStage`): broadcast the (shard) sketch blobs once via
    ``ray.put``; an actor pool deserializes in ``__init__`` and serves
@@ -153,6 +154,18 @@ def run_arrays(group: pa.Table) -> tuple[np.ndarray, np.ndarray]:
             pc.list_flatten(group.column("count")).to_numpy())
 
 
+def route(keys: np.ndarray, num_partitions: int
+          ) -> tuple[np.ndarray, np.ndarray]:
+    """``(order, bounds)``: ``keys[order[bounds[p]:bounds[p + 1]]]`` are
+    the keys of partition ``key % P`` = p, in input order, from one
+    stable sort by partition."""
+    P = int(num_partitions)
+    part = (keys % np.uint64(P)).astype(np.min_scalar_type(P - 1))
+    order = np.argsort(part, kind="stable")
+    bounds = np.searchsorted(part[order], np.arange(P + 1))
+    return order, bounds
+
+
 def build_partitioned(ds, key_fn: KeyFn, factory: Callable[[], MergeableSketch],
                       num_partitions: int = 16, batch_size: int | None = 4096,
                       sink_dir: str | None = None,
@@ -162,7 +175,8 @@ def build_partitioned(ds, key_fn: KeyFn, factory: Callable[[], MergeableSketch],
     """One exchange: each map batch emits its (key, count) runs, one row
     per ``key % P`` partition (:func:`key_runs`), and one sketch is built
     per partition from all its rows → Dataset[(part, blob, n_keys, bytes,
-    sha256)].
+    sha256)].  ``factory`` must make quotient filters: each shard is
+    pinned to its partition (``factory().for_partition(P, part)``).
 
     The exchange moves at most P rows per batch, carrying per-batch-unique
     keys, not raw occurrences (ray_guide 'Aggregation at scale').  With
@@ -189,7 +203,7 @@ def build_partitioned(ds, key_fn: KeyFn, factory: Callable[[], MergeableSketch],
 
         from bqf_ray.state.checkpoint import _atomic_write
         part = int(group.column("__part")[0].as_py())
-        sk = factory()
+        sk = factory().for_partition(P, part)
         sk.update_batch(*run_arrays(group))
         blob = sk.to_bytes()
         size, sha = len(blob), hashlib.sha256(blob).hexdigest()
@@ -290,11 +304,13 @@ class PartitionedSketch:
     def query_batch(self, keys: np.ndarray) -> np.ndarray:
         keys = np.asarray(keys, dtype=np.uint64)
         out = np.zeros(len(keys), dtype=np.uint64)
-        part = keys % np.uint64(self.P) if self.P else keys
+        if not self.shards or len(keys) == 0:
+            return out
+        order, bounds = route(keys, self.P)
         for p, sk in self.shards.items():
-            m = part == p
-            if m.any():
-                out[m] = sk.query_batch(keys[m])
+            idx = order[bounds[p]:bounds[p + 1]]
+            if len(idx):
+                out[idx] = sk.query_batch(keys[idx])
         return out
 
     def enumerate(self) -> tuple[np.ndarray, np.ndarray]:

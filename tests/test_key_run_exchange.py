@@ -56,7 +56,7 @@ def test_key_run_exchange_is_exact(ray_session, blocks, codec, skip):
     for p in range(P):
         if skip and p in skip:
             continue
-        sk = factory()
+        sk = factory().for_partition(P, p)
         sk.update_batch(keys[part == p], counts[part == p])
         want[p] = hashlib.sha256(sk.to_bytes()).hexdigest()
     assert got == want
