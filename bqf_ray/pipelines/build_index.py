@@ -134,8 +134,9 @@ def update_bqf_index(checkpoint_dir: str, add_ds=None, remove_ds=None,
     Plan: the build's key-run exchange (:func:`key_runs`), with a
     constant sign column per side; ONE task per touched partition loads
     its shard blob from the checkpoint, applies adds then removes, and
-    rewrites the blob atomically — partitions receiving no delta are
-    never read or written.  The manifest is refreshed with the new
+    rewrites the blob atomically, pinned to its partition (a shard
+    written before pinning is rebuilt pinned) — partitions receiving no
+    delta are never read or written.  The manifest is refreshed with the new
     sizes/hashes.
     Requires shared storage for the checkpoint dir (same assumption as
     the checkpoint design itself).  Within one call, adds apply before
@@ -168,21 +169,26 @@ def update_bqf_index(checkpoint_dir: str, add_ds=None, remove_ds=None,
     runs = parts[0] if len(parts) == 1 else parts[0].union(parts[1])
 
     def apply_delta(group: pa.Table) -> pa.Table:
+        from bqf_ray.sketches.base import MergeableSketch
+        from bqf_ray.sketches.bqf import BqfEc
+
         part = int(group.column("__part")[0].as_py())
         adds = group.filter(pc.equal(group.column("sign"), 1))
         removes = group.filter(pc.equal(group.column("sign"), -1))
         path = os.path.join(checkpoint_dir, f"part-{part:05d}.sketch")
-        if os.path.exists(path):
-            with open(path, "rb") as f:
-                from bqf_ray.sketches.base import MergeableSketch
-                sk = MergeableSketch.from_bytes(f.read())
-        else:
-            # a brand-new partition only receives adds
-            from bqf_ray.sketches.bqf import BqfEc
-            sk = BqfEc(q=int(config["q"]),
+        pinned = BqfEc(q=int(config["q"]),
                        count_size=int(config["count_size"]),
                        hash_bits=int(config["hash_bits"])
                        ).for_partition(P, part)
+        if not os.path.exists(path):
+            sk = pinned            # a brand-new partition only receives adds
+        else:
+            with open(path, "rb") as f:
+                sk = MergeableSketch.from_bytes(f.read())
+            if pinned.low_bits and not sk.low_bits:
+                # a shard written before pinning: pin it on rewrite
+                pinned.update_batch(*sk.enumerate())
+                sk = pinned
         sk.update_batch(*run_arrays(adds))
         sk.remove_batch(*run_arrays(removes))
         blob = sk.to_bytes()

@@ -22,24 +22,25 @@ deliberate and observable-behavior-preserving):
   (reference C1/C2/C17/C18).  Because counter updates commute
   (/root/reference/src/bqf_ec.cpp:120-133), the final filter state is
   insert-order-independent; we exploit that by buffering updates and
-  rebuilding the slot layout with O(n) vectorized scans (cumsum +
-  running-max placement) instead of porting ~520 LoC of circular bit-shift
-  machinery.  Property tests (tests/test_bqf.py) verify dict-oracle
-  equality exactly as the reference's unit tests do
+  rebuilding the elements with one argsort instead of porting ~520 LoC
+  of circular bit-shift machinery.  Property tests (tests/test_bqf.py)
+  verify dict-oracle equality exactly as the reference's unit tests do
   (/root/reference/unitary_tests/cqf_test.cpp:336-437).
-- **Non-circular layout with overflow slack**: the reference's array is
-  toroidal (runs wrap past slot 2^q−1 to 0, /root/reference/src/rsqf.cpp:
-  609-612).  We allocate `2^q + slack` physical slots so runs spill right
-  instead of wrapping; rank/select then index globally, which keeps every
-  batch operation a flat vectorized scan.  Slot occupancy and run contents
-  are identical up to that rotation.
-- **In-memory slots are one uint64 each** (vectorized access); the
-  *serialized* form (what travels through the object store, the shuffle
-  and checkpoints) stores elements, not slots: the occupieds bitvector,
-  one run-end bit per element, the ``r``-bit remainders of the occupied
-  slots and their counters coded by exception (see the wire-format
-  comment).  Empty slots cost nothing beyond their occupieds bit, and
-  decoding re-places the runs exactly as a build does.
+- **Elements in slot order, not a slot array**: the reference inserts by
+  shifting slots in place, so its slot positions (runs displaced right of
+  their home slot, wrapping past slot 2^q−1 to 0,
+  /root/reference/src/rsqf.cpp:609-612) are its data.  Every change here
+  is a rebuild, so the kernel keeps only what those slots hold: the
+  elements run by run (quotients ascending, remainders ascending within a
+  run), one uint64 word ``(remainder << c) | count`` each, and the offset
+  of every run's first element.  A query ranks its quotient in
+  ``occupieds`` to find its run, as the reference's rank/select does;
+  runs, their contents and their order are the reference's, without the
+  empty slots.  The *serialized* form (what travels through the object
+  store, the shuffle and checkpoints) is the same elements bit-packed:
+  the occupieds bitvector, one run-end bit per element, the ``r``-bit
+  remainders and the counters coded by exception (see the wire-format
+  comment).
 - **Partition pin**: a filter that will only ever hold the keys of one
   ``key % P`` partition (a :func:`build_partitioned` shard) is pinned
   with :meth:`for_partition`.  Its keys share their low k = ctz(P) bits,
@@ -50,9 +51,9 @@ deliberate and observable-behavior-preserving):
   are absent (queries) or rejected (updates).
 - **Resize** re-derives quotients from stored hashes at q+n — the
   observable contract of the reference's streaming in-place resize
-  (/root/reference/src/abstract_bqf.cpp:302-479) at the same O(n) cost,
-  vectorized.  Triggered at the same 95% load factor
-  (/root/reference/src/rsqf.cpp:19).
+  (/root/reference/src/abstract_bqf.cpp:302-479) at the same O(n) cost:
+  one stable radix sort of the elements by their low n remainder bits.
+  Triggered at the same 95% load factor (/root/reference/src/rsqf.cpp:19).
 """
 
 from __future__ import annotations
@@ -62,7 +63,6 @@ import numpy as np
 from bqf_ray.sketches.base import MergeableSketch
 
 U64 = np.uint64
-_WORD = 64
 
 
 def _popcount64(x: np.ndarray) -> np.ndarray:
@@ -71,10 +71,6 @@ def _popcount64(x: np.ndarray) -> np.ndarray:
     x = (x & U64(0x3333333333333333)) + ((x >> U64(2)) & U64(0x3333333333333333))
     x = (x + (x >> U64(4))) & U64(0x0F0F0F0F0F0F0F0F)
     return (x * U64(0x0101010101010101)) >> U64(56)
-
-
-def _set_bits(bitvec: np.ndarray, positions: np.ndarray) -> None:
-    np.bitwise_or.at(bitvec, positions >> 6, U64(1) << (positions.astype(np.uint64) & U64(63)))
 
 
 def _test_bits(bitvec: np.ndarray, positions: np.ndarray) -> np.ndarray:
@@ -97,8 +93,7 @@ def _pack_flags(flags: np.ndarray) -> np.ndarray:
 
 
 def _bitvec(positions: np.ndarray, nbits: int) -> np.ndarray:
-    """⌈nbits/64⌉-word bitvector with the given bits set (on a fresh
-    vector several times faster than :func:`_set_bits`)."""
+    """⌈nbits/64⌉-word bitvector with the given bits set."""
     flags = np.zeros(nbits, dtype=bool)
     flags[positions] = True
     return _pack_flags(flags)
@@ -112,15 +107,10 @@ def _slot_order(keys: np.ndarray, q: int, key_bits: int) -> np.ndarray:
     return np.argsort((quot << U64(key_bits - q)) | (keys >> U64(q)))
 
 
-def _element_positions(first: np.ndarray, offsets: np.ndarray,
-                       n: int) -> np.ndarray:
-    """Slot of each of ``n`` elements listed in slot order, run ``j``
-    starting at element ``first[j]``: element i of run j sits at
-    i + max(offsets[:j + 1]), so a run starts at its home slot
-    (offset = home − first) or right after the runs before it."""
-    shift = np.full(n, np.iinfo(np.int64).min)
-    shift[first] = offsets
-    return np.arange(n) + np.maximum.accumulate(shift)
+def _runs(quot: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+    """(distinct quotients, run lengths) of a sorted quotient array."""
+    head = np.flatnonzero(np.diff(quot, prepend=-1))
+    return quot[head], np.diff(head, append=len(quot))
 
 
 def _header_int(config: dict, name: str, default: int | None = None) -> int:
@@ -213,12 +203,11 @@ class _QuotientFilterKernel(MergeableSketch):
 
     config_fields = ("hash_bits", "count_size", "low_bits", "residue")
     MAX_LOAD = 0.95          # /root/reference/src/rsqf.cpp:19
-    _SLACK = 256
 
     def __init__(self, q: int = 10, hash_bits: int = 64, count_size: int = 0,
                  auto_resize: bool = True):
         assert 1 <= q < hash_bits <= 64
-        # one-uint64-per-slot layout: remainder + counter must fit a word.
+        # one uint64 word per element: remainder + counter must fit it.
         # (q only grows capacity, so raising it is semantically safe.)
         min_q = hash_bits + count_size - 64
         if q < min_q:
@@ -348,16 +337,31 @@ class _QuotientFilterKernel(MergeableSketch):
         return int((1 << self.q) * self.MAX_LOAD)
 
     def _alloc_empty(self) -> None:
-        nq = 1 << self.q
-        cap = nq + self._SLACK
-        self._slots = np.zeros(cap, dtype=np.uint64)
-        self._occupieds = np.zeros((nq + 63) // 64, dtype=np.uint64)
-        self._runends = np.zeros((cap + 63) // 64, dtype=np.uint64)
-        self._extent = 0                     # slots in use are < _extent
-        self._built_q = self.q               # q the current layout was built at
-        self._occ_quots = np.empty(0, dtype=np.int64)     # select cache
-        self._runend_pos = np.empty(0, dtype=np.int64)    # select cache
-        self._occ_prefix = np.zeros(len(self._occupieds), dtype=np.int64)
+        self._set_layout(np.empty(0, dtype=np.int64),
+                         np.empty(0, dtype=np.int64),
+                         np.empty(0, dtype=np.uint64))
+
+    def _set_layout(self, uq: np.ndarray, run_counts: np.ndarray,
+                    vals: np.ndarray, occupieds: np.ndarray | None = None
+                    ) -> None:
+        """Install elements in slot order: ``vals`` are the slot words
+        ``(rem << c) | count``, and run i, of quotient ``uq[i]`` (sorted),
+        holds the next ``run_counts[i]`` of them.  Build, resize and every
+        decoder end here, so the same elements give the same state."""
+        self.elements_inside = len(vals)
+        self._built_q = self.q               # q the elements were split at
+        self._vals = vals
+        self._run_first = np.concatenate(
+            [[0], np.cumsum(run_counts)]).astype(np.int64)
+        self._occ_quots = uq
+        self._occupieds = _bitvec(uq, 1 << self.q) if occupieds is None \
+            else occupieds
+        pc = _popcount64(self._occupieds).astype(np.int64)
+        self._occ_prefix = np.concatenate([[0], np.cumsum(pc)[:-1]])
+
+    def _elem_quots(self) -> np.ndarray:
+        """The quotient of every element, in slot order."""
+        return np.repeat(self._occ_quots, np.diff(self._run_first))
 
     @classmethod
     def find_quotient_given_memory(cls, max_bytes: int, hash_bits: int = 64,
@@ -430,7 +434,6 @@ class _QuotientFilterKernel(MergeableSketch):
             deltas = np.concatenate(parts_c)
             if len(keys) == 0:
                 self._alloc_empty()
-                self.elements_inside = 0
                 return
             uniq, inv = np.unique(keys, return_inverse=True)
             raw = np.zeros(len(uniq), dtype=np.int64)
@@ -439,15 +442,12 @@ class _QuotientFilterKernel(MergeableSketch):
             uniq, raw = uniq[alive], raw[alive]
             stored = self._from_raw(raw)
         else:  # "max" combine (oom)
-            ins_k = np.concatenate([keys0] + pend_k) if (len(keys0) or pend_k) \
-                else np.empty(0, dtype=np.uint64)
+            ins_k = np.concatenate([keys0] + pend_k)
             ins_s = np.concatenate(
                 [stored0.astype(np.int64)] +
-                [self._from_raw(c.astype(np.int64)).astype(np.int64) for c in pend_c]) \
-                if (len(keys0) or pend_c) else np.empty(0, dtype=np.int64)
+                [self._from_raw(c.astype(np.int64)).astype(np.int64) for c in pend_c])
             if len(ins_k) == 0 and not neg_k:
                 self._alloc_empty()
-                self.elements_inside = 0
                 return
             uniq, inv = np.unique(ins_k, return_inverse=True)
             smax = np.full(len(uniq), -1, dtype=np.int64)
@@ -475,154 +475,40 @@ class _QuotientFilterKernel(MergeableSketch):
         self._build(uniq, stored)
 
     def _build(self, ukeys: np.ndarray, counts: np.ndarray) -> None:
-        """Vectorized layout construction from unique stored keys (any
-        order)."""
+        """Install unique stored keys (any order) and their counts."""
         q = self.q
         order = _slot_order(ukeys, q, self.key_bits)
         ukeys, counts = ukeys[order], counts.astype(np.uint64)[order]
-        quot = (ukeys & U64((1 << q) - 1)).astype(np.int64)
         rem = ukeys >> U64(q)
-        uq, run_counts = np.unique(quot, return_counts=True)
-        c = U64(self.count_size)
-        self._place(uq, run_counts, (rem << c) | counts if self.count_size else rem)
+        vals = (rem << U64(self.count_size)) | counts if self.count_size \
+            else rem
+        self._set_layout(*_runs((ukeys & U64((1 << q) - 1)).astype(np.int64)),
+                         vals)
 
-    def _place(self, uq: np.ndarray, run_counts: np.ndarray,
-               vals: np.ndarray) -> None:
-        """Greedy run placement: the run of quotient ``uq[i]`` (sorted)
-        takes ``run_counts[i]`` slots starting at max(uq[i], previous run
-        end + 1); ``vals`` are the slot words in slot order.  The layout
-        is a function of the elements alone, so a build, a resize and a
-        wire decode of the same elements all land on the same slots."""
-        q = self.q
-        nq = 1 << q
-        n = len(vals)
-        self.elements_inside = n
-        if n == 0:
-            self._alloc_empty()
-            return
-        D = np.cumsum(run_counts)
-        first = D - run_counts
-        pos = _element_positions(first, uq - first, n)
-        ends = pos[D - 1]
-        self._built_q = q
-        extent = int(ends[-1]) + 1
-        cap = max(nq + self._SLACK, extent + 64)
-        self._slots = np.zeros(cap, dtype=np.uint64)
-        self._slots[pos] = vals
-        self._occupieds = _bitvec(uq, nq)
-        self._runends = _bitvec(ends, cap)
-        self._extent = extent
-        # rank/select caches
-        self._occ_quots = uq
-        self._runend_pos = ends
-        pc = _popcount64(self._occupieds).astype(np.int64)
-        self._occ_prefix = np.concatenate([[0], np.cumsum(pc)[:-1]])
-
-    def resize(self, n: int = 1, chunk_runs: int = 1 << 14) -> None:
-        """Grow quotient by ``n`` bits — STREAMING (contract of
-        /root/reference/src/rsqf.cpp:418-437 / abstract_bqf.cpp:302-479,
-        memory profile included).
+    def resize(self, n: int = 1) -> None:
+        """Grow quotient by ``n`` bits (contract of
+        /root/reference/src/rsqf.cpp:418-437 / abstract_bqf.cpp:302-479).
 
         Key identity: splitting ``key = rem·2^q + quot`` at ``q+n``
         gives ``quot' = (rem mod 2^n)·2^q + quot`` and
-        ``rem' = rem >> n`` — so the new layout is exactly the old
-        elements filtered by ``rem mod 2^n = j`` for j = 0..2^n−1, in
-        old run order, concatenated in j order.  The resize therefore
-        streams the old runs ``2^n`` times in ``chunk_runs``-run
-        chunks, emitting elements in final sorted order and growing
-        the new layout incrementally (greedy run placement with a
-        carried fill position, split-run continuation handled by
-        re-opening the previous run).
-
-        Allocations: the new layout arrays once (O(2^q_new) words +
-        element-bounded select caches) and O(chunk) scratch — NOT the
-        old path's full enumerate (16 B/elem) + lexsort (~40 B/elem)
-        scratch, which is what let an actor near its memory ceiling
-        grow the way the reference's in-place pass does (tested with a
-        tracemalloc peak assertion)."""
+        ``rem' = rem >> n``.  Within one value of ``rem mod 2^n`` the
+        old slot order already sorts by (quot', rem'), so the new slot
+        order is the old one stably sorted by ``rem mod 2^n``: one radix
+        argsort of n-bit values, with no full enumeration and no sort of
+        64-bit keys."""
         self._compact()
         assert self.q + n < self.key_bits
-        old_q = self._built_q
-        q2 = self.q + n
-        if self.elements_inside == 0:
-            self.q = q2
-            self._alloc_empty()
-            return
+        old_q, self.q = self._built_q, self.q + n
         c = U64(self.count_size)
-        cmask = (U64(1) << c) - U64(1)
-        low_mask = U64((1 << n) - 1)
-        nq2 = 1 << q2
-        cap2 = nq2 + self._SLACK
-        slots2 = np.zeros(cap2, dtype=np.uint64)
-        occ2 = np.zeros((nq2 + 63) // 64, dtype=np.uint64)
-        run2 = np.zeros((cap2 + 63) // 64, dtype=np.uint64)
-        uq_buf = np.empty(self.elements_inside, dtype=np.int64)
-        end_buf = np.empty(self.elements_inside, dtype=np.int64)
-        k = 0
-        last_end = np.int64(-1)
-        last_quot = np.int64(-2)
-        old_uq = self._occ_quots
-        old_starts, old_lens = self._runs()
-        for j in range(1 << n):
-            jq = np.int64(j) << np.int64(old_q)
-            for r0 in range(0, len(old_uq), int(chunk_runs)):
-                sl = slice(r0, r0 + int(chunk_runs))
-                st, ln = old_starts[sl], old_lens[sl]
-                m = int(ln.sum())
-                off = np.concatenate([[0], np.cumsum(ln)[:-1]])
-                pos = np.repeat(st, ln) + \
-                    (np.arange(m) - np.repeat(off, ln))
-                vals = self._slots[pos]
-                rem = (vals >> c) if self.count_size else vals
-                sel = (rem & low_mask) == U64(j)
-                if not sel.any():
-                    continue
-                quots = np.repeat(old_uq[sl], ln)[sel] + jq
-                rems2 = rem[sel] >> U64(n)
-                cnts = (vals[sel] & cmask) if self.count_size else None
-                uq2, rc2 = np.unique(quots, return_counts=True)
-                D = np.cumsum(rc2)
-                prev_d = np.concatenate([[0], D[:-1]])
-                arr = uq2 - 1 - prev_d
-                cont = k > 0 and uq2[0] == last_quot
-                arr[0] = max(arr[0], last_end)
-                g = np.maximum.accumulate(arr)
-                ends2 = g + D
-                starts2 = ends2 - rc2 + 1
-                if ends2[-1] >= cap2:       # adversarial skew fallback
-                    cap2 = int(ends2[-1]) + 64 + self._SLACK
-                    grown = np.zeros(cap2, dtype=np.uint64)
-                    grown[:len(slots2)] = slots2
-                    slots2 = grown
-                    grown_r = np.zeros((cap2 + 63) // 64,
-                                       dtype=np.uint64)
-                    grown_r[:len(run2)] = run2
-                    run2 = grown_r
-                pos2 = np.repeat(starts2, rc2) + \
-                    (np.arange(len(quots)) - np.repeat(prev_d, rc2))
-                slots2[pos2] = ((rems2 << c) | cnts) if self.count_size \
-                    else rems2
-                _set_bits(occ2, uq2)
-                if cont:                    # re-open the split run
-                    e = int(end_buf[k - 1])
-                    run2[e >> 6] &= ~(U64(1) << U64(e & 63))
-                    k -= 1
-                _set_bits(run2, ends2)
-                uq_buf[k:k + len(uq2)] = uq2
-                end_buf[k:k + len(uq2)] = ends2
-                k += len(uq2)
-                last_quot = uq2[-1]
-                last_end = ends2[-1]
-        self.q = q2
-        self._built_q = q2
-        self._slots = slots2
-        self._occupieds = occ2
-        self._runends = run2
-        self._extent = int(last_end) + 1
-        self._occ_quots = uq_buf[:k].copy()
-        self._runend_pos = end_buf[:k].copy()
-        pc = _popcount64(occ2).astype(np.int64)
-        self._occ_prefix = np.concatenate([[0], np.cumsum(pc)[:-1]])
+        rem = self._vals >> c
+        low = (rem & U64((1 << n) - 1)).astype(np.min_scalar_type((1 << n) - 1))
+        order = np.argsort(low, kind="stable")
+        quot = (low[order].astype(np.int64) << old_q) + \
+            self._elem_quots()[order]
+        rem >>= U64(n)
+        rem <<= c
+        rem |= self._vals & ((U64(1) << c) - U64(1))
+        self._set_layout(*_runs(quot), rem[order])
 
     # --- queries -----------------------------------------------------------
 
@@ -662,78 +548,46 @@ class _QuotientFilterKernel(MergeableSketch):
         word = self._occupieds[qo >> 6]
         below = word & ((U64(1) << (qo.astype(np.uint64) & U64(63))) - U64(1))
         rank = self._occ_prefix[qo >> 6] + _popcount64(below).astype(np.int64)  # 0-based
-        ends = self._runend_pos[rank]
-        prev_end = np.where(rank > 0, self._runend_pos[np.maximum(rank - 1, 0)], -1)
-        starts = np.maximum(qo, prev_end + 1)
-        stored_o, found_o = self._run_lookup(starts, ends, rem[occ])
+        starts = self._run_first[rank]
+        stored_o, found_o = self._run_lookup(
+            starts, self._run_first[rank + 1] - starts, rem[occ])
         found = np.zeros(n, dtype=bool)
         found[occ] = found_o
         out[occ] = stored_o
         return self._report(out, found)
 
-    def _run_lookup(self, starts, ends, rems) -> tuple[np.ndarray, np.ndarray]:
+    def _run_lookup(self, starts, lens, rems) -> tuple[np.ndarray, np.ndarray]:
         """Find each remainder in its (sorted) run → (stored count, found)."""
-        m = len(starts)
-        res = np.zeros(m, dtype=np.uint64)
-        lens = ends - starts + 1
+        res = np.zeros(len(starts), dtype=np.uint64)
         c = U64(self.count_size)
         cmask = (U64(1) << c) - U64(1)
-        maxlen = int(lens.max())
-        chunk = maxlen if maxlen <= 64 else 64
-        # gather matrix over the first `chunk` slots; rare longer runs loop
+        chunk = min(int(lens.max()), 64)
+        # gather matrix over the first `chunk` elements; rare longer runs loop
         idx = starts[:, None] + np.arange(chunk)
         valid = np.arange(chunk)[None, :] < lens[:, None]
-        vals = self._slots[np.minimum(idx, len(self._slots) - 1)]
-        srems = (vals >> c) if self.count_size else vals
-        hit = valid & (srems == rems[:, None])
+        vals = self._vals[np.minimum(idx, len(self._vals) - 1)]
+        hit = valid & ((vals >> c) == rems[:, None])
         found = hit.any(axis=1)
         first = np.argmax(hit, axis=1)
         if self.count_size:
             res[found] = vals[found, first[found]] & cmask
-        long = lens > chunk
-        if long.any():
-            for i in np.flatnonzero(long & ~found):
-                seg = self._slots[starts[i] + chunk: ends[i] + 1]
-                sr = (seg >> c) if self.count_size else seg
-                j = np.searchsorted(sr, rems[i])
-                if j < len(sr) and sr[j] == rems[i]:
-                    res[i] = (seg[j] & cmask) if self.count_size else U64(0)
-                    found[i] = True
+        for i in np.flatnonzero((lens > chunk) & ~found):
+            seg = self._vals[starts[i] + chunk: starts[i] + lens[i]] >> c
+            j = np.searchsorted(seg, rems[i])
+            if j < len(seg) and seg[j] == rems[i]:
+                res[i] = self._vals[starts[i] + chunk + j] & cmask
+                found[i] = True
         return res, found
 
     # --- enumeration (C8) --------------------------------------------------
 
-    def _runs(self) -> tuple[np.ndarray, np.ndarray]:
-        """(first slot, length) of every run of the built layout."""
-        ends = self._runend_pos
-        starts = np.maximum(self._occ_quots,
-                            np.concatenate([[-1], ends[:-1]]) + 1)
-        return starts, ends - starts + 1
-
-    def _element_slots(self) -> tuple[np.ndarray, np.ndarray]:
-        """(slot position of every stored element in slot order, length of
-        every run) of the built layout."""
-        starts, lens = self._runs()
-        D = np.cumsum(lens)
-        first = D - lens
-        return _element_positions(first, starts - first,
-                                  int(D[-1]) if len(D) else 0), lens
-
     def _enumerate_built(self) -> tuple[np.ndarray, np.ndarray]:
         """(stored keys, stored_counts) of the built (compacted) portion."""
-        if self.elements_inside == 0:
-            return (np.empty(0, dtype=np.uint64), np.empty(0, dtype=np.uint64))
-        pos, lens = self._element_slots()
-        vals = self._slots[pos]
         c = U64(self.count_size)
-        if self.count_size:
-            rem = vals >> c
-            counts = vals & ((U64(1) << c) - U64(1))
-        else:
-            rem = vals
-            counts = np.ones(len(pos), dtype=np.uint64)
-        keys = (rem << U64(self._built_q)) | \
-            np.repeat(self._occ_quots, lens).astype(np.uint64)
+        keys = ((self._vals >> c) << U64(self._built_q)) | \
+            self._elem_quots().astype(np.uint64)
+        counts = self._vals & ((U64(1) << c) - U64(1)) if self.count_size \
+            else np.ones(len(keys), dtype=np.uint64)
         return keys, counts
 
     def enumerate(self) -> tuple[np.ndarray, np.ndarray]:
@@ -784,18 +638,17 @@ class _QuotientFilterKernel(MergeableSketch):
     # Quotients stay implicit in the run structure and empty slots are not
     # written, so an element costs r + 1 + 2^q/n bits, one flag bit, and
     # count_exc_bits more when its counter is an exception, plus the JSON
-    # header.  Decoding re-places the runs with ``_place``; the layout is
-    # canonical, so slots, run ends, extent and the rank/select caches come
-    # back identical.  Wire-2 blobs (``(remainder << c) | count`` packed at
-    # slot_width, no pin) and blobs without ``wire`` (every slot up to
+    # header.  These are the in-memory elements, so decoding installs them
+    # as they are and the state comes back identical.  Wire-2 blobs
+    # (``(remainder << c) | count`` packed at slot_width, no pin) and blobs
+    # without ``wire`` (every slot of the reference's layout up to
     # ``extent``) stay readable.
 
     def _state_arrays(self) -> dict[str, np.ndarray]:
         self._compact()
-        pos, lens = self._element_slots()
-        last = np.zeros(len(pos), dtype=bool)
-        last[np.cumsum(lens) - 1] = True
-        vals = self._slots[pos]
+        last = np.zeros(self.elements_inside, dtype=bool)
+        last[self._run_first[1:] - 1] = True
+        vals = self._vals
         arrays = {"occupieds": self._occupieds,
                   "run_ends": _pack_flags(last)}
         base = width = 0
@@ -833,8 +686,8 @@ class _QuotientFilterKernel(MergeableSketch):
     @classmethod
     def _from_state(cls, config, arrays):
         # every array length is checked against the header before the
-        # 2^q-slot layout is allocated, so a corrupt header cannot make
-        # the decoder allocate more than the blob itself justifies
+        # filter is allocated, so a corrupt header cannot make the
+        # decoder allocate more than the blob itself justifies
         q, h, c, _ = (_header_int(config, k) for k in
                       ("q", "hash_bits", "count_size", "auto_resize"))
         k = _header_int(config, "low_bits", 0)
@@ -889,28 +742,26 @@ class _QuotientFilterKernel(MergeableSketch):
             vals = unpack_bits(arrays["rems"], r, n)
             if c:
                 vals = (vals << U64(c)) | counts
-        s._place(uq, np.diff(last, prepend=-1), vals)
+        s._set_layout(uq, np.diff(last, prepend=-1), vals, occ)
         return s
 
     def _load_slots(self, arrays, extent: int) -> None:
         """Restore a slot-array blob (written before the ``wire`` field):
         every slot up to ``extent`` bit-packed, plus the run-end bits of
-        those slots."""
-        nq = 1 << self.q
-        cap = max(nq + self._SLACK, extent + 64)
-        self._slots = np.zeros(cap, dtype=np.uint64)
-        self._slots[:extent] = unpack_bits(arrays["slots"], self.slot_width,
-                                           extent)
-        self._occupieds = arrays["occupieds"]
-        self._runends = np.zeros((cap + 63) // 64, dtype=np.uint64)
-        self._runends[: len(arrays["runends"])] = arrays["runends"]
-        self._extent = extent
-        self._built_q = self.q
-        self._occ_quots = _bit_positions(self._occupieds, nq)
-        self._runend_pos = _bit_positions(self._runends, extent)
-        pc = _popcount64(self._occupieds).astype(np.int64)
-        self._occ_prefix = np.concatenate([[0], np.cumsum(pc)[:-1]])
-        self.elements_inside = len(self._element_slots()[0])
+        those slots.  Run i ends at the i-th run end and starts at its
+        quotient or right after run i − 1, whichever is later."""
+        uq = _bit_positions(arrays["occupieds"], 1 << self.q)
+        ends = _bit_positions(arrays["runends"], extent)
+        if len(ends) != len(uq):
+            raise ValueError("filter blob: run ends do not match occupieds")
+        starts = np.maximum(uq, np.concatenate([[-1], ends[:-1]]) + 1)
+        lens = ends - starts + 1
+        if (lens < 1).any():
+            raise ValueError("filter blob: a run ends before it starts")
+        first = np.cumsum(lens) - lens
+        pos = np.arange(int(lens.sum())) + np.repeat(starts - first, lens)
+        slots = unpack_bits(arrays["slots"], self.slot_width, extent)
+        self._set_layout(uq, lens, slots[pos], arrays["occupieds"])
 
     def serialized_bits_per_element(self) -> float:
         self._compact()
@@ -919,25 +770,27 @@ class _QuotientFilterKernel(MergeableSketch):
         return len(self.to_bytes()) * 8.0 / self.elements_inside
 
     def debug_dump(self, max_slots: int = 128) -> str:
-        """Readable slot-layout render (C19 ``block2string`` analog,
-        /root/reference/src/rsqf.cpp:46-137): per-slot occupied/runend flags
-        + remainder/count values, for tests and interactive debugging."""
+        """Readable render of the runs (C19 ``block2string`` analog,
+        /root/reference/src/rsqf.cpp:46-137): one line per element in slot
+        order with its quotient, remainder and count, ``occ`` on the first
+        element of a run and ``run`` on its last, for tests and
+        interactive debugging."""
         self._compact()
+        n = self.elements_inside
         lines = [f"<{type(self).__name__} q={self.q} hash_bits={self.hash_bits}"
-                 f" c={self.count_size} elements={self.elements_inside}"
-                 f" extent={self._extent}>"]
-        cmask = (U64(1) << U64(self.count_size)) - U64(1)
-        lim = min(self._extent, max_slots)
-        occ = set(self._occ_quots.tolist())
-        ends = set(self._runend_pos.tolist())
-        for i in range(lim):
-            val = self._slots[i]
-            rem = val >> U64(self.count_size) if self.count_size else val
-            cnt = int(val & cmask) if self.count_size else ""
-            flags = (("occ" if i < (1 << self.q) and i in occ else "   ") +
-                     (" run" if i in ends else "    "))
-            lines.append(f"  slot {i:6d} [{flags}] rem={int(rem):>20d}"
-                         + (f" count={cnt}" if self.count_size else ""))
-        if self._extent > lim:
-            lines.append(f"  ... {self._extent - lim} more slots")
+                 f" c={self.count_size} elements={n}"
+                 f" runs={len(self._occ_quots)}>"]
+        c = U64(self.count_size)
+        lim = min(n, max_slots)
+        heads, ends = set(self._run_first[:-1].tolist()), \
+            set((self._run_first[1:] - 1).tolist())
+        for i, (quot, val) in enumerate(zip(self._elem_quots()[:lim].tolist(),
+                                            self._vals[:lim])):
+            flags = ("occ" if i in heads else "   ") + \
+                (" run" if i in ends else "    ")
+            lines.append(f"  quot {quot:6d} [{flags}] rem={int(val >> c):>20d}"
+                         + (f" count={int(val & ((U64(1) << c) - U64(1)))}"
+                            if self.count_size else ""))
+        if n > lim:
+            lines.append(f"  ... {n - lim} more elements")
         return "\n".join(lines)

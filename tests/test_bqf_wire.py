@@ -61,9 +61,32 @@ def test_v1_blob_decodes_and_reencodes_as_v2(name):
     gk, gc = g.enumerate()
     assert gk.tolist() == expected["keys"]
     assert gc.tolist() == expected["counts"]
-    assert g._extent == f._extent
-    np.testing.assert_array_equal(g._slots[:g._extent], f._slots[:f._extent])
+    for attr in ("_vals", "_run_first", "_occ_quots", "_occupieds",
+                 "_occ_prefix"):
+        np.testing.assert_array_equal(getattr(g, attr), getattr(f, attr),
+                                      err_msg=attr)
     assert g.to_bytes() == v2
+
+
+def _toggle(words, *bits):
+    """Bitvector ``words`` with the given bits flipped."""
+    for b in bits:
+        words[b // 64] ^= np.uint64(1) << np.uint64(b % 64)
+    return words
+
+
+# the frozen BqfEc slot array: quotient 0's run is slot 0 and slot 1 is
+# empty; quotient 11's run is slot 11 alone, after a run ending at slot 9
+@pytest.mark.parametrize("name,edit", [
+    ("runends", np.zeros_like),
+    ("runends", lambda a: _toggle(a, 1)),               # one more run end
+    ("occupieds", np.zeros_like),
+    ("runends", lambda a: _toggle(a, 11, 10)),          # ends before home
+], ids=["runends_zeroed", "extra_run_end", "occupieds_zeroed",
+        "run_ends_before_quotient"])
+def test_corrupt_v1_blob_raises_value_error(name, edit):
+    with pytest.raises(ValueError):
+        MergeableSketch.from_bytes(_with_array(_read("BqfEc"), name, edit))
 
 
 def _small_blob():
@@ -229,8 +252,10 @@ def test_v2_blob_decodes_and_reencodes_as_v3(name):
         assert keys.tolist() == expected["keys"]
         assert counts.tolist() == expected["counts"]
         assert sk.query_batch(probe).tolist() == expected["query"]
-    assert g._extent == f._extent
-    np.testing.assert_array_equal(g._slots, f._slots)
+    for attr in ("_vals", "_run_first", "_occ_quots", "_occupieds",
+                 "_occ_prefix"):
+        np.testing.assert_array_equal(getattr(g, attr), getattr(f, attr),
+                                      err_msg=attr)
     assert g.to_bytes() == v3
 
 
@@ -238,7 +263,8 @@ def test_v2_checkpoint_takes_updates(ray_session, tmp_path):
     """A wire-2 checkpoint resumes and takes updates: the rebuilt shard is
     pinned to its partition, so the index then mixes wire-2 shards with a
     pinned wire-3 one.  ``update_bqf_index`` rewrites only the shards a new
-    document touches, each keeping its pin, and the index answers like
+    document touches, each pinned (a wire-2 shard gets its pin on the
+    rewrite), and the index answers like
     before plus the new keys; removing the document restores the old
     answers."""
     import pyarrow as pa
@@ -276,7 +302,7 @@ def test_v2_checkpoint_takes_updates(ray_session, tmp_path):
     assert not np.isin(new, before[0]).any()
 
     idx = update_bqf_index(ck, add_ds=ray.data.from_arrow(doc))
-    assert shard_configs() == {0: (3, 0, 0), 1: (2, None, None),
+    assert shard_configs() == {0: (3, 2, 0), 1: (2, None, None),
                                2: (3, 2, 2), 3: (2, None, None)}
     SketchCheckpoint.load_all(ck)                 # every sha256 verifies
     assert idx.query_tokens(new).tolist() == [1, 1]

@@ -138,7 +138,10 @@ def test_counter_exceptions_round_trip(counts):
     blob = f.to_bytes()
     g = MergeableSketch.from_bytes(blob)
     assert _sorted(*g.enumerate()) == _sorted(*f.enumerate())
-    np.testing.assert_array_equal(g._slots, f._slots)
+    for attr in ("_vals", "_run_first", "_occ_quots", "_occupieds",
+                 "_occ_prefix"):
+        np.testing.assert_array_equal(getattr(g, attr), getattr(f, attr),
+                                      err_msg=attr)
     assert g.to_bytes() == blob
 
 
