@@ -56,7 +56,6 @@ def bqf_token_counts(ds, text_col: str = "text", count_size: int = 8,
     import ray
     from bqf_ray.functions.hashing import xxhash64_array
     from bqf_ray.pipelines.build_index import build_bqf_index
-    from bqf_ray.stages.sketch_stage import PartitionedSketch  # noqa: F401
 
     idx = build_bqf_index(ds, text_col=text_col, s=1, q=q,
                           count_size=count_size,
@@ -103,18 +102,6 @@ def distinct_tokens_exact(ds, text_col: str = "text"):
 
     import ray
     return ray.data.from_arrow(pa.table({"n_distinct": pa.array([n], pa.int64())}))
-
-
-def distinct_tokens_hll(ds, text_col: str = "text", p: int = 14) -> float:
-    """HLL estimate of distinct tokens (±1.04/√2^p) via partial sketches +
-    tree merge — no shuffle of token rows at all."""
-    from bqf_ray.pipelines.build_index import shingle_key_fn
-    from bqf_ray.sketches.hll import HyperLogLog
-    from bqf_ray.stages.sketch_stage import build_sketch
-
-    sk = build_sketch(ds, shingle_key_fn(text_col, 1, 0),
-                      lambda: HyperLogLog(p=p))
-    return float(sk.estimate())
 
 
 def distinct_tokens_check(ds, sketch_factories: dict, text_col: str = "text",
@@ -194,11 +181,8 @@ def heavy_hitters(ds, text_col: str = "text", top: int = 20,
     from bqf_ray.stages.sketch_stage import build_sketch
 
     k_cand = top * candidate_factor
-    # batch_size=None → one partial per block (each partial is a full
-    # w×d table, so fewer/larger batches cut partial count and merge work)
     cm = build_sketch(ds, shingle_key_fn(text_col, 1, 0),
-                      lambda: CountMin.from_error(eps, delta, seed=3),
-                      batch_size=None)
+                      lambda: CountMin.from_error(eps, delta, seed=3))
     ref = ray.put(cm)
 
     class EstimateTopK:
@@ -267,8 +251,8 @@ def heavy_hitters(ds, text_col: str = "text", top: int = 20,
 
 def value_quantiles(ds, value_col: str, qs=(0.01, 0.25, 0.5, 0.75, 0.99),
                     method: str = "tdigest"):
-    """Approximate quantiles of a numeric column via t-digest or KLL
-    partial sketches + tree merge.  Returns {q: estimate}."""
+    """Approximate quantiles of a numeric column via one t-digest, KLL
+    or DDSketch (:func:`build_sketch`).  Returns {q: estimate}."""
     from bqf_ray.sketches.kll import KLL
     from bqf_ray.sketches.tdigest import TDigest
     from bqf_ray.stages.sketch_stage import build_sketch
@@ -288,22 +272,20 @@ def value_quantiles(ds, value_col: str, qs=(0.01, 0.25, 0.5, 0.75, 0.99),
 
 def grouped_quantiles(ds, group_col: str, value_col: str,
                       qs=(0.25, 0.5, 0.75), method: str = "tdigest"):
-    """Per-group approximate quantiles: grouped t-digest/KLL partials
-    (one fixed-size blob per (batch, group)) merged by ONE
-    ``groupby(group_col)`` blob-only shuffle — raw rows never cross the
-    exchange, so hot groups need no salting.  Returns
-    Dataset[(group_col, q: str, estimate: float64)]."""
+    """Per-group approximate quantiles: one t-digest/KLL per group from
+    ``groupby(group_col).aggregate(sketch_agg(...))`` — mappers build
+    one partial per (block, group) and only those blobs cross the
+    exchange, so hot groups need no salting.  Null and NaN values are
+    dropped.  Returns Dataset[(group_col, q: str, estimate: float64)]."""
     from bqf_ray.sketches.base import MergeableSketch
     from bqf_ray.sketches.kll import KLL
     from bqf_ray.sketches.tdigest import TDigest
-    from bqf_ray.stages.sketch_stage import build_grouped
-
-    def vals(batch: pa.Table) -> np.ndarray:
-        return np.asarray(batch.column(value_col), dtype=np.float64)
+    from bqf_ray.stages.udaf import sketch_agg
 
     factory = (lambda: TDigest(delta=300)) if method == "tdigest" \
         else (lambda: KLL(k=400, seed=11))
-    blobs = build_grouped(ds, group_col, vals, factory)
+    blobs = ds.groupby(group_col).aggregate(
+        sketch_agg(factory, on=value_col, prepare="value", name="blob"))
     qlist = [float(q) for q in qs]
 
     def finalize(batch: pa.Table) -> pa.Table:
@@ -1096,7 +1078,7 @@ def grouped_tdigest_check(ds, key_col: str, value_col: str,
 def mg_heavy_keys(ds, col: str, m: int = 128):
     """EXACT ``HAVING count(*) > n/(m+1)`` frequent keys at O(m) sketch
     memory: phase 1 builds ONE merged Misra–Gries summary over the
-    hashed key stream (tree merge of per-block partials — no shuffle),
+    hashed key stream (a merge of per-block partials — no row shuffle),
     whose deterministic guarantee says every key with true frequency
     above ``n/(m+1)`` is among its ≤ m counters; phase 2 exactly
     recounts ONLY rows whose key hash is in that candidate set (hash
@@ -1125,8 +1107,7 @@ def mg_heavy_keys(ds, col: str, m: int = 128):
         return fmix64(np.asarray(vals).astype(np.int64)
                       .view(np.uint64)), None
 
-    mg = build_sketch(ds, key_fn, lambda: MisraGries(m=m),
-                      batch_size=None)
+    mg = build_sketch(ds, key_fn, lambda: MisraGries(m=m))
     n_total = mg.n
     cand_hashes, _ = mg.candidates()
     ref = ray.put(np.sort(cand_hashes))
@@ -1189,8 +1170,7 @@ def cm_self_join_size(ds, col: str, width: int = 8192, depth: int = 5,
                       .view(np.uint64)), None
 
     cm = build_sketch(ds, key_fn,
-                      lambda: CountMin(width=width, depth=depth, seed=seed),
-                      batch_size=None)
+                      lambda: CountMin(width=width, depth=depth, seed=seed))
     est = cm.inner_product(cm)
     n = int(cm.total)
 
@@ -1222,8 +1202,8 @@ def cm_self_join_size(ds, col: str, width: int = 8192, depth: int = 5,
 
 def theta_overlap(ds_a, ds_b, col: str, k: int = 4096, seed: int = 7):
     """Distinct-set overlap of one key column across two datasets via
-    theta / bottom-k sketches: each side builds ONE BottomK (tree merge
-    of per-block partials, no shuffle), set algebra happens on the two
+    theta / bottom-k sketches: each side builds ONE BottomK (a merge
+    of per-block partials, no row shuffle), set algebra happens on the two
     retained hash arrays (:mod:`bqf_ray.sketches.theta`).  While both
     sketches are UNSATURATED (< k distinct keys) every estimate is
     EXACT — the query layer pins k above the fixture cardinality so the
@@ -1250,8 +1230,8 @@ def theta_overlap(ds_a, ds_b, col: str, k: int = 4096, seed: int = 7):
                       .view(np.uint64)), None
 
     factory = lambda: BottomK(k=k, seed=seed)         # noqa: E731
-    sa = build_sketch(ds_a, key_fn, factory, batch_size=None)
-    sb = build_sketch(ds_b, key_fn, factory, batch_size=None)
+    sa = build_sketch(ds_a, key_fn, factory)
+    sb = build_sketch(ds_b, key_fn, factory)
     est = theta_set_estimates(sa, sb)
     saturated = (len(sa._hashes) >= k) or (len(sb._hashes) >= k)
     n_common = int(round(est["intersection"]))
@@ -1376,7 +1356,7 @@ def grouped_dd_quantiles(ds, key_col: str, value_col: str,
     vectorized grouped-quantile plan (``grouped_hll_sparse``'s sibling
     for quantiles).
 
-    ``build_grouped``/``sketch_agg`` build one Python sketch object per
+    ``sketch_agg`` builds one Python sketch object per
     (batch, group): measured 5.5k rows/s at 62k keys
     (tools/stress_grouped_sketch.py) — a per-group-Python wall, not a
     shuffle problem.  A DDSketch is only an integer histogram over
@@ -2186,8 +2166,8 @@ def cs_heavy_counts(ds, col: str, m: int = 128, width: int = 8192,
     Plan: ONE pre-aggregated exact count shuffle yields the per-key
     table, and `n`, `F2 = Σ cnt²` and the frequent set derive from it
     (native ``aggregate(Sum)`` folds + a threshold filter — the same
-    numbers the SQL oracle recomputes); ONE sketch pass (tree-merged
-    per-block partials, NO shuffle) yields the estimates.  Output
+    numbers the SQL oracle recomputes); ONE sketch pass (merged
+    per-block partials, NO row shuffle) yields the estimates.  Output
     ``(col, cnt, within_bound)`` sorted by key; the oracle recomputes
     the HAVING set + exact counts and asserts the flag TRUE.
     """
@@ -2237,8 +2217,7 @@ def cs_heavy_counts(ds, col: str, m: int = 128, width: int = 8192,
             if isinstance(batch.column(col), pa.ChunkedArray)
             else batch.column(col).drop_null()).astype(np.int64)
             .view(np.uint64)), None),
-        lambda: CountSketch(width=width, depth=depth, seed=seed),
-        batch_size=None)
+        lambda: CountSketch(width=width, depth=depth, seed=seed))
 
     keys = heavy[col].to_numpy().astype(np.int64)
     est = cs.query_batch(fmix64(keys.view(np.uint64)))

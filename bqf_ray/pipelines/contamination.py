@@ -20,7 +20,7 @@ web-text analog of the reference's rolling s-mer register,
   counted per doc in-bucket, then one tiny groupby(doc) sum.  The shape
   for benchmark sets too large to broadcast.
 - ``method="bloom"``: a blocked Bloom filter over the benchmark shingles
-  (built distributedly via partial sketches + tree merge) is broadcast
+  (built distributedly via merged partial sketches) is broadcast
   instead of the exact set — ~1 byte/element instead of 8.  Counts are
   an UPPER bound (Bloom false positives only over-flag, never
   under-flag: no contaminated document escapes), with FP rate ≤ the

@@ -527,8 +527,8 @@ def jaccard_dup_pairs(ds, threshold: float = 0.5, s: int = 3,
         batch_format="pyarrow").materialize()
 
     # 1. globally-CONSISTENT approximate document frequencies: a Count-Min
-    #    over per-doc-distinct shingles, built from partial sketches + a
-    #    tree merge (only sketch blobs cross the network) and broadcast
+    #    over per-doc-distinct shingles, built from merged partial
+    #    sketches (only sketch blobs cross the network) and broadcast
     #    once via ray.put.  ppjoin's correctness needs the same ordering
     #    everywhere, not exact df: CM only OVERestimates, so a df=1
     #    shingle may slip into the posted prefix (extra candidates,
@@ -538,8 +538,7 @@ def jaccard_dup_pairs(ds, threshold: float = 0.5, s: int = 3,
     cm = build_sketch(
         sets,
         lambda b: (np.asarray(b.column("shingle")).astype(np.uint64), None),
-        lambda: CountMin.from_error(1e-4, 1e-3, seed=5),
-        batch_size=None, fanout=64)
+        lambda: CountMin.from_error(1e-4, 1e-3, seed=5))
     cm_ref = ray.put(cm)
 
     # 2. prefix postings, one shuffle-free pass over the materialized

@@ -291,11 +291,10 @@ def pca_project(ds, components: np.ndarray, mean: np.ndarray,
 
 
 def frequent_directions_cov(ds, vec_col: str = "embedding",
-                            ell: int = 16, scale: int = 1000,
-                            fanout: int = 64):
+                            ell: int = 16, scale: int = 1000):
     """Frequent-Directions covariance sketch vs the exact int64 Gram —
     the matrix member of the sketch family driver-checked end to end:
-    per-block FD partials (one thin SVD per block) tree-merge to an
+    per-block FD partials (one thin SVD per block) merge to an
     ℓ×d sketch whose ‖AᵀA − BᵀB‖₂ error is certified two ways:
 
     - ``within_certificate``: error ≤ the sketch's own Σδ shrink
@@ -308,42 +307,25 @@ def frequent_directions_cov(ds, vec_col: str = "embedding",
     partials, one tiny exchange) — d is small, so the exact side is
     cheap; the sketch is the 100-TB path where even the (i, j)
     exchange per block matters or a downstream consumer wants ℓ ≪ n
-    rows, not a d×d fold.
+    rows, not a d×d fold.  The Gram comes first: it gives the sketch
+    its d.
 
     Returns one pandas row ``(ell, d, n, frob_sq,
     within_published_bound, within_certificate)``."""
     import pandas as pd
 
     from bqf_ray.sketches.freqdir import FrequentDirections
-    from bqf_ray.stages.sketch_stage import tree_merge
+    from bqf_ray.stages.sketch_stage import build_sketch
 
     SC = float(scale)
     L = int(ell)
 
-    def partial(batch: pa.Table) -> pa.Table:
-        col = batch.column(vec_col)
-        if isinstance(col, pa.ChunkedArray):
-            col = col.combine_chunks()
-        col = col.filter(col.is_valid())
-        n = len(col)
-        if not n:
-            return pa.table({"blob": pa.array([], pa.binary())})
-        flat = np.asarray(col.flatten(), dtype=np.float64)
-        d = len(flat) // n
-        q = np.floor(flat.reshape(n, d) * SC + 0.5)
-        fd = FrequentDirections(ell=L, d=d)
-        fd.update_batch(q)
-        return pa.table({"blob": pa.array([fd.to_bytes()], pa.binary())})
-
-    fd = tree_merge(ds.map_batches(partial, batch_format="pyarrow"),
-                    fanout=fanout)
-
-    cov = embedding_covariance(ds, vec_col=vec_col, scale=scale)
-    d = fd.d
+    cov = embedding_covariance(ds, vec_col=vec_col, scale=scale).take_all()
+    d = 1 + max((int(r["i"]) for r in cov), default=-1)
     G = np.zeros((d, d), dtype=np.float64)
     n_exact = 0
     frob_exact = 0
-    for r in cov.take_all():
+    for r in cov:
         i, j, s = int(r["i"]), int(r["j"]), int(r["s"])
         if i == -1 and j == -1:
             n_exact = s
@@ -353,6 +335,16 @@ def frequent_directions_cov(ds, vec_col: str = "embedding",
             G[i, j] = G[j, i] = float(s)
             if i == j:
                 frob_exact += s
+
+    def key_fn(batch: pa.Table):
+        col = batch.column(vec_col)
+        if isinstance(col, pa.ChunkedArray):
+            col = col.combine_chunks()
+        col = col.filter(col.is_valid())
+        flat = np.asarray(col.flatten(), dtype=np.float64)
+        return np.floor(flat.reshape(len(col), d) * SC + 0.5), None
+
+    fd = build_sketch(ds, key_fn, lambda: FrequentDirections(ell=L, d=d))
 
     if fd.n != n_exact or fd.frob_sq != frob_exact:
         raise AssertionError(

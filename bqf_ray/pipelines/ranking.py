@@ -11,7 +11,7 @@ exactly once (ntile), never a comparison-sort exchange.
 
 1. ONE sketch pass plans ``P`` value-range boundaries
    (:func:`bqf_ray.stages.partition.quantile_boundaries` — KLL partials,
-   tree merge, no row movement);
+   merged, no row movement);
 2. ONE cheap counting pass (per-batch ``bincount`` of the routed
    partition id — P-sized arrays to the driver) turns the plan into
    EXACT global rank offsets;

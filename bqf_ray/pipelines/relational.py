@@ -175,7 +175,7 @@ def bloom_semi_join(left_ds, right_ds, left_key: str,
     """Bloom-gated exact semi/anti join on an integer key — the
     big-big join plan when most left rows DON'T match.
 
-    A blocked Bloom filter over the right side's keys is tree-merged
+    A blocked Bloom filter over the right side's keys is built
     once and broadcast as bits (``ray.put``; ~1.2 GB per 10^9 keys at
     1% fp — far smaller than a key set).  Bloom misses are DEFINITE
     non-members (zero false negatives): for an anti-join they bypass
@@ -1242,7 +1242,7 @@ def cuckoo_revocation_check(universe_ds, revoked_ds, key_col: str,
     """Deletable-membership maintenance with a cuckoo filter (Fan et al.
     2014) — the revocation companion to :func:`bloom_semi_join`: build
     the filter over a UNIQUE-key universe (distributed per-partition
-    build + tree merge), DELETE a revoked key set, then probe every
+    build + merge), DELETE a revoked key set, then probe every
     universe row and report per-group exact counts beside the filter's
     two contracts:
 

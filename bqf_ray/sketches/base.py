@@ -1,8 +1,8 @@
 """MergeableSketch protocol — the engine's UDAF contract.
 
 Every sketch (BQF, HLL, Count-Min, t-digest, KLL, blocked Bloom) implements
-this protocol so one set of Ray Data stages (partial-build ``map_batches``,
-tree-reduce merge, probe) drives all of them.  This generalizes the
+this protocol so one set of Ray Data stages (the ``SketchAgg`` aggregate,
+the partitioned build, probe) drives all of them.  This generalizes the
 reference's abstract ``Bqf`` hook surface
 (/root/reference/src/headers/abstract_bqf.hpp:154-170) from "pluggable count
 codecs" to "pluggable mergeable aggregate state".
@@ -156,7 +156,7 @@ class MergeableSketch(ABC):
             # Fresh worker process: populate the registry by importing
             # EVERY module in the sketches package (built dynamically so
             # a new @register'd sketch can never be orphaned here — a
-            # tree_merge task may deserialize any registered blob on a
+            # reduce task may deserialize any registered blob on a
             # worker that never ran the partial stage).
             import importlib
             import pkgutil

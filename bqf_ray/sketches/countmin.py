@@ -83,7 +83,7 @@ class CountMin(MergeableSketch):
         the SAME config built from different streams.  One-sided:
         ``true ≤ est ≤ true + ε·N_A·N_B`` with probability ≥ 1−δ —
         estimates |R ⋈ S| from two independent single-pass scans with
-        no shuffle at all (each side is a tree-merged global sketch)."""
+        no row shuffle at all (each side is one merged global sketch)."""
         self.check_mergeable(other)
         a = self.table.astype(np.float64)
         b = other.table.astype(np.float64)

@@ -94,7 +94,7 @@ def quantile_boundaries(ds, value_col: str, num_partitions: int,
                         method: str = "kll", k: int = 1024,
                         seed: int = 11) -> np.ndarray:
     """``num_partitions − 1`` interior range boundaries from ONE sketch
-    pass (KLL or t-digest partials + tree merge) — the sample-sort planner.
+    pass (KLL or t-digest, :func:`build_sketch`) — the sample-sort planner.
     Unlike Ray's built-in sort sampling this exposes the boundaries as a
     reusable artifact: compute once, route many datasets/stages with the
     same key ranges (the ONE-partitioning-key-reused-everywhere rule)."""

@@ -1,16 +1,15 @@
-"""Ray Data stages that turn any :class:`MergeableSketch` into a
-distributed UDAF.
+"""Ray Data stages that build a :class:`MergeableSketch` over a dataset.
 
-Three shapes (SURVEY.md §3.1 "Ray shape" / §7.3):
+Global and grouped sketches are one plan: a :class:`SketchAgg`
+(``stages/udaf.py``) run by Ray Data's own aggregate — mappers feed
+each block's keys to a partial sketch, reducers merge partials
+pairwise — so :func:`build_sketch` is ``ds.aggregate`` over one
+``SketchAgg`` and a grouped sketch is
+``ds.groupby(col).aggregate(sketch_agg(...))`` (SURVEY.md §3.1 "Ray
+shape" / §7.3).  This module adds the two shapes that plan cannot
+express:
 
-1. **Partial + tree-reduce** (`build_sketch`): stateless ``map_batches``
-   emits one serialized partial sketch per input block, then
-   :func:`tree_merge` reduces them level-by-level with a
-   ``groupby(part_id // fanout)`` shuffle per level — the canonical
-   mergeable-UDAF plan.  Works for any sketch; network cost per level is
-   (#partials / fanout) × sketch_size.
-
-2. **Partitioned build** (`build_partitioned`): one key-run exchange on
+1. **Partitioned build** (`build_partitioned`): one key-run exchange on
    ``key % P`` co-locates every occurrence of a key.  Each map batch sums
    its equal keys and emits one row per non-empty partition, holding
    that partition's sorted keys and counts as two list columns
@@ -22,12 +21,12 @@ Three shapes (SURVEY.md §3.1 "Ray shape" / §7.3):
    ``key % P``.  Each shard is a quotient filter pinned to its partition
    (``for_partition``): it drops the low key bits ``key % P`` fixes.
    This is the shape for sketches whose size grows with distinct keys
-   (BQF), where a tree-merge of overlapping partials would thrash.
+   (BQF), where merging overlapping partials would thrash.
 
-3. **Probe** (`ProbeStage`): broadcast the (shard) sketch blobs once via
-   ``ray.put``; an actor pool deserializes in ``__init__`` and serves
-   vectorized lookups per batch — the reference's query pipeline
-   (/root/reference/src/abstract_bqf.cpp:169-191) as a data-parallel stage.
+2. **Partitioned sketch** (`PartitionedSketch`): the shard set as one
+   queryable sketch, routing each probe key to its shard by ``key % P``
+   (:func:`route`); ``ray.put`` it once to serve lookups from a
+   data-parallel stage.
 
 Hash-space partitioning by ``key % P`` is uniform for hashed tokens by
 construction, so no salting is needed HERE; salting applies to
@@ -43,70 +42,22 @@ import pyarrow as pa
 import pyarrow.compute as pc
 
 from bqf_ray.sketches.base import MergeableSketch
-
-KeyFn = Callable[[pa.Table], tuple[np.ndarray, np.ndarray | None]]
-"""batch → (uint64 keys, optional counts). May emit any number of keys."""
+from bqf_ray.stages.udaf import KeyFn, SketchAgg
 
 
-# ---------------------------------------------------------------------------
-# shape 1: partials + tree merge
-# ---------------------------------------------------------------------------
-
-def partial_sketches(ds, key_fn: KeyFn, factory: Callable[[], MergeableSketch],
-                     batch_size: int | None = 4096, label: str = "sketch"):
-    """Dataset → Dataset[(part_id: int64, blob: binary)] — one partial
-    sketch per input batch, built inside stateless tasks."""
-
-    def make_partial(batch: pa.Table) -> pa.Table:
-        keys, counts = key_fn(batch)
-        sk = factory()
-        sk.update_batch(keys, counts)
-        return pa.table({"blob": pa.array([sk.to_bytes()], pa.binary())})
-
-    return ds.map_batches(make_partial, batch_format="pyarrow",
-                          batch_size=batch_size)
-
-
-def _merge_block(batch: pa.Table) -> pa.Table:
-    blobs = batch.column("blob").to_pylist()
-    sk = MergeableSketch.from_bytes(blobs[0])
-    for b in blobs[1:]:
-        sk.merge(MergeableSketch.from_bytes(b))
-    return pa.table({"blob": pa.array([sk.to_bytes()], pa.binary())})
-
-
-def tree_merge(blob_ds, fanout: int = 64):
-    """Tree-reduce a Dataset of sketch blobs to ONE sketch: each level
-    ``repartition(ceil(n/fanout))`` packs ~fanout blobs per block and a
-    whole-block ``map_batches`` merges them.  Depth = log_fanout(n); each
-    level moves only the partial blobs, never row data.  Returns the final
-    sketch object.  fanout=64 keeps typical single-node runs to ONE merge
-    level (each level is a barrier + driver sync); fixed-size sketches
-    merge fast enough that wide fan-in is compute-cheap."""
-    ds = blob_ds
-    n = ds.count()
-    while n > 1:
-        levels = max(1, (n + fanout - 1) // fanout)
-        ds = (ds.repartition(levels)
-                .map_batches(_merge_block, batch_format="pyarrow",
-                             batch_size=None))
-        ds = ds.materialize()
-        n = ds.count()
-    rows = ds.take_all()
-    assert len(rows) == 1, f"tree_merge ended with {len(rows)} blobs"
-    return MergeableSketch.from_bytes(rows[0]["blob"])
-
-
-def build_sketch(ds, key_fn: KeyFn, factory: Callable[[], MergeableSketch],
-                 batch_size: int | None = 4096, fanout: int = 64
+def build_sketch(ds, key_fn: KeyFn, factory: Callable[[], MergeableSketch]
                  ) -> MergeableSketch:
-    """read → partial per block → tree merge → one sketch."""
-    return tree_merge(partial_sketches(ds, key_fn, factory, batch_size),
-                      fanout=fanout)
+    """One ``factory()`` sketch fed ``key_fn`` of every block of ``ds``:
+    ``ds.aggregate`` over one :class:`SketchAgg`.  A dataset without
+    rows gives the empty ``factory()`` sketch."""
+    out = ds.aggregate(SketchAgg(factory, key_fn, "bytes", "blob"))
+    if out is None:
+        return factory()
+    return MergeableSketch.from_bytes(out["blob"])
 
 
 # ---------------------------------------------------------------------------
-# shape 2: partitioned build (disjoint key ranges)
+# partitioned build (disjoint key ranges)
 # ---------------------------------------------------------------------------
 
 def _run_heads(a: np.ndarray) -> np.ndarray:
@@ -225,53 +176,6 @@ def build_partitioned(ds, key_fn: KeyFn, factory: Callable[[], MergeableSketch],
             .map_groups(build, batch_format="pyarrow"))
 
 
-# ---------------------------------------------------------------------------
-# shape 4: grouped build (one merged sketch per group value)
-# ---------------------------------------------------------------------------
-
-def build_grouped(ds, group_col: str, value_fn, factory,
-                  batch_size: int | None = 4096):
-    """One merged sketch per distinct value of ``group_col`` — the grouped
-    mergeable-UDAF plan: a per-batch combiner builds one partial sketch per
-    (batch, group), then a single ``groupby(group_col)`` shuffle merges
-    blobs per group.  Returns Dataset[(group_col, blob: binary)].
-
-    ``value_fn(batch) -> np.ndarray`` must return one value per input ROW
-    (aligned with ``group_col``).
-
-    Scale note: raw rows never cross the exchange — shuffle volume is
-    n_blocks × groups_per_block × sketch_size.  A skewed (hot) group costs
-    nothing extra: each batch contributes one fixed-size partial for it no
-    matter how many of the batch's rows it owns, so no salting is needed.
-    """
-
-    def partials(batch: pa.Table) -> pa.Table:
-        vals = np.asarray(value_fn(batch))
-        groups = batch.column(group_col).to_numpy(zero_copy_only=False)
-        uniq, inv = np.unique(groups, return_inverse=True)
-        order = np.argsort(inv, kind="stable")
-        bounds = np.searchsorted(inv[order], np.arange(len(uniq) + 1))
-        blobs = []
-        for i in range(len(uniq)):
-            sk = factory()
-            sk.update_batch(vals[order[bounds[i]:bounds[i + 1]]])
-            blobs.append(sk.to_bytes())
-        return pa.table({group_col: pa.array(list(uniq)),
-                         "blob": pa.array(blobs, pa.binary())})
-
-    def merge_group(batch: pa.Table) -> pa.Table:
-        blobs = batch.column("blob").to_pylist()
-        sk = MergeableSketch.from_bytes(blobs[0])
-        sk.merge_many([MergeableSketch.from_bytes(b) for b in blobs[1:]])
-        return pa.table({group_col: batch.column(group_col).slice(0, 1),
-                         "blob": pa.array([sk.to_bytes()], pa.binary())})
-
-    return (ds.map_batches(partials, batch_format="pyarrow",
-                           batch_size=batch_size)
-            .groupby(group_col)
-            .map_groups(merge_group, batch_format="pyarrow"))
-
-
 class PartitionedSketch:
     """P shard sketches over disjoint key ranges (key % P routing).
 
@@ -326,33 +230,3 @@ class PartitionedSketch:
     def elements_inside(self) -> int:
         return sum(s.elements_inside for s in self.shards.values())
 
-
-# ---------------------------------------------------------------------------
-# shape 3: probe stage
-# ---------------------------------------------------------------------------
-
-class ProbeStage:
-    """Actor-pool ``map_batches`` stage: look up a key column against a
-    broadcast (partitioned) sketch; appends a ``count`` column.
-
-    Pass ``sketch_ref = ray.put(partitioned_or_plain_sketch)`` from the
-    driver — the blob ships to each actor ONCE (object-store broadcast),
-    never per batch.
-    """
-
-    def __init__(self, sketch_ref, key_fn: KeyFn | None = None,
-                 key_col: str = "key", out_col: str = "count"):
-        import ray
-        self.sketch = ray.get(sketch_ref)
-        self.key_fn = key_fn
-        self.key_col = key_col
-        self.out_col = out_col
-
-    def __call__(self, batch: pa.Table) -> pa.Table:
-        if self.key_fn is not None:
-            keys, _ = self.key_fn(batch)
-        else:
-            keys = np.asarray(batch.column(self.key_col), dtype=np.int64).astype(np.uint64)
-        counts = self.sketch.query_batch(keys)
-        return batch.append_column(self.out_col,
-                                   pa.array(counts.astype(np.int64)))

@@ -13,14 +13,16 @@ aggregation surface:
 
 This rides Ray Data's sort-based aggregate: mappers pre-aggregate each
 sorted block per key (``accumulate_block`` over the group's slice — one
-vectorized ``update_batch``), reducers ``merge`` accumulators across
-blocks.  That is exactly the partial-build → tree-merge plan of
-``stages/sketch_stage.py``, obtained for free from the engine's own
-shuffle — and because every sketch's ``merge`` is associative and
-commutative (property-tested in tests/test_merge_properties.py), any
-block partitioning yields the same answer (bit-identical for HLL/Bloom/
-Count-Min whose states are order-invariant; within the published bound
-for the compaction-based quantile sketches).
+vectorized ``update_batch`` of the keys a :data:`KeyFn` takes from it),
+reducers ``merge`` accumulators pairwise across blocks.  It is the one
+plan that builds a mergeable sketch from partials: ``sketch_agg`` keys
+the sketch by one column, and ``sketch_stage.build_sketch`` runs a
+:class:`SketchAgg` over any ``KeyFn`` (shingles, embedding rows) as a
+global ``ds.aggregate``.  Every sketch's ``merge`` is associative and
+commutative (property-tested in tests/test_merge_properties.py), so
+any block partitioning yields the same answer (bit-identical for HLL/
+Bloom/Count-Min whose states are order-invariant; within the published
+bound for the compaction-based quantile sketches).
 
 Run walk.  Ray's own map-side ``TableBlockAccessor._aggregate`` finds a
 sorted block's groups with a Python walk that builds a one-row slice
@@ -55,6 +57,8 @@ mergeable-state contract becomes a first-class distributed aggregate.
 from __future__ import annotations
 
 import collections
+import functools
+from typing import Callable
 
 import numpy as np
 import pyarrow as pa
@@ -65,6 +69,10 @@ from ray.data.aggregate import AggregateFn
 
 from bqf_ray.functions.hashing import fmix64, xxhash64_array
 from bqf_ray.sketches.base import MergeableSketch
+
+KeyFn = Callable[[pa.Table], tuple[np.ndarray, np.ndarray | None]]
+"""batch → (uint64 keys | values, optional counts).  May emit any
+number of keys."""
 
 
 def _to_array(col) -> pa.Array:
@@ -114,9 +122,34 @@ _PREPARES = {"hash": prepare_hash, "value": prepare_value,
              "int": prepare_int}
 
 
+def _keep_mask(prep, col, wcol) -> pa.Array:
+    """Rows the preparation keeps — weights must filter identically.
+    A null WEIGHT also drops the row (SQL sum-of-weights semantics):
+    letting it through would cast NaN→INT64_MIN in the numpy
+    conversion and silently corrupt the sketch state."""
+    keep = pc.and_(col.is_valid(), wcol.is_valid())
+    if prep is prepare_value and pa.types.is_floating(col.type):
+        keep = pc.and_(keep, pc.invert(pc.is_nan(
+            col.fill_null(0.0))))    # NaN rows: prepare_value drops them
+    return keep
+
+
+def _column_keys(on: str, prep, weight_col: str | None, block: pa.Table):
+    """The :data:`KeyFn` of :func:`sketch_agg`: ``prep`` of column
+    ``on``, with the ``weight_col`` values as counts."""
+    col = _to_array(block.column(on))
+    if weight_col is None:
+        return prep(col), None
+    wcol = _to_array(block.column(weight_col))
+    keep = _keep_mask(prep, col, wcol)
+    return (prep(col.filter(keep)),
+            np.asarray(wcol.filter(keep), dtype=np.int64))
+
+
 class SketchAgg(AggregateFn):
     """``AggregateFn`` whose accumulator is the ``to_bytes()`` blob of a
-    ``factory()`` sketch; built by :func:`sketch_agg`.
+    ``factory()`` sketch fed ``key_fn(block)`` — built by
+    :func:`sketch_agg`, or directly by ``sketch_stage.build_sketch``.
 
     Accumulators travel as blobs, not live objects: the engine stores
     partial-agg state in block columns between the map and reduce sides,
@@ -129,15 +162,12 @@ class SketchAgg(AggregateFn):
     uint64.
     """
 
-    def __init__(self, factory, on: str, prep, weight_col: str | None,
-                 fin, name: str):
+    def __init__(self, factory, key_fn: KeyFn, fin, name: str):
         # no AggregateFn.__init__: the methods below are the init /
         # merge / accumulate_block / finalize callables it would store
         self.name = name
         self._factory = factory
-        self._on = on
-        self._prep = prep
-        self._weight_col = weight_col
+        self._key_fn = key_fn
         self._fin = fin
 
     def init(self, _key) -> bytes:
@@ -147,29 +177,11 @@ class SketchAgg(AggregateFn):
         return (MergeableSketch.from_bytes(a)
                 .merge(MergeableSketch.from_bytes(b)).to_bytes())
 
-    def _keep_mask(self, col, wcol) -> pa.Array:
-        """Rows the preparation keeps — weights must filter identically.
-        A null WEIGHT also drops the row (SQL sum-of-weights semantics):
-        letting it through would cast NaN→INT64_MIN in the numpy
-        conversion and silently corrupt the sketch state."""
-        keep = pc.and_(col.is_valid(), wcol.is_valid())
-        if self._prep is prepare_value and pa.types.is_floating(col.type):
-            keep = pc.and_(keep, pc.invert(pc.is_nan(
-                col.fill_null(0.0))))    # NaN rows: prepare_value drops them
-        return keep
-
     def accumulate_block(self, acc: bytes, block) -> bytes:
         if not isinstance(block, pa.Table):          # pandas fallback
             block = pa.Table.from_pandas(block)
         sk = MergeableSketch.from_bytes(acc)
-        col = _to_array(block.column(self._on))
-        if self._weight_col is None:
-            sk.update_batch(self._prep(col))
-        else:
-            wcol = _to_array(block.column(self._weight_col))
-            keep = self._keep_mask(col, wcol)
-            w = np.asarray(wcol.filter(keep), dtype=np.int64)
-            sk.update_batch(self._prep(col.filter(keep)), w)
+        sk.update_batch(*self._key_fn(block))
         return sk.to_bytes()
 
     def finalize(self, acc: bytes):
@@ -201,8 +213,9 @@ def sketch_agg(factory, on: str, *, prepare="hash", weight_col: str | None = Non
         raise ValueError("weight_col requires prepare='hash' or 'value' "
                          "(weights must drop exactly the rows the key "
                          "preparation drops)")
-    return SketchAgg(factory, on, prep, weight_col, finalize,
-                     name or f"sketch({on})")
+    return SketchAgg(factory, functools.partial(_column_keys, on, prep,
+                                                weight_col),
+                     finalize, name or f"sketch({on})")
 
 
 # -- run walk ---------------------------------------------------------------

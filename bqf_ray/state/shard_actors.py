@@ -22,6 +22,7 @@ from __future__ import annotations
 import numpy as np
 
 from bqf_ray.sketches.base import MergeableSketch
+from bqf_ray.stages.sketch_stage import route
 
 
 def _shard_actor_cls():
@@ -93,39 +94,33 @@ class ShardedSketchService:
         self.shards = [cls.remote(seed_blob) for _ in range(self.P)]
         self._ray = ray
 
-    def _route(self, keys: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
-        keys = np.asarray(keys, dtype=np.uint64)
-        part = (keys % np.uint64(self.P)).astype(np.int64)
-        order = np.argsort(part, kind="stable")
-        return keys[order], part[order]
-
     def update(self, keys: np.ndarray, counts: np.ndarray | None = None) -> int:
         """Insert a batch; returns rows accepted.  Blocks until every
         touched shard applied its slice (read-your-writes)."""
         keys = np.asarray(keys, dtype=np.uint64)
         if counts is not None:
             counts = np.asarray(counts, dtype=np.uint64)
-        part = (keys % np.uint64(self.P)).astype(np.int64)
+        order, bounds = route(keys, self.P)
         futs = []
         for p in range(self.P):
-            m = part == p
-            if m.any():
+            idx = order[bounds[p]:bounds[p + 1]]
+            if len(idx):
                 futs.append(self.shards[p].update.remote(
-                    keys[m], counts[m] if counts is not None else None))
+                    keys[idx], counts[idx] if counts is not None else None))
         return int(sum(self._ray.get(futs)))
 
     def query(self, keys: np.ndarray) -> np.ndarray:
         keys = np.asarray(keys, dtype=np.uint64)
-        part = (keys % np.uint64(self.P)).astype(np.int64)
         out = np.zeros(len(keys), dtype=np.uint64)
-        futs, masks = [], []
+        order, bounds = route(keys, self.P)
+        futs, slices = [], []
         for p in range(self.P):
-            m = part == p
-            if m.any():
-                futs.append(self.shards[p].query.remote(keys[m]))
-                masks.append(m)
-        for m, res in zip(masks, self._ray.get(futs)):
-            out[m] = res
+            idx = order[bounds[p]:bounds[p + 1]]
+            if len(idx):
+                futs.append(self.shards[p].query.remote(keys[idx]))
+                slices.append(idx)
+        for idx, res in zip(slices, self._ray.get(futs)):
+            out[idx] = res
         return out
 
     def snapshot(self):

@@ -2,8 +2,9 @@
 quantiles, theta set operations over BottomK, Count-Min inner product.
 
 No Ray needed — these are pure sketch-contract tests (the distributed
-plumbing is the same sketch_agg / build_sketch surface the other
-sketches already exercise end-to-end)."""
+plumbing is the one ``SketchAgg`` aggregate, reached through
+``sketch_agg`` or ``build_sketch``, that the other sketches already
+exercise end-to-end)."""
 
 import numpy as np
 import pytest

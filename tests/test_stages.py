@@ -1,5 +1,5 @@
-"""Ray-level tests: partial+tree-merge build, partitioned build, probe
-stage, salted aggregate, checkpoint/resume."""
+"""Ray-level tests: global sketch build (one ``SketchAgg`` aggregate),
+partitioned build, salted aggregate, checkpoint/resume."""
 
 import os
 
@@ -10,10 +10,11 @@ import pytest
 from bqf_ray.functions.tokenize import token_hashes
 from bqf_ray.pipelines.build_index import BqfIndex, build_bqf_index
 from bqf_ray.sketches.bqf import BqfEc
+from bqf_ray.sketches.countmin import CountMin
 from bqf_ray.sketches.hll import HyperLogLog
 from bqf_ray.sources.pages import generate_pages
-from bqf_ray.stages.sketch_stage import (PartitionedSketch, ProbeStage,
-                                         build_partitioned, build_sketch)
+from bqf_ray.stages.sketch_stage import (PartitionedSketch, build_partitioned,
+                                         build_sketch)
 from bqf_ray.state.checkpoint import SketchCheckpoint
 
 
@@ -37,12 +38,32 @@ def pages_ds(ray_session, pages_table):
     return ray.data.from_arrow(pages_table).repartition(8)
 
 
-def test_build_sketch_tree_merge(ray_session, pages_ds, pages_table):
-    sk = build_sketch(pages_ds, _token_key_fn, lambda: HyperLogLog(p=12),
-                      batch_size=256, fanout=4)
+def test_build_sketch(ray_session, pages_ds, pages_table):
+    sk = build_sketch(pages_ds, _token_key_fn, lambda: HyperLogLog(p=12))
     uniq, _ = _exact_token_counts(pages_table)
     est = sk.estimate()
     assert abs(est - len(uniq)) / len(uniq) < 4 * sk.error_bound()
+    # order-invariant states: the merged partials equal one sketch fed
+    # every key
+    keys, _ = _token_key_fn(pages_table)
+    for factory in (lambda: HyperLogLog(p=12),
+                    lambda: CountMin(width=1024, depth=4)):
+        ref = factory()
+        ref.update_batch(keys, None)
+        assert (build_sketch(pages_ds, _token_key_fn, factory).to_bytes()
+                == ref.to_bytes())
+
+
+@pytest.mark.parametrize("empty", ["from_arrow", "filtered"])
+def test_build_sketch_over_no_rows(ray_session, empty):
+    import ray
+    if empty == "from_arrow":
+        ds = ray.data.from_arrow(pa.table({"text": pa.array([], pa.string())}))
+    else:
+        ds = (ray.data.from_arrow(generate_pages(50, seed=1))
+              .filter(lambda row: False))
+    sk = build_sketch(ds, _token_key_fn, lambda: HyperLogLog(p=12))
+    assert sk.estimate() == 0.0
 
 
 def test_build_partitioned_bqf(ray_session, pages_ds, pages_table):
@@ -57,25 +78,6 @@ def test_build_partitioned_bqf(ray_session, pages_ds, pages_table):
     # enumerate over shards covers exactly the distinct keys
     ek, ec = ps.enumerate()
     assert len(ek) == len(uniq)
-
-
-def test_probe_stage_broadcast(ray_session, pages_ds, pages_table):
-    import ray
-    blob_ds = build_partitioned(
-        pages_ds, _token_key_fn, lambda: BqfEc(q=10, count_size=8),
-        num_partitions=4, batch_size=256)
-    ps = PartitionedSketch.from_dataset(blob_ds, 4)
-    ref = ray.put(ps)
-    uniq, exact = _exact_token_counts(pages_table)
-    probe_tbl = pa.table({"key": pa.array(uniq.astype(np.int64))})
-    out = (ray.data.from_arrow(probe_tbl).repartition(4)
-           .map_batches(ProbeStage, fn_constructor_args=(ref,),
-                        batch_format="pyarrow", batch_size=512, concurrency=2)
-           .to_pandas())
-    out = out.sort_values("key").reset_index(drop=True)
-    order = np.argsort(uniq.astype(np.int64))
-    np.testing.assert_array_equal(out["count"].to_numpy(),
-                                  exact[order].astype(np.int64))
 
 
 def test_checkpoint_resume_skips_done(ray_session, pages_ds, pages_table, tmp_path):

@@ -1,7 +1,7 @@
 """Measured-vs-published error for the quantile and cardinality
 sketches at 10M values — the empirical side of the bounds the oracles
-assert: each sketch is built DISTRIBUTED (per-block partials, tree
-merge), then evaluated against exact answers computed with numpy on
+assert: each sketch is built DISTRIBUTED (per-block partials merged by
+``build_sketch``), then evaluated against exact answers computed with numpy on
 the same data.  Run: python tools/sketch_accuracy.py [N]."""
 import os
 import sys
@@ -15,8 +15,7 @@ N = int(sys.argv[1]) if len(sys.argv) > 1 else 10_000_000
 CPUS = int(os.environ.get("RAY_GRAFT_CPUS", "32"))
 ray.init(address="local", num_cpus=CPUS, include_dashboard=False)
 
-from bqf_ray.sketches.base import MergeableSketch  # noqa: E402
-from bqf_ray.stages.sketch_stage import tree_merge  # noqa: E402
+from bqf_ray.stages.sketch_stage import build_sketch  # noqa: E402
 from tools.canary import _h  # noqa: E402
 
 
@@ -32,15 +31,17 @@ QS = (0.01, 0.25, 0.5, 0.75, 0.99)
 sorted_vals = np.sort(vals)
 
 
-def build(factory, prepare_value=True):
-    def partial(batch: pa.Table) -> pa.Table:
-        sk = factory()
-        x = np.asarray(batch.column("v"), dtype=np.float64)
-        sk.update_batch(x if prepare_value else
-                        _h(x.view(np.int64)))
-        return pa.table({"blob": pa.array([sk.to_bytes()], pa.binary())})
+def values(batch: pa.Table):
+    return np.asarray(batch.column("v"), dtype=np.float64), None
 
-    return tree_merge(ds.map_batches(partial, batch_format="pyarrow"))
+
+def hashes(batch: pa.Table):
+    return _h(np.asarray(batch.column("v"), dtype=np.float64)
+              .view(np.int64)), None
+
+
+def build(factory, key_fn=values):
+    return build_sketch(ds, key_fn, factory)
 
 
 def rank_of(x: float) -> float:
@@ -75,15 +76,7 @@ print(f"{'DDSketch(a=0.01)':22s} worst RELATIVE err = {worst_rel:.5f}  "
 
 from bqf_ray.sketches.hll import HyperLogLog  # noqa: E402
 
-
-def hll_partial(batch: pa.Table) -> pa.Table:
-    sk = HyperLogLog(p=14)
-    x = np.asarray(batch.column("v"), dtype=np.float64)
-    sk.update_batch(_h(x.view(np.int64)))
-    return pa.table({"blob": pa.array([sk.to_bytes()], pa.binary())})
-
-
-hll = tree_merge(ds.map_batches(hll_partial, batch_format="pyarrow"))
+hll = build(lambda: HyperLogLog(p=14), hashes)
 exact_distinct = len(np.unique(vals))
 rel = abs(hll.estimate() - exact_distinct) / exact_distinct
 print(f"{'HLL(p=14)':22s} |rel err| = {rel:.5f}  "
